@@ -1,10 +1,11 @@
 """Sorted simulations, bisimulations and bounded modal equivalence.
 
-The largest model bisimulation is computed by a pair-deletion greatest
-fixpoint.  Modal equivalence at bounded depth runs a partition
-refinement over the disjoint union of two models; when two points
-separate, a distinguishing formula is synthesised from the refinement
-witness.
+One partition refinement over the disjoint union of two models serves
+both the largest model bisimulation and bounded modal equivalence.  Its
+level-k classes are modal equivalence at depth k; run to its fixpoint,
+it gives the coarsest stable partition, whose cross-model pairs form the
+largest bisimulation on finite models.  When two points separate, a
+distinguishing formula is synthesised from the refinement witness.
 """
 
 from __future__ import annotations
@@ -130,86 +131,37 @@ def is_model_bisimulation(m: ModalModel, m2: ModalModel,
 
 
 def largest_bisimulation(m: ModalModel, m2: ModalModel) -> SortedPairRelation:
-    """Greatest fixpoint of pair deletion, starting from valuation agreement."""
+    """The largest model bisimulation between m and m2.
+
+    On finite models it is the coarsest stable partition of the disjoint
+    union: the cross-model pairs that share a class once refinement has
+    reached its fixpoint.
+    """
+    cls = _Refinement(m, m2).levels[-1]
+
+    def shared(points, points2):
+        return frozenset((w, w2) for w in points for w2 in points2
+                         if cls[(0, w)] == cls[(1, w2)])
+
     f, g = m.frame, m2.frame
-    _check_compatible(f, g)
-    vars_all = set(m.valuation) | set(m2.valuation)
-
-    def agrees(sort, w, w2):
-        return all((w in m.var(s, i)) == (w2 in m2.var(s, i))
-                   for s, i in vars_all if s is sort)
-
-    pairs_a = {(a, a2) for a in f.points_a for a2 in g.points_a
-               if agrees(Sort.ONE, a, a2)}
-    pairs_b = {(b, b2) for b in f.points_b for b2 in g.points_b
-               if agrees(Sort.DEL, b, b2)}
-
-    def bad_a(a, a2, pa, pb):
-        # forth and back clauses of the pair, relative to the current relation
-        for b in f._succ[a]:
-            if not any((b, b2) in pb and (a2, b2) in g.incidence
-                       for b2 in g.points_b):
-                return True
-        for b2 in g._succ[a2]:
-            if not any((b, b2) in pb and (a, b) in f.incidence
-                       for b in f.points_b):
-                return True
-        pairs = {Sort.ONE: pa, Sort.DEL: pb}
-        inv = {s: {(y, x) for x, y in p} for s, p in pairs.items()}
-        for name, r in f.relations.items():
-            if r.sorting.output is not Sort.ONE:
-                continue
-            if not _match_tuples(f, g, name, a, a2, pairs)[0]:
-                return True
-            if not _match_tuples(g, f, name, a2, a, inv)[0]:
-                return True
-        return False
-
-    def bad_b(b, b2, pa, pb):
-        for a in f._pred[b]:
-            if not any((a, a2) in pa and (a2, b2) in g.incidence
-                       for a2 in g.points_a):
-                return True
-        for a2 in g._pred[b2]:
-            if not any((a, a2) in pa and (a, b) in f.incidence
-                       for a in f.points_a):
-                return True
-        pairs = {Sort.ONE: pa, Sort.DEL: pb}
-        inv = {s: {(y, x) for x, y in p} for s, p in pairs.items()}
-        for name, r in f.relations.items():
-            if r.sorting.output is not Sort.DEL:
-                continue
-            if not _match_tuples(f, g, name, b, b2, pairs)[0]:
-                return True
-            if not _match_tuples(g, f, name, b2, b, inv)[0]:
-                return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for a, a2 in sorted(pairs_a):
-            if bad_a(a, a2, pairs_a, pairs_b):
-                pairs_a.discard((a, a2))
-                changed = True
-        for b, b2 in sorted(pairs_b):
-            if bad_b(b, b2, pairs_a, pairs_b):
-                pairs_b.discard((b, b2))
-                changed = True
-    return SortedPairRelation(frozenset(pairs_a), frozenset(pairs_b))
+    return SortedPairRelation(shared(f.points_a, g.points_a),
+                              shared(f.points_b, g.points_b))
 
 
 # ----------------------------------------------------------------------
-# Bounded modal equivalence and distinguishing formulas
+# Partition refinement and distinguishing formulas
 
 class _Refinement:
     """Partition refinement over the disjoint union of two models.
 
     Points are tagged (model_index, point).  Level k classes identify
     points satisfying the same modal formulas of depth at most k.
+    Refinement stops after `depth` rounds (None: no limit) or at its
+    fixpoint, whichever comes first; the last level then stands for
+    every deeper one.
     """
 
-    def __init__(self, m: ModalModel, m2: ModalModel, depth: int):
+    def __init__(self, m: ModalModel, m2: ModalModel, depth: int | None = None):
         _check_compatible(m.frame, m2.frame)
         self.models = [m, m2]
         self.vars = sorted(set(m.valuation) | set(m2.valuation),
@@ -253,24 +205,30 @@ class _Refinement:
             rel_sigs.append((name, vecs))
         return (cls[tagged], nbrs, tuple(rel_sigs))
 
-    def _refine(self, depth: int):
+    def _refine(self, depth: int | None):
         keys = {p: self._profile(p) for p in self.points}
         ids = {k: n for n, k in enumerate(sorted(set(keys.values())))}
         cls = {p: ids[keys[p]] for p in self.points}
         self.levels.append(cls)
-        for _ in range(depth):
+        for _ in itertools.count() if depth is None else range(depth):
+            count = len(ids)
             prev = self.levels[-1]
             keys = {p: self._signature(p, prev) for p in self.points}
             ids = {k: n for n, k in enumerate(sorted(set(keys.values()),
                                                      key=repr))}
+            # each level refines the one before, so an equal class count
+            # means an equal partition, and every later level equals it too
+            if len(ids) == count:
+                return
             cls = {p: ids[keys[p]] for p in self.points}
             self.levels.append(cls)
 
     def equivalent(self, x, y, k) -> bool:
+        k = min(k, len(self.levels) - 1)
         return self.levels[k][x] == self.levels[k][y]
 
     def first_difference(self, x, y, k) -> int | None:
-        for j in range(k + 1):
+        for j in range(min(k, len(self.levels) - 1) + 1):
             if self.levels[j][x] != self.levels[j][y]:
                 return j
         return None
@@ -387,6 +345,14 @@ def modal_equiv(m: ModalModel, w: str, m2: ModalModel, w2: str, depth: int):
 
 
 def equivalence_depth_bound(m: ModalModel, m2: ModalModel) -> int:
+    """An a-priori depth at which modal equivalence is bisimilarity.
+
+    A refinement round that changes the partition adds a class, and the
+    partition starts with at least one class per sort, so at most
+    |A|+|A'|+|B|+|B'|-2 rounds change it; |A|*|A'| + |B|*|B'| is never
+    smaller.  Refinement stops as soon as the partition is stable,
+    usually far earlier than this bound.
+    """
     f, g = m.frame, m2.frame
     return (len(f.points_a) * len(g.points_a)
             + len(f.points_b) * len(g.points_b))

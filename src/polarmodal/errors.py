@@ -16,7 +16,8 @@ class ParseError(PolarModalError):
         self.line = line
         self.column = column
         if line is not None:
-            message = f"line {line}, col {column}: {message}"
+            col = "" if column is None else f", col {column}"
+            message = f"line {line}{col}: {message}"
         super().__init__(message)
 
 

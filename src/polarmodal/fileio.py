@@ -73,6 +73,8 @@ def parse_frame_lines(text: str):
         tokens = _comma_tokens(line)
         head = tokens[0]
         if head == "sorts":
+            if points_a is not None:
+                raise ParseError("repeated 'sorts' line", lineno)
             try:
                 ai = tokens.index("A:")
                 bi = tokens.index("B:")
@@ -82,6 +84,11 @@ def parse_frame_lines(text: str):
             points_b = tokens[bi + 1:]
             if not points_a or not points_b:
                 raise ParseError("both sorts must list at least one point", lineno)
+            seen = set()
+            for p in points_a + points_b:
+                if p in seen:
+                    raise ParseError(f"point {p!r} is listed twice", lineno)
+                seen.add(p)
         elif head == "I:":
             for pair in _split_groups(tokens[1:]):
                 if len(pair) != 2:
@@ -93,6 +100,8 @@ def parse_frame_lines(text: str):
                 raise ParseError(
                     "expected 'rel NAME sort TYPE : tuples'", lineno)
             name = tokens[1]
+            if name in relations:
+                raise ParseError(f"relation {name!r} is defined twice", lineno)
             sorting = SortingType.parse(tokens[3])
             tuples = set()
             for group in _split_groups(tokens[5:]):
@@ -130,12 +139,13 @@ def _parse_valuations(frame, val_lines):
         if not digits.isdigit() or kind not in ("P", "Q", "p"):
             raise ParseError(f"bad valuation variable {var!r}", lineno)
         index = int(digits)
-        if kind == "P":
-            modal[(Sort.ONE, index)] = points
-        elif kind == "Q":
-            modal[(Sort.DEL, index)] = points
+        if kind == "p":
+            table, key = lattice, index
         else:
-            lattice[index] = points
+            table, key = modal, (Sort.ONE if kind == "P" else Sort.DEL, index)
+        if key in table:
+            raise ParseError(f"variable {var!r} is valued twice", lineno)
+        table[key] = points
     return modal, lattice
 
 

@@ -10,13 +10,15 @@ from polarmodal.bisim import (
     largest_bisimulation, modal_equiv,
 )
 from polarmodal.errors import PreconditionError, SortError
-from polarmodal.frames import Sort, SortedFrame, random_frame
+from polarmodal.frames import Sort, SortedFrame, SortingType, random_frame
 from polarmodal.semantics import ModalModel, sat_modal, truth_set
 from polarmodal.syntax import modal_depth
 
 from conftest import make_rel, with_relation
 
 VARS = [(Sort.ONE, 0), (Sort.DEL, 0)]
+SIG = {name: SortingType.parse(sorting)
+       for name, sorting in (("f", "1;1"), ("g", "d;d"), ("h", "d;1d"))}
 
 
 def identity_rel(frame):
@@ -109,8 +111,8 @@ def test_largest_handles_structure():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_largest_matches_exhaustive_union(seed):
-    frame = random_frame(2, 2, None, 0.5, seed)
-    frame2 = random_frame(2, 2, None, 0.5, seed + 1)
+    frame = random_frame(2, 2, SIG, 0.5, seed)
+    frame2 = random_frame(2, 2, SIG, 0.5, seed + 1)
     m = gen.random_modal_model(frame, VARS, seed)
     m2 = gen.random_modal_model(frame2, VARS, seed + 2)
     big = largest_bisimulation(m, m2)
@@ -184,11 +186,29 @@ def test_bisimilar_points_agree_on_formulas(seed):
             assert sat_modal(m, w, theta) == sat_modal(m2, w2, theta)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_equivalence_stops_at_the_fixpoint(seed):
+    # a depth far beyond any refinement is answered from the stable
+    # partition, exactly as at the a-priori bound
+    frame = random_frame(2, 3, SIG, 0.5, seed)
+    frame2 = random_frame(3, 2, SIG, 0.5, seed + 1)
+    m = gen.random_modal_model(frame, VARS, seed)
+    m2 = gen.random_modal_model(frame2, VARS, seed + 2)
+    depth = equivalence_depth_bound(m, m2)
+    for points, points2 in ((frame.points_a, frame2.points_a),
+                            (frame.points_b, frame2.points_b)):
+        for w in sorted(points):
+            for w2 in sorted(points2):
+                assert modal_equiv(m, w, m2, w2, 10 ** 6) == \
+                    modal_equiv(m, w, m2, w2, depth)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_excluded_pairs_have_verified_witnesses(seed):
-    frame = random_frame(2, 2, None, 0.5, seed)
-    frame2 = random_frame(2, 2, None, 0.5, seed + 1)
+    frame = random_frame(2, 2, SIG, 0.5, seed)
+    frame2 = random_frame(2, 2, SIG, 0.5, seed + 1)
     m = gen.random_modal_model(frame, VARS, seed)
     m2 = gen.random_modal_model(frame2, VARS, seed + 2)
     big = largest_bisimulation(m, m2)

@@ -52,6 +52,30 @@ def test_frame_parse_errors():
         fileio.load_frame("I: a0 b0\n")  # no sorts line
 
 
+def test_parse_error_without_column():
+    err = ParseError("unknown directive 'foo'", 2)
+    assert str(err) == "line 2: unknown directive 'foo'"
+    assert str(ParseError("bad token", 1, 4)) == "line 1, col 4: bad token"
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("sorts A: a0 a0  B: b0\n", 1, "point 'a0' is listed twice"),
+    ("sorts A: a0  B: b0 a0\n", 1, "point 'a0' is listed twice"),
+    ("sorts A: a0  B: b0\nsorts A: a1  B: b1\n", 2, "repeated 'sorts' line"),
+    ("sorts A: a0  B: b0\nrel R sort 1;1 : a0 a0\nrel R sort 1;1 :\n", 3,
+     "relation 'R' is defined twice"),
+    (F0_TEXT + "val P0 : a0\nval P0 : a1\n", 5, "variable 'P0' is valued twice"),
+    (F0_TEXT + "val Q1 : b0\nval Q01 : b1\n", 5,
+     "variable 'Q01' is valued twice"),
+    (F0_TEXT + "val p0 : a0\nval p0 : a1\n", 5, "variable 'p0' is valued twice"),
+])
+def test_loaders_reject_repeats(text, line, what):
+    with pytest.raises(ParseError) as info:
+        fileio.load_model(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {what}"
+
+
 def test_load_model():
     modal, lattice = fileio.load_model(MODEL_TEXT)
     assert modal.var(Sort.ONE, 0) == {"a0"}
@@ -183,6 +207,17 @@ def test_cli_stable(capsys):
     assert code == 0 and "stable: true" in out
     code, out, _ = run(capsys, "stable", "--fol", "P0(u)")
     assert code == 1 and "stable: false" in out
+
+
+def test_cli_reports_parse_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("sorts A: a0  B: b0\nfoo bar\n")
+    code, out, err = run(capsys, "bisim", str(bad), str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: line 2: unknown directive 'foo'\n"
+    bad.write_text(MODEL_TEXT + "val P0 : a1\n")
+    code, _, err = run(capsys, "bisim", str(bad), str(bad))
+    assert code == 2 and err == "error: line 7: variable 'P0' is valued twice\n"
 
 
 def test_cli_bisim(model_file, capsys, tmp_path):
