@@ -210,6 +210,8 @@ def load_lattice_expansion(text: str) -> FiniteLatticeExpansion:
                 raise ParseError("expected 'op NAME type DIST table: rows'",
                                  lineno)
             name = raw[1]
+            if name in ops:
+                raise ParseError(f"operator {name!r} is defined twice", lineno)
             dist = DistributionType.parse(raw[3])
             table = {}
             for row in _split_groups(_comma_tokens(" ".join(raw[5:]))):
@@ -217,15 +219,24 @@ def load_lattice_expansion(text: str) -> FiniteLatticeExpansion:
                     raise ParseError(
                         f"operator {name}: row {' '.join(row)!r} must be "
                         f"'{dist.arity} args -> value'", lineno)
-                table[tuple(row[:dist.arity])] = row[-1]
+                args = tuple(row[:dist.arity])
+                if args in table:
+                    raise ParseError(f"operator {name}: arguments "
+                                     f"{' '.join(args)!r} have two rows", lineno)
+                table[args] = row[-1]
             ops[name] = (dist, table)
             continue
         tokens = _comma_tokens(line)
         head = tokens[0]
         if head == "elems":
+            if elems is not None:
+                raise ParseError("repeated 'elems' line", lineno)
             elems = tokens[1:]
             if not elems:
                 raise ParseError("elems line lists no elements", lineno)
+            for x in elems:
+                if elems.count(x) > 1:
+                    raise ParseError(f"element {x!r} is listed twice", lineno)
         elif head == "leq:":
             for pair in _split_groups(tokens[1:]):
                 if len(pair) != 2:

@@ -195,13 +195,6 @@ class SortedFrame:
             a for a in self.points_a if all((a, b) not in self.incidence for b in v)
         )
 
-    def galois(self, side: str, s: Iterable[str]) -> frozenset[str]:
-        if side == "right":
-            return self.galois_right(s)
-        if side == "left":
-            return self.galois_left(s)
-        raise PreconditionError(f"unknown Galois side {side!r}")
-
     def closure(self, sort: Sort, s: Iterable[str]) -> frozenset[str]:
         """Galois closure on the given sort."""
         if sort is Sort.ONE:
@@ -241,17 +234,6 @@ class SortedFrame:
         """Complement-conjugate of box_ba: {a | some I-successor is in V}."""
         v = self._check_subset(v, Sort.DEL)
         return frozenset(a for a in self.points_a if self._succ[a] & v)
-
-    def residop(self, kind: str, s: Iterable[str]) -> frozenset[str]:
-        try:
-            return {
-                "diaAB": self.dia_ab,
-                "boxBA": self.box_ba,
-                "boxAB": self.box_ab,
-                "diaBA": self.dia_ba,
-            }[kind](s)
-        except KeyError:
-            raise PreconditionError(f"unknown residuated operator kind {kind!r}")
 
     def check_seriality(self) -> bool:
         return all(self._succ[a] for a in self.points_a) and all(
@@ -325,100 +307,42 @@ class SortedFrame:
                         return False, (j + 1, fixed)
         return True, None
 
-    def closed_op(self, name: str, args: Sequence[Iterable[str]],
-                  mode: str = "sorted") -> frozenset[str]:
-        """Galois closure of the image operator, in one of three modes.
+    def closed_op(self, name: str, args: Sequence[Iterable[str]]) -> frozenset[str]:
+        """Galois closure of the image operator on the relation's output sort.
 
-        sorted:     argument j must be stable when the relation's input sort
-                    j is 1 and co-stable when it is d; the result is the
-                    closure of the image on the output sort.
-        firstSort:  all arguments are stable subsets of A; d-coordinates are
-                    replaced by their right Galois image before taking the
-                    image, and a d-sorted output is pulled back to a stable
-                    set; the result is always a stable subset of A.
-        secondSort: dually, everything lives on B.
+        Argument j must be a stable subset of A when the relation's input
+        sort j is 1, and a co-stable subset of B when it is d.  The result
+        is the closed set of the output sort: stable on A for output 1,
+        co-stable on B for output d.
         """
         rel = self.relation(name)
         if len(args) != rel.sorting.arity:
             raise SortError(f"relation {name} expects {rel.sorting.arity} arguments")
-        if mode == "sorted":
-            sets = []
-            for j, (w, s) in enumerate(zip(args, rel.sorting.inputs)):
-                w = self._check_subset(w, s)
-                if not self.is_stable(s, w):
-                    kind = "stable" if s is Sort.ONE else "co-stable"
-                    raise PreconditionError(
-                        f"argument {j} of {name} must be a {kind} set in sorted mode"
-                    )
-                sets.append(w)
-            return self.closure(rel.sorting.output, self.image_op(name, sets))
-        if mode == "firstSort":
-            sets = []
-            for j, (w, s) in enumerate(zip(args, rel.sorting.inputs)):
-                w = self._check_subset(w, Sort.ONE)
-                if not self.is_stable(Sort.ONE, w):
-                    raise PreconditionError(
-                        f"argument {j} of {name} must be stable in firstSort mode"
-                    )
-                sets.append(w if s is Sort.ONE else self.galois_right(w))
-            res = self.closure(rel.sorting.output, self.image_op(name, sets))
-            if rel.sorting.output is Sort.DEL:
-                res = self.galois_left(res)
-            return res
-        if mode == "secondSort":
-            sets = []
-            for j, (w, s) in enumerate(zip(args, rel.sorting.inputs)):
-                w = self._check_subset(w, Sort.DEL)
-                if not self.is_stable(Sort.DEL, w):
-                    raise PreconditionError(
-                        f"argument {j} of {name} must be co-stable in secondSort mode"
-                    )
-                sets.append(self.galois_left(w) if s is Sort.ONE else w)
-            res = self.closure(rel.sorting.output, self.image_op(name, sets))
-            if rel.sorting.output is Sort.ONE:
-                res = self.galois_right(res)
-            return res
-        raise PreconditionError(f"unknown closed_op mode {mode!r}")
+        sets = []
+        for j, (w, s) in enumerate(zip(args, rel.sorting.inputs)):
+            w = self._check_subset(w, s)
+            if not self.is_stable(s, w):
+                kind = "stable" if s is Sort.ONE else "co-stable"
+                raise PreconditionError(f"argument {j} of {name} must be a {kind} set")
+            sets.append(w)
+        return self.closure(rel.sorting.output, self.image_op(name, sets))
 
     # ------------------------------------------------------------------
     # Concepts
 
     def stable_sets(self) -> list[frozenset[str]]:
-        """All Galois-stable subsets of A.
+        """All Galois-stable subsets of A, ordered by (size, sorted points).
 
         Every stable set is an intersection of single-attribute extents,
         so the closure system is generated by those plus A itself.
         """
-        gens = {self.galois_left(frozenset([b])) for b in self.points_b}
-        gens.add(self.points_a)
-        stable = set(gens)
-        frontier = set(gens)
-        while frontier:
-            new = set()
-            for x in frontier:
-                for y in gens:
-                    z = x & y
-                    if z not in stable:
-                        new.add(z)
-            stable |= new
-            frontier = new
-        return sorted(stable, key=lambda s: (len(s), sorted(s)))
+        return _intersection_closure(
+            {self.galois_left({b}) for b in self.points_b}, self.points_a)
 
     def costable_sets(self) -> list[frozenset[str]]:
-        gens = {self.galois_right(frozenset([a])) for a in self.points_a}
-        gens.add(self.points_b)
-        stable = set(gens)
-        frontier = set(gens)
-        while frontier:
-            new = set()
-            for x in frontier:
-                for y in gens:
-                    z = x & y
-                    if z not in stable:
-                        new.add(z)
-            stable |= new
-            frontier = new
-        return sorted(stable, key=lambda s: (len(s), sorted(s)))
+        """All co-stable subsets of B, dually to `stable_sets`."""
+        return _intersection_closure(
+            {self.galois_right({a}) for a in self.points_a}, self.points_b)
 
     def all_concepts(self) -> "FiniteLattice":
         """The concept lattice, ordered by extent inclusion."""
@@ -429,6 +353,18 @@ class SortedFrame:
             (x, y) for x in concepts for y in concepts if x.extent <= y.extent
         )
         return FiniteLattice(concepts, leq)
+
+
+def _intersection_closure(gens: set[frozenset[str]],
+                          top: frozenset[str]) -> list[frozenset[str]]:
+    """`top` and every intersection of members of `gens`, by (size, sorted)."""
+    gens = gens | {top}
+    closed = set(gens)
+    frontier = gens
+    while frontier:
+        frontier = {x & y for x in frontier for y in gens} - closed
+        closed |= frontier
+    return sorted(closed, key=lambda s: (len(s), sorted(s)))
 
 
 class FiniteLattice:

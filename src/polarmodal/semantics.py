@@ -96,21 +96,10 @@ def lattice_extent(model: LatticeModel, phi: LatticeFormula) -> Concept:
             parts.append(c.extent if s is Sort.ONE else c.intent)
         if len(phi.args) != rel.sorting.arity:
             raise SortError(f"{phi.name} arity mismatch with frame relation")
-        sat_tuples = [
-            tuple(u) for u in frame._arg_tuples(rel.sorting)
-            if all(w in p for w, p in zip(u, parts))
-        ]
-        duals = [frame.galois_dual(phi.name, u) for u in sat_tuples]
+        closed = frame.closed_op(phi.name, parts)
         if rel.sorting.output is Sort.ONE:
-            # output-1 operator: intent is the meet of the Galois duals
-            intent = frame.points_b
-            for d in duals:
-                intent &= d
-            return Concept(frame.galois_left(intent), intent)
-        ext = frame.points_a
-        for d in duals:
-            ext &= d
-        return Concept(ext, frame.galois_right(ext))
+            return Concept(closed, frame.galois_right(closed))
+        return Concept(frame.galois_left(closed), closed)
     raise SortError(f"unknown lattice node {phi!r}")
 
 

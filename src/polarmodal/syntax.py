@@ -230,14 +230,6 @@ def mapp(sig: Signature, name: str, args) -> MApp:
     return MApp(name, dist.output, args)
 
 
-def mtop(sort: Sort = Sort.ONE) -> MConst:
-    return MConst(sort, True)
-
-
-def mbot(sort: Sort = Sort.ONE) -> MConst:
-    return MConst(sort, False)
-
-
 def expand_sugar(theta: ModalFormula) -> ModalFormula:
     """Rewrite into the primitive fragment: variables, ~, ->, [b], [d], diamonds.
 
@@ -495,10 +487,22 @@ def _tokenize(text: str):
     return tokens
 
 
+MAX_NESTING = 100
+"""Deepest nesting the parsers accept.
+
+Each bracket, prefix operator (~, boxes, diamonds, binders), operator
+argument list and right-nested -> opens one level.  Deeper input raises
+ParseError instead of exhausting the Python stack; at this depth the
+parsers and the recursive evaluators and printers stay well inside the
+default recursion limit.
+"""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -525,6 +529,15 @@ class _Parser:
     def done(self):
         if self.i != len(self.tokens):
             self.error(f"trailing input {self.peek()!r}")
+
+    def nested(self, parse, *args):
+        """Run the sub-parser `parse` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            self.error(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = parse(self, *args)
+        self.depth -= 1
+        return node
 
 
 _VAR_RE = re.compile(r"^([pPQ])(\d+)$")
@@ -558,7 +571,7 @@ def _parse_lattice_and(p, sig):
 def _parse_lattice_atom(p, sig):
     tok, line, col = p.next()
     if tok == "(":
-        phi = _parse_lattice_or(p, sig)
+        phi = p.nested(_parse_lattice_or, sig)
         p.expect(")")
         return phi
     if tok == "top":
@@ -570,10 +583,10 @@ def _parse_lattice_atom(p, sig):
         return LVar(int(m.group(2)))
     if tok in sig:
         p.expect("(")
-        args = [_parse_lattice_or(p, sig)]
+        args = [p.nested(_parse_lattice_or, sig)]
         while p.peek() == ",":
             p.next()
-            args.append(_parse_lattice_or(p, sig))
+            args.append(p.nested(_parse_lattice_or, sig))
         p.expect(")")
         dist = sig.get(tok)
         if len(args) != dist.arity:
@@ -616,7 +629,7 @@ def _parse_modal_imp(p, sig):
     left = _parse_modal_or(p, sig)
     if p.peek() == "->":
         p.next()
-        right = _parse_modal_imp(p, sig)  # right-associative
+        right = p.nested(_parse_modal_imp, sig)  # right-associative
         return MImp(left, right)
     return left
 
@@ -637,30 +650,22 @@ def _parse_modal_and(p, sig):
     return left
 
 
+_MODAL_PREFIX = {"~": MNot, "[b]": MBbox, "[d]": MDbox, "<b>": MBdia,
+                 "<d>": MDdia}
+
+
 def _parse_modal_unary(p, sig):
-    tok = p.peek()
-    if tok == "~":
-        p.next()
-        return MNot(_parse_modal_unary(p, sig))
-    if tok == "[b]":
-        p.next()
-        return MBbox(_parse_modal_unary(p, sig))
-    if tok == "[d]":
-        p.next()
-        return MDbox(_parse_modal_unary(p, sig))
-    if tok == "<b>":
-        p.next()
-        return MBdia(_parse_modal_unary(p, sig))
-    if tok == "<d>":
-        p.next()
-        return MDdia(_parse_modal_unary(p, sig))
-    return _parse_modal_atom(p, sig)
+    op = _MODAL_PREFIX.get(p.peek())
+    if op is None:
+        return _parse_modal_atom(p, sig)
+    p.next()
+    return op(p.nested(_parse_modal_unary, sig))
 
 
 def _parse_modal_atom(p, sig):
     tok, line, col = p.next()
     if tok == "(":
-        theta = _parse_modal_imp(p, sig)
+        theta = p.nested(_parse_modal_imp, sig)
         p.expect(")")
         return theta
     if tok == "top":
@@ -678,10 +683,10 @@ def _parse_modal_atom(p, sig):
         return MVar(Sort.DEL, int(m.group(2)))
     if tok in sig:
         p.expect("(")
-        args = [_parse_modal_imp(p, sig)]
+        args = [p.nested(_parse_modal_imp, sig)]
         while p.peek() == ",":
             p.next()
-            args.append(_parse_modal_imp(p, sig))
+            args.append(p.nested(_parse_modal_imp, sig))
         p.expect(")")
         try:
             return mapp(sig, tok, args)
@@ -756,7 +761,7 @@ def _parse_fol_imp(p, sig, env):
     left = _parse_fol_or(p, sig, env)
     if p.peek() == "->":
         p.next()
-        return FImp(left, _parse_fol_imp(p, sig, env))
+        return FImp(left, p.nested(_parse_fol_imp, sig, env))
     return left
 
 
@@ -780,7 +785,7 @@ def _parse_fol_unary(p, sig, env):
     tok = p.peek()
     if tok == "~":
         p.next()
-        return FNot(_parse_fol_unary(p, sig, env))
+        return FNot(p.nested(_parse_fol_unary, sig, env))
     if tok in _BINDERS:
         p.next()
         cls, sort = _BINDERS[tok]
@@ -791,7 +796,7 @@ def _parse_fol_unary(p, sig, env):
         var = FVar(name, sort)
         inner = dict(env)
         inner[name] = sort
-        return cls(var, _parse_fol_imp(p, sig, inner))
+        return cls(var, p.nested(_parse_fol_imp, sig, inner))
     return _parse_fol_atom(p, sig, env)
 
 
@@ -805,7 +810,7 @@ def _fol_var(env, name, line, col):
 def _parse_fol_atom(p, sig, env):
     tok, line, col = p.next()
     if tok == "(":
-        phi = _parse_fol_imp(p, sig, env)
+        phi = p.nested(_parse_fol_imp, sig, env)
         p.expect(")")
         return phi
     m = _VAR_RE.match(tok)

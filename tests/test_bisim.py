@@ -115,11 +115,13 @@ def test_largest_matches_exhaustive_union(seed):
     frame2 = random_frame(2, 2, SIG, 0.5, seed + 1)
     m = gen.random_modal_model(frame, VARS, seed)
     m2 = gen.random_modal_model(frame2, VARS, seed + 2)
-    big = largest_bisimulation(m, m2)
-    union = all_bisimulations_union(m, m2)
-    assert big.pairs_a == union.pairs_a
-    assert big.pairs_b == union.pairs_b
-    assert is_model_bisimulation(m, m2, big)
+    # the model against itself keeps pairs, so both sides are compared
+    for other in (m2, m):
+        big = largest_bisimulation(m, other)
+        union = all_bisimulations_union(m, other)
+        assert big.pairs_a == union.pairs_a
+        assert big.pairs_b == union.pairs_b
+        assert is_model_bisimulation(m, other, big)
 
 
 # ---------------------------------------------------------------- equivalence
@@ -211,13 +213,16 @@ def test_excluded_pairs_have_verified_witnesses(seed):
     frame2 = random_frame(2, 2, SIG, 0.5, seed + 1)
     m = gen.random_modal_model(frame, VARS, seed)
     m2 = gen.random_modal_model(frame2, VARS, seed + 2)
-    big = largest_bisimulation(m, m2)
-    depth = equivalence_depth_bound(m, m2)
-    for a in frame.points_a:
-        for a2 in frame2.points_a:
-            ok, theta = modal_equiv(m, a, m2, a2, depth)
-            if (a, a2) in big.pairs_a:
-                assert ok
-            else:
-                assert not ok
-                assert sat_modal(m, a, theta) and not sat_modal(m2, a2, theta)
+    # the model against itself keeps pairs, so both branches are taken
+    for other in (m2, m):
+        big = largest_bisimulation(m, other)
+        depth = equivalence_depth_bound(m, other)
+        for a in frame.points_a:
+            for a2 in other.frame.points_a:
+                ok, theta = modal_equiv(m, a, other, a2, depth)
+                if (a, a2) in big.pairs_a:
+                    assert ok
+                else:
+                    assert not ok
+                    assert sat_modal(m, a, theta) and \
+                        not sat_modal(other, a2, theta)

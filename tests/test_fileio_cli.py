@@ -6,6 +6,7 @@ from polarmodal import catalog, cli, fileio
 from polarmodal.errors import ParseError, PreconditionError
 from polarmodal.frames import Sort
 from polarmodal.semantics import LatticeModel, ModalModel
+from polarmodal.syntax import MAX_NESTING
 
 
 F0_TEXT = """\
@@ -68,10 +69,19 @@ def test_parse_error_without_column():
     (F0_TEXT + "val Q1 : b0\nval Q01 : b1\n", 5,
      "variable 'Q01' is valued twice"),
     (F0_TEXT + "val p0 : a0\nval p0 : a1\n", 5, "variable 'p0' is valued twice"),
+    ("elems c0 c1\nelems c0\n", 2, "repeated 'elems' line"),
+    ("elems c0 c1 c0\n", 1, "element 'c0' is listed twice"),
+    (CHAIN3_TEXT + "op f type 1->1 table: c0 -> c0 , c1 -> c1 , c2 -> c2\n", 4,
+     "operator 'f' is defined twice"),
+    ("elems c0\nleq: c0 c0\nop f type 1->1 table: c0 -> c0 , c0 -> c0\n", 3,
+     "operator f: arguments 'c0' have two rows"),
 ])
 def test_loaders_reject_repeats(text, line, what):
+    # lattice expansion files start with their elems line
+    load = fileio.load_lattice_expansion if text.startswith("elems") \
+        else fileio.load_model
     with pytest.raises(ParseError) as info:
-        fileio.load_model(text)
+        load(text)
     assert info.value.line == line
     assert str(info.value) == f"line {line}: {what}"
 
@@ -218,6 +228,36 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     bad.write_text(MODEL_TEXT + "val P0 : a1\n")
     code, _, err = run(capsys, "bisim", str(bad), str(bad))
     assert code == 2 and err == "error: line 7: variable 'P0' is valued twice\n"
+
+
+def _nested_command(language, model_file, levels):
+    """A CLI command whose formula nests `levels` deep."""
+    if language == "lattice":
+        return ["extent", model_file, "(" * levels + "p0" + ")" * levels]
+    if language == "modal":
+        return ["sttrans", "~" * levels + "P0"]
+    return ["stable", "--fol", "~" * levels + "P0(u)"]
+
+
+@pytest.mark.parametrize("language", ["lattice", "modal", "fol"])
+def test_cli_rejects_formulas_nested_too_deep(language, model_file, capsys):
+    argv = _nested_command(language, model_file, MAX_NESTING + 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: line 1, col {MAX_NESTING + 2}: "
+                   f"formula nested deeper than {MAX_NESTING} levels\n")
+
+
+@pytest.mark.parametrize("language", ["lattice", "modal", "fol"])
+def test_cli_evaluates_formulas_at_the_nesting_limit(language, model_file,
+                                                      capsys):
+    argv = _nested_command(language, model_file, MAX_NESTING)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    if language == "lattice":
+        assert "extent: a0" in out
+    if language == "modal":
+        assert out.strip() == "~" * MAX_NESTING + "P0(u)"
 
 
 def test_cli_bisim(model_file, capsys, tmp_path):

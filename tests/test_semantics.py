@@ -1,12 +1,14 @@
 """Concept semantics, sorted modal truth sets and FOL evaluation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import gen
+from polarmodal import catalog, gen
 from polarmodal.catalog import D1_1
 from polarmodal.errors import CapExceeded, PreconditionError, SortError
-from polarmodal.frames import Sort, SortedFrame
+from polarmodal.frames import Concept, Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
     LatticeModel, ModalModel, b_axioms, d_axioms, eval_fol, frame_valid_modal,
     iter_valuations, k_axioms, lattice_consequence, lattice_consequence_frame,
@@ -14,8 +16,8 @@ from polarmodal.semantics import (
     sorting_constraint_sentences, truth_set,
 )
 from polarmodal.syntax import (
-    FForall, FImp, FPred, FVar, Signature, expand_sugar, parse_fol,
-    parse_lattice, parse_modal,
+    FForall, FImp, FPred, FVar, LAnd, LApp, LOr, Signature, expand_sugar,
+    parse_fol, parse_lattice, parse_modal,
 )
 
 from conftest import make_rel, with_relation
@@ -56,7 +58,65 @@ def test_extent_operator(f0):
     c = lattice_extent(m, parse_lattice("f(p0)", SIG))
     assert c.extent == {"a0"} and c.intent == {"b0"}
     # coincides with the closed image operator on this instance
-    assert c.extent == frame.closed_op("f", [frozenset({"a0"})], mode="sorted")
+    assert c.extent == frame.closed_op("f", [frozenset({"a0"})])
+
+
+# one operator of each catalog distribution type
+ALL_TYPES = {"f": catalog.D1_1, "g": catalog.DD_D, "k": catalog.D11_1,
+             "m": catalog.DDD_D, "h": catalog.D1D_D, "n": catalog.DD1_D}
+
+
+def operator_by_tuples(frame, name, parts):
+    """Reference concept of an operator node, by enumerating argument tuples.
+
+    `parts` holds the extent (input sort 1) or intent (input sort d) of
+    each argument.  Every argument tuple inside `parts` contributes the
+    Galois dual of its section; the dual's sort carries their meet.
+    """
+    rel = frame.relation(name)
+    tuples = itertools.product(*(sorted(frame.carrier(s))
+                                 for s in rel.sorting.inputs))
+    duals = [frame.galois_dual(name, u) for u in tuples
+             if all(w in p for w, p in zip(u, parts))]
+    if rel.sorting.output is Sort.ONE:
+        intent = frame.points_b
+        for d in duals:
+            intent &= d
+        return Concept(frame.galois_left(intent), intent)
+    ext = frame.points_a
+    for d in duals:
+        ext &= d
+    return Concept(ext, frame.galois_right(ext))
+
+
+def operator_nodes(phi):
+    if isinstance(phi, (LAnd, LOr)):
+        yield from operator_nodes(phi.left)
+        yield from operator_nodes(phi.right)
+    elif isinstance(phi, LApp):
+        yield phi
+        for arg in phi.args:
+            yield from operator_nodes(arg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.floats(0.0, 1.0),
+       st.integers(0, 10 ** 6))
+def test_operator_extent_matches_tuple_enumeration(size_a, size_b, density,
+                                                    seed):
+    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
+    frame = random_frame(size_a, size_b, sorting, density, seed)
+    model = gen.random_lattice_model(frame, range(3), seed)
+    for k in range(4):
+        phi = gen.random_lattice_formula(seed + k, 3, 3,
+                                         Signature.of(ALL_TYPES))
+        for node in operator_nodes(phi):
+            inputs = frame.relation(node.name).sorting.inputs
+            parts = [c.extent if s is Sort.ONE else c.intent
+                     for c, s in zip((lattice_extent(model, a)
+                                      for a in node.args), inputs)]
+            assert lattice_extent(model, node) == \
+                operator_by_tuples(frame, node.name, parts)
 
 
 def test_sat_and_consequence(f0):
