@@ -12,8 +12,8 @@ from .frames import (
 )
 from .syntax import (
     EMPTY_SIGNATURE, FolFormula, LatticeFormula, ModalFormula, Signature,
-    parse, parse_fol, parse_lattice, parse_modal, print_fol, print_formula,
-    print_lattice, print_modal,
+    parse_fol, parse_lattice, parse_modal, print_fol, print_lattice,
+    print_modal,
 )
 from .semantics import (
     LatticeModel, ModalModel, eval_fol, frame_valid_modal, lattice_consequence,

@@ -23,11 +23,6 @@ DDD_D = DistributionType((Sort.DEL, Sort.DEL), Sort.DEL)
 D1D_D = DistributionType((Sort.ONE, Sort.DEL), Sort.DEL)
 DD1_D = DistributionType((Sort.DEL, Sort.ONE), Sort.DEL)
 
-# preset similarity types: the unary modal family and the residuated
-# (Lambek-style) family
-MODAL_SIMILARITY = (D1_1, DD_D)
-FL_SIMILARITY = (D11_1, D1D_D, DD1_D)
-
 
 def chain(n: int) -> FiniteLattice:
     if n < 2:

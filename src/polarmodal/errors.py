@@ -13,6 +13,7 @@ class ParseError(PolarModalError):
     """Lexical or syntactic error, with position information."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message  # without the position prefix
         self.line = line
         self.column = column
         if line is not None:

@@ -24,7 +24,7 @@ start with a signature line `sig: f 1,1->1 , g d->d`.
 
 from __future__ import annotations
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, SortError
 from .frames import (
     DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
     SortedFrame, SortedRelation, SortingType,
@@ -285,8 +285,25 @@ def parse_signature_line(line: str) -> Signature:
         raise ParseError("signature entries must be 'name type' pairs")
     mapping = {}
     for i in range(0, len(tokens), 2):
+        if tokens[i] in mapping:
+            raise ParseError(f"operator {tokens[i]!r} is declared twice")
         mapping[tokens[i]] = DistributionType.parse(tokens[i + 1])
     return Signature.of(mapping)
+
+
+def _on_line(lineno: int, offset: int, parse, *args):
+    """Return `parse(*args)`, moving any error it raises to file line `lineno`.
+
+    `parse` reads one line's text starting `offset` characters into the
+    file line, so an error column is shifted by that much.
+    """
+    try:
+        return parse(*args)
+    except ParseError as e:
+        column = None if e.column is None else e.column + offset
+        raise ParseError(e.message, lineno, column) from None
+    except SortError as e:
+        raise ParseError(str(e), lineno) from None
 
 
 def load_formula_file(text: str):
@@ -295,7 +312,7 @@ def load_formula_file(text: str):
     formulas = []
     for lineno, line in _lines(text):
         if line.startswith("sig:"):
-            sig = parse_signature_line(line[len("sig:"):])
+            sig = _on_line(lineno, 0, parse_signature_line, line[len("sig:"):])
         else:
             formulas.append(line)
     return sig, formulas
@@ -304,9 +321,10 @@ def load_formula_file(text: str):
 def load_assignment(text: str, sig: Signature = EMPTY_SIGNATURE):
     """Assignment file: lines `p0 := <sort-d modal formula>`."""
     asg = {}
+    raw_lines = text.splitlines()
     for lineno, line in _lines(text):
         if line.startswith("sig:"):
-            sig = parse_signature_line(line[len("sig:"):])
+            sig = _on_line(lineno, 0, parse_signature_line, line[len("sig:"):])
             continue
         if ":=" not in line:
             raise ParseError("expected 'pN := formula'", lineno)
@@ -314,8 +332,12 @@ def load_assignment(text: str, sig: Signature = EMPTY_SIGNATURE):
         var = var.strip()
         if not (var.startswith("p") and var[1:].isdigit()):
             raise ParseError(f"bad assignment variable {var!r}", lineno)
-        beta = parse_modal(body.strip(), sig)
+        index = int(var[1:])
+        if index in asg:
+            raise ParseError(f"variable {var!r} is assigned twice", lineno)
+        body_start = raw_lines[lineno - 1].index(":=") + 2
+        beta = _on_line(lineno, body_start, parse_modal, body, sig)
         if beta.sort is not Sort.DEL:
             raise ParseError(f"assignment for {var} must have sort d", lineno)
-        asg[int(var[1:])] = beta
+        asg[index] = beta
     return asg, sig

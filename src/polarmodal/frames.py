@@ -17,9 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import NormalityError, PreconditionError, SortError
 
-PointSet = frozenset
-
-
 class Sort(Enum):
     ONE = "1"
     DEL = "d"
@@ -430,12 +427,6 @@ class FiniteLattice:
             out = self.join(out, x)
         return out
 
-    def meet_all(self, xs: Iterable):
-        out = self.top
-        for x in xs:
-            out = self.meet(out, x)
-        return out
-
     def downset(self, x) -> frozenset:
         return frozenset(y for y in self.carrier if self.leq(y, x))
 
@@ -443,9 +434,6 @@ class FiniteLattice:
         return frozenset(y for y in self.carrier if self.leq(x, y))
 
     # sorted views: sort d is the opposite order
-    def sorted_leq(self, sort: Sort, x, y) -> bool:
-        return self.leq(x, y) if sort is Sort.ONE else self.leq(y, x)
-
     def sorted_join(self, sort: Sort, x, y):
         return self.join(x, y) if sort is Sort.ONE else self.meet(x, y)
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, PreconditionError, SortError
-from .frames import DistributionType, Sort, SortingType
+from .errors import ParseError, SortError
+from .frames import DistributionType, Sort
 
 
 @dataclass(frozen=True)
@@ -490,19 +490,35 @@ def _tokenize(text: str):
 MAX_NESTING = 100
 """Deepest nesting the parsers accept.
 
-Each bracket, prefix operator (~, boxes, diamonds, binders), operator
-argument list and right-nested -> opens one level.  Deeper input raises
-ParseError instead of exhausting the Python stack; at this depth the
-parsers and the recursive evaluators and printers stay well inside the
-default recursion limit.
+Each bracket, operator argument list, prefix operator (~, boxes,
+diamonds, binders) and binary connective opens one level, so a flat
+chain like P0 & P0 & ... takes at most 101 operands.  Deeper input
+raises ParseError instead of exhausting the Python stack; since every
+node of the syntax tree sits below its level, the parsers and the
+recursive evaluators and printers stay well inside the default
+recursion limit.
 """
+
+
+def _connectives(table):
+    """Index a connective table, loosest first, by token and by class.
+
+    A row of the table is (token, class, right_assoc); both views map to
+    (rank, the other key, right_assoc), rank 0 binding loosest.
+    """
+    by_token = {tok: (rank, cls, right)
+                for rank, (tok, cls, right) in enumerate(table)}
+    by_class = {cls: (rank, tok, right)
+                for rank, (tok, cls, right) in enumerate(table)}
+    return by_token, by_class
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0
+        self.depth = 0  # levels open at the current token
+        self.reach = 0  # deepest level inside the operand being parsed
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -530,14 +546,71 @@ class _Parser:
         if self.i != len(self.tokens):
             self.error(f"trailing input {self.peek()!r}")
 
+    def too_deep(self):
+        self.error(f"formula nested deeper than {MAX_NESTING} levels")
+
     def nested(self, parse, *args):
-        """Run the sub-parser `parse` one nesting level deeper."""
+        """Run the sub-parser `parse(self, *args)` one nesting level deeper."""
         if self.depth == MAX_NESTING:
-            self.error(f"formula nested deeper than {MAX_NESTING} levels")
+            self.too_deep()
         self.depth += 1
+        if self.depth > self.reach:
+            self.reach = self.depth
         node = parse(self, *args)
         self.depth -= 1
         return node
+
+    def binary(self, ops, operand, *args, level=0):
+        """Parse `operand`s joined by the connectives of rank >= `level`.
+
+        `ops` is the token view of a connective table.  This is
+        precedence climbing: a chain of one connective is a loop, and
+        only a right operand that may hold a tighter (or, for a
+        right-associative connective, the same) connective recurses.
+        Each connective applied sinks its left operand one level, so the
+        nesting bound holds for every node of the tree.
+        """
+        outer, self.reach = self.reach, self.depth
+        left = operand(self, *args)
+        spec = ops.get(self.peek())
+        while spec is not None and spec[0] >= level:
+            rank, cls, right_assoc = spec
+            self.i += 1
+            self.reach += 1
+            if self.reach > MAX_NESTING:
+                self.too_deep()
+            self.depth += 1
+            right = self.binary(ops, operand, *args,
+                                level=rank if right_assoc else rank + 1)
+            self.depth -= 1
+            left = cls(left, right)
+            spec = ops.get(self.peek())
+        if outer > self.reach:
+            self.reach = outer
+        return left
+
+    def args(self, item, *args):
+        """Parse `( item, item, ... )`, each item by `item(self, *args)`."""
+        self.expect("(")
+        out = [item(self, *args)]
+        while self.peek() == ",":
+            self.i += 1
+            out.append(item(self, *args))
+        self.expect(")")
+        return out
+
+
+def _print_binary(x, level, spec, go):
+    """Print connective node `x` in a context of rank `level`.
+
+    `spec` is the (rank, token, right_assoc) row of x's class; the
+    operand on the associative side may repeat the connective bare.
+    """
+    rank, tok, right_assoc = spec
+    left = go(x.left, rank + 1 if right_assoc else rank)
+    right = go(x.right, rank if right_assoc else rank + 1)
+    text = f"{left} {tok} {right}"
+    return f"({text})" if level > rank else text
 
 
 _VAR_RE = re.compile(r"^([pPQ])(\d+)$")
@@ -545,49 +618,33 @@ _VAR_RE = re.compile(r"^([pPQ])(\d+)$")
 
 # ---------------------------------------------------------------- lattice
 
+_LATTICE_OPS = (("\\/", LOr, False), ("/\\", LAnd, False))
+_LATTICE_BY_TOKEN, _LATTICE_BY_CLASS = _connectives(_LATTICE_OPS)
+_LATTICE_CONSTS = {"top": LTop(), "bot": LBot()}
+_LATTICE_CONST_NAMES = {c: tok for tok, c in _LATTICE_CONSTS.items()}
+
+
 def parse_lattice(text: str, sig: Signature = EMPTY_SIGNATURE) -> LatticeFormula:
     p = _Parser(text)
-    phi = _parse_lattice_or(p, sig)
+    phi = p.binary(_LATTICE_BY_TOKEN, _lattice_atom, sig)
     p.done()
     return phi
 
 
-def _parse_lattice_or(p, sig):
-    left = _parse_lattice_and(p, sig)
-    while p.peek() == "\\/":
-        p.next()
-        left = LOr(left, _parse_lattice_and(p, sig))
-    return left
-
-
-def _parse_lattice_and(p, sig):
-    left = _parse_lattice_atom(p, sig)
-    while p.peek() == "/\\":
-        p.next()
-        left = LAnd(left, _parse_lattice_atom(p, sig))
-    return left
-
-
-def _parse_lattice_atom(p, sig):
+def _lattice_atom(p, sig):
     tok, line, col = p.next()
     if tok == "(":
-        phi = p.nested(_parse_lattice_or, sig)
+        phi = p.nested(_Parser.binary, _LATTICE_BY_TOKEN, _lattice_atom, sig)
         p.expect(")")
         return phi
-    if tok == "top":
-        return LTop()
-    if tok == "bot":
-        return LBot()
+    if tok in _LATTICE_CONSTS:
+        return _LATTICE_CONSTS[tok]
     m = _VAR_RE.match(tok)
     if m and m.group(1) == "p":
         return LVar(int(m.group(2)))
     if tok in sig:
-        p.expect("(")
-        args = [p.nested(_parse_lattice_or, sig)]
-        while p.peek() == ",":
-            p.next()
-            args.append(p.nested(_parse_lattice_or, sig))
-        p.expect(")")
+        args = p.args(_Parser.nested, _Parser.binary, _LATTICE_BY_TOKEN,
+                      _lattice_atom, sig)
         dist = sig.get(tok)
         if len(args) != dist.arity:
             raise ParseError(f"{tok} expects {dist.arity} arguments", line, col)
@@ -596,98 +653,61 @@ def _parse_lattice_atom(p, sig):
 
 
 def print_lattice(phi: LatticeFormula) -> str:
-    def go(x, ctx):
-        if isinstance(x, LVar):
-            return f"p{x.index}"
-        if isinstance(x, LTop):
-            return "top"
-        if isinstance(x, LBot):
-            return "bot"
-        if isinstance(x, LAnd):
-            s = f"{go(x.left, 'and')} /\\ {go(x.right, 'atom')}"
-            return f"({s})" if ctx == "atom" else s
-        if isinstance(x, LOr):
-            s = f"{go(x.left, 'or')} \\/ {go(x.right, 'and')}"
-            return f"({s})" if ctx in ("and", "atom") else s
-        if isinstance(x, LApp):
-            return f"{x.name}({', '.join(go(a, 'or') for a in x.args)})"
-        raise SortError(f"unknown lattice node {x!r}")
+    return _print_lattice(phi, 0)
 
-    return go(phi, "or")
+
+def _print_lattice(x, level):
+    spec = _LATTICE_BY_CLASS.get(type(x))
+    if spec is not None:
+        return _print_binary(x, level, spec, _print_lattice)
+    if isinstance(x, LVar):
+        return f"p{x.index}"
+    if isinstance(x, LApp):
+        return f"{x.name}({', '.join(_print_lattice(a, 0) for a in x.args)})"
+    if isinstance(x, (LTop, LBot)):
+        return _LATTICE_CONST_NAMES[x]
+    raise SortError(f"unknown lattice node {x!r}")
 
 
 # ---------------------------------------------------------------- modal
 
+_MODAL_OPS = (("->", MImp, True), ("|", MOr, False), ("&", MAnd, False))
+_MODAL_BY_TOKEN, _MODAL_BY_CLASS = _connectives(_MODAL_OPS)
+_MODAL_CONSTS = {"top": MConst(Sort.ONE, True), "bot": MConst(Sort.ONE, False),
+                 "tt": MConst(Sort.DEL, True), "ff": MConst(Sort.DEL, False)}
+_MODAL_CONST_NAMES = {c: tok for tok, c in _MODAL_CONSTS.items()}
+# prefix operators as printed; the parser reads them without the space
+_MODAL_PREFIX = {MNot: "~", MBbox: "[b] ", MDbox: "[d] ", MBdia: "<b> ",
+                 MDdia: "<d> "}
+_MODAL_PREFIX_BY_TOKEN = {text.strip(): cls for cls, text in _MODAL_PREFIX.items()}
+
+
 def parse_modal(text: str, sig: Signature = EMPTY_SIGNATURE) -> ModalFormula:
     p = _Parser(text)
-    theta = _parse_modal_imp(p, sig)
+    theta = p.binary(_MODAL_BY_TOKEN, _modal_operand, sig)
     p.done()
     return theta
 
 
-def _parse_modal_imp(p, sig):
-    left = _parse_modal_or(p, sig)
-    if p.peek() == "->":
-        p.next()
-        right = p.nested(_parse_modal_imp, sig)  # right-associative
-        return MImp(left, right)
-    return left
-
-
-def _parse_modal_or(p, sig):
-    left = _parse_modal_and(p, sig)
-    while p.peek() == "|":
-        p.next()
-        left = MOr(left, _parse_modal_and(p, sig))
-    return left
-
-
-def _parse_modal_and(p, sig):
-    left = _parse_modal_unary(p, sig)
-    while p.peek() == "&":
-        p.next()
-        left = MAnd(left, _parse_modal_unary(p, sig))
-    return left
-
-
-_MODAL_PREFIX = {"~": MNot, "[b]": MBbox, "[d]": MDbox, "<b>": MBdia,
-                 "<d>": MDdia}
-
-
-def _parse_modal_unary(p, sig):
-    op = _MODAL_PREFIX.get(p.peek())
-    if op is None:
-        return _parse_modal_atom(p, sig)
-    p.next()
-    return op(p.nested(_parse_modal_unary, sig))
-
-
-def _parse_modal_atom(p, sig):
+def _modal_operand(p, sig):
     tok, line, col = p.next()
+    op = _MODAL_PREFIX_BY_TOKEN.get(tok)
+    if op is not None:
+        return op(p.nested(_modal_operand, sig))
     if tok == "(":
-        theta = p.nested(_parse_modal_imp, sig)
+        theta = p.nested(_Parser.binary, _MODAL_BY_TOKEN, _modal_operand, sig)
         p.expect(")")
         return theta
-    if tok == "top":
-        return MConst(Sort.ONE, True)
-    if tok == "bot":
-        return MConst(Sort.ONE, False)
-    if tok == "tt":
-        return MConst(Sort.DEL, True)
-    if tok == "ff":
-        return MConst(Sort.DEL, False)
+    if tok in _MODAL_CONSTS:
+        return _MODAL_CONSTS[tok]
     m = _VAR_RE.match(tok)
     if m and m.group(1) == "P":
         return MVar(Sort.ONE, int(m.group(2)))
     if m and m.group(1) == "Q":
         return MVar(Sort.DEL, int(m.group(2)))
     if tok in sig:
-        p.expect("(")
-        args = [p.nested(_parse_modal_imp, sig)]
-        while p.peek() == ",":
-            p.next()
-            args.append(p.nested(_parse_modal_imp, sig))
-        p.expect(")")
+        args = p.args(_Parser.nested, _Parser.binary, _MODAL_BY_TOKEN,
+                      _modal_operand, sig)
         try:
             return mapp(sig, tok, args)
         except SortError as e:
@@ -703,45 +723,32 @@ def print_modal(theta: ModalFormula, sugar: bool = True) -> str:
     """
     if not sugar:
         theta = expand_sugar(theta)
+    return _print_modal(theta, 0)
 
-    def go(x, ctx):
-        # ctx in imp > or > and > unary, by binding looseness
-        if isinstance(x, MVar):
-            return x.name
-        if isinstance(x, MConst):
-            if x.sort is Sort.ONE:
-                return "top" if x.truth else "bot"
-            return "tt" if x.truth else "ff"
-        if isinstance(x, MNot):
-            return f"~{go(x.arg, 'unary')}"
-        if isinstance(x, MBbox):
-            return f"[b] {go(x.arg, 'unary')}"
-        if isinstance(x, MDbox):
-            return f"[d] {go(x.arg, 'unary')}"
-        if isinstance(x, MBdia):
-            return f"<b> {go(x.arg, 'unary')}"
-        if isinstance(x, MDdia):
-            return f"<d> {go(x.arg, 'unary')}"
-        if isinstance(x, MAnd):
-            s = f"{go(x.left, 'and')} & {go(x.right, 'unary')}"
-            return f"({s})" if ctx == "unary" else s
-        if isinstance(x, MOr):
-            s = f"{go(x.left, 'or')} | {go(x.right, 'and')}"
-            return f"({s})" if ctx in ("and", "unary") else s
-        if isinstance(x, MImp):
-            s = f"{go(x.left, 'or')} -> {go(x.right, 'imp')}"
-            return f"({s})" if ctx != "imp" else s
-        if isinstance(x, MApp):
-            return f"{x.name}({', '.join(go(a, 'imp') for a in x.args)})"
-        raise SortError(f"unknown modal node {x!r}")
 
-    return go(theta, "imp")
+def _print_modal(x, level):
+    spec = _MODAL_BY_CLASS.get(type(x))
+    if spec is not None:
+        return _print_binary(x, level, spec, _print_modal)
+    prefix = _MODAL_PREFIX.get(type(x))
+    if prefix is not None:
+        return prefix + _print_modal(x.arg, len(_MODAL_OPS))
+    if isinstance(x, MVar):
+        return x.name
+    if isinstance(x, MConst):
+        return _MODAL_CONST_NAMES[x]
+    if isinstance(x, MApp):
+        return f"{x.name}({', '.join(_print_modal(a, 0) for a in x.args)})"
+    raise SortError(f"unknown modal node {x!r}")
 
 
 # ---------------------------------------------------------------- FOL
 
+_FOL_OPS = (("->", FImp, True), ("|", FOr, False), ("&", FAnd, False))
+_FOL_BY_TOKEN, _FOL_BY_CLASS = _connectives(_FOL_OPS)
 _BINDERS = {"all1": (FForall, Sort.ONE), "alld": (FForall, Sort.DEL),
             "ex1": (FExists, Sort.ONE), "exd": (FExists, Sort.DEL)}
+_FOL_NAME_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
 def parse_fol(text: str, sig: Signature = EMPTY_SIGNATURE,
@@ -752,52 +759,9 @@ def parse_fol(text: str, sig: Signature = EMPTY_SIGNATURE,
     be declared in `free`.
     """
     p = _Parser(text)
-    phi = _parse_fol_imp(p, sig, dict(free or {}))
+    phi = p.binary(_FOL_BY_TOKEN, _fol_operand, sig, dict(free or {}))
     p.done()
     return phi
-
-
-def _parse_fol_imp(p, sig, env):
-    left = _parse_fol_or(p, sig, env)
-    if p.peek() == "->":
-        p.next()
-        return FImp(left, p.nested(_parse_fol_imp, sig, env))
-    return left
-
-
-def _parse_fol_or(p, sig, env):
-    left = _parse_fol_and(p, sig, env)
-    while p.peek() == "|":
-        p.next()
-        left = FOr(left, _parse_fol_and(p, sig, env))
-    return left
-
-
-def _parse_fol_and(p, sig, env):
-    left = _parse_fol_unary(p, sig, env)
-    while p.peek() == "&":
-        p.next()
-        left = FAnd(left, _parse_fol_unary(p, sig, env))
-    return left
-
-
-def _parse_fol_unary(p, sig, env):
-    tok = p.peek()
-    if tok == "~":
-        p.next()
-        return FNot(p.nested(_parse_fol_unary, sig, env))
-    if tok in _BINDERS:
-        p.next()
-        cls, sort = _BINDERS[tok]
-        name, line, col = p.next()
-        if not re.match(r"^[a-z][A-Za-z0-9_]*$", name):
-            raise ParseError(f"bad variable name {name!r}", line, col)
-        p.expect(".")
-        var = FVar(name, sort)
-        inner = dict(env)
-        inner[name] = sort
-        return cls(var, p.nested(_parse_fol_imp, sig, inner))
-    return _parse_fol_atom(p, sig, env)
 
 
 def _fol_var(env, name, line, col):
@@ -807,10 +771,22 @@ def _fol_var(env, name, line, col):
     return FVar(name, env[name])
 
 
-def _parse_fol_atom(p, sig, env):
+def _fol_operand(p, sig, env):
     tok, line, col = p.next()
+    if tok == "~":
+        return FNot(p.nested(_fol_operand, sig, env))
+    if tok in _BINDERS:
+        cls, sort = _BINDERS[tok]
+        name, line, col = p.next()
+        if not _FOL_NAME_RE.match(name):
+            raise ParseError(f"bad variable name {name!r}", line, col)
+        p.expect(".")
+        inner = {**env, name: sort}
+        return cls(FVar(name, sort),
+                   p.nested(_Parser.binary, _FOL_BY_TOKEN, _fol_operand, sig,
+                            inner))
     if tok == "(":
-        phi = p.nested(_parse_fol_imp, sig, env)
+        phi = p.nested(_Parser.binary, _FOL_BY_TOKEN, _fol_operand, sig, env)
         p.expect(")")
         return phi
     m = _VAR_RE.match(tok)
@@ -836,12 +812,7 @@ def _parse_fol_atom(p, sig, env):
         return FPred(tok, var)
     if tok in sig:
         sorting = sig.get(tok).sorting()
-        p.expect("(")
-        names = [p.next()]
-        while p.peek() == ",":
-            p.next()
-            names.append(p.next())
-        p.expect(")")
+        names = p.args(_Parser.next)
         if len(names) != sorting.arity + 1:
             raise ParseError(f"{tok} expects {sorting.arity + 1} arguments",
                              line, col)
@@ -856,7 +827,7 @@ def _parse_fol_atom(p, sig, env):
                                  line, col)
         return FRelApp(tok, head, tuple(args))
     # equality: var = var
-    if re.match(r"^[a-z][A-Za-z0-9_]*$", tok):
+    if _FOL_NAME_RE.match(tok):
         left = _fol_var(env, tok, line, col)
         p.expect("=")
         name, nl, nc = p.next()
@@ -868,55 +839,28 @@ def _parse_fol_atom(p, sig, env):
 
 
 def print_fol(phi: FolFormula) -> str:
-    def go(x, ctx):
-        if isinstance(x, FEq):
-            return f"{x.left.name} = {x.right.name}"
-        if isinstance(x, FInc):
-            return f"I({x.u.name}, {x.v.name})"
-        if isinstance(x, FRelApp):
-            names = [x.head.name] + [a.name for a in x.args]
-            return f"{x.name}({', '.join(names)})"
-        if isinstance(x, FPred):
-            return f"{x.name}({x.arg.name})"
-        if isinstance(x, FNot):
-            return f"~{go(x.arg, 'unary')}"
-        if isinstance(x, (FForall, FExists)):
-            if x.var.sort is None:
-                kw = "all" if isinstance(x, FForall) else "ex"
-            else:
-                kw = ("all" if isinstance(x, FForall) else "ex") + str(x.var.sort)
-            s = f"{kw} {x.var.name} . {go(x.body, 'imp')}"
-            return f"({s})" if ctx != "imp" else s
-        if isinstance(x, FAnd):
-            s = f"{go(x.left, 'and')} & {go(x.right, 'unary')}"
-            return f"({s})" if ctx == "unary" else s
-        if isinstance(x, FOr):
-            s = f"{go(x.left, 'or')} | {go(x.right, 'and')}"
-            return f"({s})" if ctx in ("and", "unary") else s
-        if isinstance(x, FImp):
-            s = f"{go(x.left, 'or')} -> {go(x.right, 'imp')}"
-            return f"({s})" if ctx != "imp" else s
-        raise SortError(f"unknown FOL node {x!r}")
-
-    return go(phi, "imp")
+    return _print_fol(phi, 0)
 
 
-def parse(language: str, text: str, sig: Signature = EMPTY_SIGNATURE,
-          free: dict[str, Sort] | None = None):
-    if language == "lattice":
-        return parse_lattice(text, sig)
-    if language == "modal":
-        return parse_modal(text, sig)
-    if language == "fol":
-        return parse_fol(text, sig, free)
-    raise PreconditionError(f"unknown language {language!r}")
-
-
-def print_formula(formula) -> str:
-    if isinstance(formula, LatticeFormula):
-        return print_lattice(formula)
-    if isinstance(formula, ModalFormula):
-        return print_modal(formula)
-    if isinstance(formula, FolFormula):
-        return print_fol(formula)
-    raise SortError(f"not a formula: {formula!r}")
+def _print_fol(x, level):
+    spec = _FOL_BY_CLASS.get(type(x))
+    if spec is not None:
+        return _print_binary(x, level, spec, _print_fol)
+    if isinstance(x, FNot):
+        return f"~{_print_fol(x.arg, len(_FOL_OPS))}"
+    if isinstance(x, (FForall, FExists)):
+        kw = "all" if isinstance(x, FForall) else "ex"
+        if x.var.sort is not None:
+            kw += str(x.var.sort)
+        text = f"{kw} {x.var.name} . {_print_fol(x.body, 0)}"
+        return f"({text})" if level else text
+    if isinstance(x, FEq):
+        return f"{x.left.name} = {x.right.name}"
+    if isinstance(x, FInc):
+        return f"I({x.u.name}, {x.v.name})"
+    if isinstance(x, FRelApp):
+        names = [x.head.name] + [a.name for a in x.args]
+        return f"{x.name}({', '.join(names)})"
+    if isinstance(x, FPred):
+        return f"{x.name}({x.arg.name})"
+    raise SortError(f"unknown FOL node {x!r}")

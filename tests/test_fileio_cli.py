@@ -75,11 +75,20 @@ def test_parse_error_without_column():
      "operator 'f' is defined twice"),
     ("elems c0\nleq: c0 c0\nop f type 1->1 table: c0 -> c0 , c0 -> c0\n", 3,
      "operator f: arguments 'c0' have two rows"),
+    ("p0 := Q0\np1 := Q1\np0 := Q1\n", 3, "variable 'p0' is assigned twice"),
+    ("p1 := Q0\np01 := Q1\n", 2, "variable 'p01' is assigned twice"),
+    ("sig: f 1->1 , f d->d\np0 := f(Q0)\n", 1,
+     "operator 'f' is declared twice"),
 ])
 def test_loaders_reject_repeats(text, line, what):
-    # lattice expansion files start with their elems line
-    load = fileio.load_lattice_expansion if text.startswith("elems") \
-        else fileio.load_model
+    # lattice expansion files start with their elems line, assignment
+    # files hold ':=' lines
+    if text.startswith("elems"):
+        load = fileio.load_lattice_expansion
+    elif ":=" in text:
+        load = fileio.load_assignment
+    else:
+        load = fileio.load_model
     with pytest.raises(ParseError) as info:
         load(text)
     assert info.value.line == line
@@ -143,6 +152,8 @@ def test_signature_line():
     assert sig2 == sig
     with pytest.raises(ParseError):
         fileio.parse_signature_line("f")
+    with pytest.raises(ParseError, match="operator 'f' is declared twice"):
+        fileio.parse_signature_line("f 1->1 , f d->d")
 
 
 def test_load_assignment():
@@ -153,6 +164,19 @@ def test_load_assignment():
         fileio.load_assignment("p0 := P0\n")  # wrong sort
     with pytest.raises(ParseError):
         fileio.load_assignment("x := Q0\n")
+    # errors carry the file line, and a column within that line
+    for text, where, what in [
+        ("sig: f 1->1\np0 := f(Q0)\n", "line 2, col 7",
+         "f argument 0: expected a sort-1 argument, got sort-d"),
+        ("p0 := Q0\n  p1 := Q0 & P0\n", "line 2",
+         "MAnd: expected a sort-d argument, got sort-1"),
+        ("p0 := Q0\np1 := Q0 &\n", "line 2", "unexpected end of input"),
+        ("p0 :=  Q0 ?\n", "line 1, col 11", "unexpected character '?'"),
+        ("sig: f 1->x\n", "line 1", "unknown sort 'x' (expected '1' or 'd')"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            fileio.load_assignment(text)
+        assert str(info.value) == f"{where}: {what}"
 
 
 def test_load_formula_file():
@@ -230,34 +254,65 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     assert code == 2 and err == "error: line 7: variable 'P0' is valued twice\n"
 
 
-def _nested_command(language, model_file, levels):
-    """A CLI command whose formula nests `levels` deep."""
-    if language == "lattice":
-        return ["extent", model_file, "(" * levels + "p0" + ")" * levels]
-    if language == "modal":
-        return ["sttrans", "~" * levels + "P0"]
-    return ["stable", "--fol", "~" * levels + "P0(u)"]
+NESTING_SHAPES = {"lattice": ("brackets", "arguments", "chain", "sunk"),
+                  "modal": ("prefix", "brackets", "arguments", "chain", "sunk"),
+                  "fol": ("prefix", "brackets", "chain", "sunk")}
+
+
+def _nested_command(language, shape, tmp_path, levels):
+    """A CLI command whose formula nests `levels` deep in `shape`.
+
+    Returns the command and the column of the formula's last atom, where
+    a formula one level too deep is reported.  A chain nests `levels`
+    connectives, so it has `levels + 1` operands; "sunk" is a bracketed
+    operand that a connective pushes one level deeper.
+    """
+    atom, joiner = {"lattice": ("p0", " /\\ "), "modal": ("P0", " & "),
+                    "fol": ("P0(u)", " & ")}[language]
+    if shape == "prefix":
+        formula = "~" * levels + atom
+    elif shape == "brackets":
+        formula = "(" * levels + atom + ")" * levels
+    elif shape == "arguments":
+        formula = "f(" * levels + atom + ")" * levels
+    elif shape == "chain":
+        formula = joiner.join([atom] * (levels + 1))
+    else:
+        formula = ("(" * (levels - 1) + atom + ")" * (levels - 1)
+                   + joiner + atom)
+    model = tmp_path / "model_f.txt"
+    model.write_text(MODEL_TEXT + "rel f sort 1;1 : a0 a0 , a1 a1\n")
+    argv = {"lattice": ["extent", str(model)], "modal": ["sttrans"],
+            "fol": ["stable", "--fol"]}[language] + [formula]
+    if shape == "arguments":
+        argv += ["--sig", "f 1->1"]
+    return argv, formula.rindex(atom) + 1
 
 
 @pytest.mark.parametrize("language", ["lattice", "modal", "fol"])
-def test_cli_rejects_formulas_nested_too_deep(language, model_file, capsys):
-    argv = _nested_command(language, model_file, MAX_NESTING + 1)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == (f"error: line 1, col {MAX_NESTING + 2}: "
-                   f"formula nested deeper than {MAX_NESTING} levels\n")
+def test_cli_rejects_formulas_nested_too_deep(language, tmp_path, capsys):
+    for shape in NESTING_SHAPES[language]:
+        argv, column = _nested_command(language, shape, tmp_path,
+                                       MAX_NESTING + 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", shape
+        assert err == (f"error: line 1, col {column}: "
+                       f"formula nested deeper than {MAX_NESTING} levels\n"), shape
 
 
 @pytest.mark.parametrize("language", ["lattice", "modal", "fol"])
-def test_cli_evaluates_formulas_at_the_nesting_limit(language, model_file,
+def test_cli_evaluates_formulas_at_the_nesting_limit(language, tmp_path,
                                                       capsys):
-    argv = _nested_command(language, model_file, MAX_NESTING)
-    code, out, err = run(capsys, *argv)
-    assert code in (0, 1) and err == ""
-    if language == "lattice":
-        assert "extent: a0" in out
-    if language == "modal":
-        assert out.strip() == "~" * MAX_NESTING + "P0(u)"
+    for shape in NESTING_SHAPES[language]:
+        argv, _ = _nested_command(language, shape, tmp_path, MAX_NESTING)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "", shape
+        if language == "lattice":
+            assert "extent: a0" in out, shape
+        if language == "modal" and shape in ("prefix", "chain"):
+            assert out.strip() == argv[-1].replace("P0", "P0(u)"), shape
+        if language == "fol":
+            assert out.startswith("stable: "), shape
 
 
 def test_cli_bisim(model_file, capsys, tmp_path):

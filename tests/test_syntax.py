@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from polarmodal import gen
 from polarmodal.catalog import D1_1, D1D_D, D11_1, DD_D
-from polarmodal.errors import ParseError, SortError
+from polarmodal.errors import ParseError, PolarModalError, SortError
 from polarmodal.frames import DistributionType, Sort, SortingType
 from polarmodal.syntax import (
-    EMPTY_SIGNATURE, FEq, FExists, FForall, FImp, FInc, FPred, FRelApp, FVar, LAnd,
-    LApp, LBot, LOr, LTop, LVar, MAnd, MBbox, MBdia, MConst, MDbox, MDdia,
-    MImp, MNot, MOr, MVar, Signature, expand_sugar, fol_all_var_names,
-    fol_free_vars, fol_subst, mapp, modal_depth, modal_vars, parse,
-    parse_fol, parse_lattice, parse_modal, print_fol, print_lattice,
-    print_modal,
+    FEq, FExists, FForall, FImp, FInc, FolFormula, FPred, FRelApp, FVar, LAnd,
+    LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox, MConst, MDdia,
+    MImp, MNot, MOr, MVar, ModalFormula, Signature, expand_sugar, fol_all_var_names,
+    fol_free_vars, fol_subst, mapp, modal_depth, modal_vars, parse_fol,
+    parse_lattice, parse_modal, print_fol, print_lattice, print_modal,
 )
 
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1, "r": D1D_D})
@@ -183,9 +182,62 @@ def test_fol_roundtrip(seed, depth):
     assert parse_fol(print_fol(phi), SIG) == phi
 
 
-def test_generic_entry_points():
-    assert parse("lattice", "p0") == LVar(0)
-    assert parse("modal", "P0") == MVar(Sort.ONE, 0)
-    from polarmodal.syntax import print_formula
-    assert print_formula(LOr(LVar(0), LVar(1))) == "p0 \\/ p1"
-    assert print_formula(MOr(MVar(Sort.ONE, 0), MVar(Sort.ONE, 1))) == "P0 | P1"
+FREE = {"u": Sort.ONE, "v": Sort.DEL}
+
+
+def _parse_lattice(text):
+    return parse_lattice(text, SIG)
+
+
+def _parse_modal(text):
+    return parse_modal(text, SIG)
+
+
+def _parse_fol(text):
+    return parse_fol(text, SIG, FREE)
+
+
+LANGUAGES = [(_parse_lattice, print_lattice, LatticeFormula),
+             (_parse_modal, print_modal, ModalFormula),
+             (_parse_fol, print_fol, FolFormula)]
+
+
+@pytest.mark.parametrize("parse, show, text", [
+    (_parse_lattice, print_lattice, text) for text in [
+        "p0 \\/ p1 /\\ p2", "(p0 \\/ p1) /\\ p2", "p0 /\\ p1 /\\ p2",
+        "p0 /\\ (p1 /\\ p2)", "p0 \\/ p1 \\/ p2", "p0 \\/ (p1 \\/ p2)",
+        "h(p0 \\/ p1, f(top)) /\\ bot"]
+] + [
+    (_parse_modal, print_modal, text) for text in [
+        "P0 -> P1 -> P2", "(P0 -> P1) -> P2", "~(P0 & P1)", "~P0 & P1 -> P0 | P1",
+        "P0 & P1 & P2", "P0 & (P1 & P2)", "(P0 | P1) & P2", "P0 | P1 & P2",
+        "P0 | (P1 | P2)", "(P0 -> P1) | top", "[b] (Q0 | [d] P1)",
+        "<b> <d> ~P0", "g(Q0 -> Q1) & ff", "h(P0 | P1, bot) -> ~[b] tt"]
+] + [
+    (_parse_fol, print_fol, text) for text in [
+        "P0(u) & (all1 w . I(w, v))", "(ex1 w . P0(w)) -> P0(u)",
+        "all1 w . exd z . I(w, z) & Q0(z) | r(z, w, v)",
+        "~I(u, v) -> P0(u) -> Q0(v)", "(P0(u) -> P0(u)) -> Q0(v)",
+        "~u = u | (P0(u) | Q0(v)) & v = v"]
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_canonical_text_prints_back(parse, show, text):
+    assert show(parse(text)) == text
+
+
+LEXER_ALPHABET = ["(", ")", "~", "&", "|", ",", ".", "=", "->", "/\\", "\\/",
+                  "[b]", "[d]", "<b>", "<d>", "P0", "Q1", "p0", "top", "bot", "tt",
+                  "ff", "f", "g", "h", "r", "I", "u", "v", "all1", "exd", "?"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_ALPHABET), max_size=30),
+       st.sampled_from([" ", "\n"]))
+def test_parsers_return_a_formula_or_a_package_error(tokens, sep):
+    text = sep.join(tokens)
+    for parse, show, kind in LANGUAGES:
+        try:
+            phi = parse(text)
+        except PolarModalError:
+            continue
+        assert isinstance(phi, kind)
+        assert parse(show(phi)) == phi
