@@ -6,6 +6,9 @@ level-k classes are modal equivalence at depth k; run to its fixpoint,
 it gives the coarsest stable partition, whose cross-model pairs form the
 largest bisimulation on finite models.  When two points separate, a
 distinguishing formula is synthesised from the refinement witness.
+
+Both the forth clauses and the refinement read a frame through
+`SortedFrame.edges()`, where I and every relation have one row shape.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ class SortedPairRelation:
 
 
 def _check_sorted(f: SortedFrame, g: SortedFrame, rel: SortedPairRelation):
-    for a, a2 in rel.pairs_a:
-        if a not in f.points_a or a2 not in g.points_a:
-            raise SortError(f"pair ({a},{a2}) is not a sort-1 pair of the frames")
-    for b, b2 in rel.pairs_b:
-        if b not in f.points_b or b2 not in g.points_b:
-            raise SortError(f"pair ({b},{b2}) is not a sort-d pair of the frames")
+    for sort, pairs in _pair_sets(rel).items():
+        for w, w2 in sorted(pairs):
+            if w not in f.carrier(sort) or w2 not in g.carrier(sort):
+                raise SortError(
+                    f"pair ({w},{w2}) is not a sort-{sort} pair of the frames")
 
 
 def _check_compatible(f: SortedFrame, g: SortedFrame):
@@ -60,48 +62,25 @@ def _pair_sets(rel: SortedPairRelation):
 def is_simulation(f: SortedFrame, g: SortedFrame, rel: SortedPairRelation):
     """Check the forth clauses; returns (True, None) or (False, violation).
 
-    A violation is (clause, pair, witness): the pair that fails, which
-    clause it fails, and the unmatched incidence point or relation tuple.
+    A violation is (clause, pair, witness): the least pair that fails,
+    which clause it fails, and the unmatched incidence point or relation
+    tuple.  Sort-1 pairs come before sort-d pairs.
     """
     _check_sorted(f, g, rel)
     _check_compatible(f, g)
     pairs = _pair_sets(rel)
-    for a, a2 in rel.pairs_a:
-        for b in sorted(f._succ[a]):
-            if not any((b, b2) in rel.pairs_b and (a2, b2) in g.incidence
-                       for b2 in g.points_b):
-                return False, ("I-forth-A", (a, a2), b)
-        for name, r in sorted(f.relations.items()):
-            if r.sorting.output is not Sort.ONE:
-                continue
-            ok, witness = _match_tuples(f, g, name, a, a2, pairs)
-            if not ok:
-                return False, (f"{name}-forth", (a, a2), witness)
-    for b, b2 in rel.pairs_b:
-        for a in sorted(f._pred[b]):
-            if not any((a, a2) in rel.pairs_a and (a2, b2) in g.incidence
-                       for a2 in g.points_a):
-                return False, ("I-forth-B", (b, b2), a)
-        for name, r in sorted(f.relations.items()):
-            if r.sorting.output is not Sort.DEL:
-                continue
-            ok, witness = _match_tuples(f, g, name, b, b2, pairs)
-            if not ok:
-                return False, (f"{name}-forth", (b, b2), witness)
-    return True, None
-
-
-def _match_tuples(f, g, name, head, head2, pairs):
-    sorting = f.relations[name].sorting
-    f_tuples = [t for t in f.relations[name].tuples if t[0] == head]
-    g_tuples = [t for t in g.relations[name].tuples if t[0] == head2]
-    for t in sorted(f_tuples):
-        matched = any(
-            all((w, w2) in pairs[s] for w, w2, s in zip(t[1:], t2[1:], sorting.inputs))
-            for t2 in g_tuples
-        )
-        if not matched:
-            return False, t
+    edges, edges2 = f.edges(), g.edges()
+    for sort, sort_pairs in pairs.items():
+        for x, x2 in sorted(sort_pairs):
+            for (name, inputs, tuples), (_, _, tuples2) in zip(edges[x], edges2[x2]):
+                for t in tuples:
+                    if not any(all((w, w2) in pairs[s]
+                                   for w, w2, s in zip(t, t2, inputs))
+                               for t2 in tuples2):
+                        if name is None:
+                            side = "A" if sort is Sort.ONE else "B"
+                            return False, (f"I-forth-{side}", (x, x2), t[0])
+                        return False, (f"{name}-forth", (x, x2), (x,) + t)
     return True, None
 
 
@@ -170,6 +149,7 @@ class _Refinement:
             (i, p) for i, mod in enumerate(self.models)
             for p in sorted(mod.frame.points_a | mod.frame.points_b)
         ]
+        self.edges = [mod.frame.edges() for mod in self.models]
         self.levels: list[dict] = []
         self._refine(depth)
 
@@ -184,26 +164,21 @@ class _Refinement:
         return (sort.value,
                 tuple(p in mod.var(s, j) for s, j in self.vars if s is sort))
 
-    def _signature(self, tagged, cls):
+    def _vectors(self, tagged, cls):
+        """Each edge row of a point as (name, {class vector: least tuple})."""
         i, p = tagged
-        mod = self.models[i]
-        frame = mod.frame
-        sort = frame.sort_of(p)
-        if sort is Sort.ONE:
-            nbrs = frozenset(cls[(i, b)] for b in frame._succ[p])
-        else:
-            nbrs = frozenset(cls[(i, a)] for a in frame._pred[p])
-        rel_sigs = []
-        for name in sorted(frame.relations):
-            r = frame.relations[name]
-            if r.sorting.output is not sort:
-                continue
-            vecs = frozenset(
-                tuple(cls[(i, w)] for w in t[1:])
-                for t in r.tuples if t[0] == p
-            )
-            rel_sigs.append((name, vecs))
-        return (cls[tagged], nbrs, tuple(rel_sigs))
+        rows = []
+        for name, _, tuples in self.edges[i][p]:
+            vecs = {}
+            for t in tuples:
+                vecs.setdefault(tuple(cls[(i, w)] for w in t), t)
+            rows.append((name, vecs))
+        return rows
+
+    def _signature(self, tagged, cls):
+        (_, near), *rows = self._vectors(tagged, cls)
+        return (cls[tagged], frozenset(c for c, in near),
+                tuple((name, frozenset(vecs)) for name, vecs in rows))
 
     def _refine(self, depth: int | None):
         keys = {p: self._profile(p) for p in self.points}
@@ -272,59 +247,14 @@ class _Refinement:
         prev = self.levels[j - 1]
         sort = self.sort_of(x)
         dia = MBdia if sort is Sort.ONE else MDdia
-        nbr_x = self._neighbour_classes(x, prev)
-        nbr_y = self._neighbour_classes(y, prev)
-        for c in sorted(nbr_x - nbr_y):
-            witness = self._neighbour_in_class(x, prev, c)
-            return dia(self.characteristic(witness, j - 1))
-        for c in sorted(nbr_y - nbr_x):
-            witness = self._neighbour_in_class(y, prev, c)
-            return MNot(dia(self.characteristic(witness, j - 1)))
-        frame = self.models[x[0]].frame
-        for name in sorted(frame.relations):
-            r = frame.relations[name]
-            if r.sorting.output is not sort:
-                continue
-            vec_x = self._tuple_vectors(x, name, prev)
-            vec_y = self._tuple_vectors(y, name, prev)
-            for vec, tup in sorted(vec_x.items()):
-                if vec not in vec_y:
-                    args = tuple(self.characteristic((x[0], w), j - 1)
-                                 for w in tup)
-                    return MApp(name, sort, args)
-            for vec, tup in sorted(vec_y.items()):
-                if vec not in vec_x:
-                    args = tuple(self.characteristic((y[0], w), j - 1)
-                                 for w in tup)
-                    return MNot(MApp(name, sort, args))
+        for (name, vx), (_, vy) in zip(self._vectors(x, prev), self._vectors(y, prev)):
+            for (i, _), own, other, negate in ((x, vx, vy, False), (y, vy, vx, True)):
+                for vec, tup in sorted(own.items()):
+                    if vec not in other:
+                        args = tuple(self.characteristic((i, w), j - 1) for w in tup)
+                        phi = dia(*args) if name is None else MApp(name, sort, args)
+                        return MNot(phi) if negate else phi
         raise PreconditionError("signatures differ without a modal witness")
-
-    def _neighbour_classes(self, tagged, cls):
-        i, p = tagged
-        frame = self.models[i].frame
-        sort = frame.sort_of(p)
-        nbrs = frame._succ[p] if sort is Sort.ONE else frame._pred[p]
-        return frozenset(cls[(i, q)] for q in nbrs)
-
-    def _neighbour_in_class(self, tagged, cls, c):
-        i, p = tagged
-        frame = self.models[i].frame
-        sort = frame.sort_of(p)
-        nbrs = frame._succ[p] if sort is Sort.ONE else frame._pred[p]
-        for q in sorted(nbrs):
-            if cls[(i, q)] == c:
-                return (i, q)
-        raise PreconditionError("class has no neighbour witness")
-
-    def _tuple_vectors(self, tagged, name, cls):
-        i, p = tagged
-        r = self.models[i].frame.relations[name]
-        out = {}
-        for t in sorted(r.tuples):
-            if t[0] == p:
-                vec = tuple(cls[(i, w)] for w in t[1:])
-                out.setdefault(vec, t[1:])
-        return out
 
 
 def modal_equiv(m: ModalModel, w: str, m2: ModalModel, w2: str, depth: int):

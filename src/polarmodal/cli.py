@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / property holds, 1 = property fails (witness in
 the report), 2 = usage, parse, sort or resource errors.  The environment
-variable POLARMODAL_CAP bounds exhaustive valuation searches.
+variable POLARMODAL_CAP bounds exhaustive valuation searches and the
+quantifier instances of one FOL evaluation.
 """
 
 from __future__ import annotations

@@ -306,18 +306,6 @@ def _on_line(lineno: int, offset: int, parse, *args):
         raise ParseError(str(e), lineno) from None
 
 
-def load_formula_file(text: str):
-    """Returns (signature, list of formula source lines)."""
-    sig = EMPTY_SIGNATURE
-    formulas = []
-    for lineno, line in _lines(text):
-        if line.startswith("sig:"):
-            sig = _on_line(lineno, 0, parse_signature_line, line[len("sig:"):])
-        else:
-            formulas.append(line)
-    return sig, formulas
-
-
 def load_assignment(text: str, sig: Signature = EMPTY_SIGNATURE):
     """Assignment file: lines `p0 := <sort-d modal formula>`."""
     asg = {}

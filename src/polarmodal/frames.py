@@ -181,16 +181,12 @@ class SortedFrame:
     def galois_right(self, u: Iterable[str]) -> frozenset[str]:
         """U |-> {b | a polar b for all a in U}."""
         u = self._check_subset(u, Sort.ONE)
-        return frozenset(
-            b for b in self.points_b if all((a, b) not in self.incidence for a in u)
-        )
+        return self.points_b.difference(*(self._succ[a] for a in u))
 
     def galois_left(self, v: Iterable[str]) -> frozenset[str]:
         """V |-> {a | a polar b for all b in V}."""
         v = self._check_subset(v, Sort.DEL)
-        return frozenset(
-            a for a in self.points_a if all((a, b) not in self.incidence for b in v)
-        )
+        return self.points_a.difference(*(self._pred[b] for b in v))
 
     def closure(self, sort: Sort, s: Iterable[str]) -> frozenset[str]:
         """Galois closure on the given sort."""
@@ -246,6 +242,28 @@ class SortedFrame:
         except KeyError:
             raise PreconditionError(f"no relation named {name!r} in frame")
 
+    def edges(self) -> dict[str, list[tuple]]:
+        """Each point's rows (name, input sorts, sorted argument tuples).
+
+        The incidence row comes first: its name is None and it holds the
+        point's I-neighbours as 1-tuples.  Then comes one row per relation
+        whose output sort is the point's, in name order, empty rows kept.
+        Built afresh on each call; nothing is stored on the frame.
+        """
+        args = {}
+        for name, rel in self.relations.items():
+            for t in rel.tuples:
+                args.setdefault((name, t[0]), []).append(t[1:])
+        rows = {}
+        for sort, near in ((Sort.ONE, self._succ), (Sort.DEL, self._pred)):
+            own = [rel for _, rel in sorted(self.relations.items())
+                   if rel.sorting.output is sort]
+            for p, nbrs in near.items():
+                rows[p] = [(None, (sort.opposite,), sorted((q,) for q in nbrs))]
+                rows[p] += [(rel.name, rel.sorting.inputs,
+                             sorted(args.get((rel.name, p), ()))) for rel in own]
+        return rows
+
     def image_op(self, name: str, args: Sequence[Iterable[str]]) -> frozenset[str]:
         """Existential image operator of the named relation."""
         rel = self.relation(name)
@@ -258,21 +276,6 @@ class SortedFrame:
                 out.add(tup[0])
         return frozenset(out)
 
-    def section(self, name: str, args: tuple[str, ...]) -> frozenset[str]:
-        """Heads of the relation at a fixed argument tuple."""
-        rel = self.relation(name)
-        if len(args) != rel.sorting.arity:
-            raise SortError(f"relation {name} expects {rel.sorting.arity} arguments")
-        return frozenset(t[0] for t in rel.tuples if t[1:] == tuple(args))
-
-    def galois_dual(self, name: str, args: tuple[str, ...]) -> frozenset[str]:
-        """Galois image of the section at `args` (opposite sort of the output)."""
-        rel = self.relation(name)
-        sec = self.section(name, args)
-        if rel.sorting.output is Sort.ONE:
-            return self.galois_right(sec)
-        return self.galois_left(sec)
-
     def _arg_tuples(self, sorting: SortingType):
         return itertools.product(*(sorted(self.carrier(s)) for s in sorting.inputs))
 
@@ -284,7 +287,11 @@ class SortedFrame:
         """
         rel = self.relation(name)
         dual_sort = rel.sorting.output.opposite
-        dual = {args: self.galois_dual(name, tuple(args))
+        galois = self.galois_right if dual_sort is Sort.DEL else self.galois_left
+        heads = {}
+        for t in rel.tuples:
+            heads.setdefault(t[1:], []).append(t[0])
+        dual = {args: galois(heads.get(args, ()))
                 for args in self._arg_tuples(rel.sorting)}
         # head sections are Galois images, closed by construction; checked anyway
         for args, sec in dual.items():
@@ -476,6 +483,16 @@ class FiniteLatticeExpansion:
     def _check_normal(self, name, dist, table):
         lat = self.lattice
         elems = sorted(lat.carrier, key=repr)
+        for args, value in sorted(table.items(), key=repr):
+            if not isinstance(args, tuple) or len(args) != dist.arity \
+                    or not lat.carrier.issuperset(args):
+                raise NormalityError(
+                    f"operator {name}: table entry {args} is not a tuple of "
+                    f"{dist.arity} lattice elements", operator=name, witness=args)
+            if value not in lat.carrier:
+                raise NormalityError(
+                    f"operator {name}: value {value!r} at {args} is not a lattice "
+                    "element", operator=name, witness=args)
         for args in itertools.product(elems, repeat=dist.arity):
             if args not in table:
                 raise NormalityError(

@@ -115,23 +115,6 @@ def lattice_consequence(model: LatticeModel, phi: LatticeFormula,
     return lattice_extent(model, phi).extent <= lattice_extent(model, psi).extent
 
 
-def lattice_consequence_frame(frame: SortedFrame, phi: LatticeFormula,
-                              psi: LatticeFormula, var_indices: Iterable[int],
-                              cap: int | None = None) -> bool:
-    """Frame-level consequence: extent inclusion under all stable valuations."""
-    cap = DEFAULT_CAP if cap is None else cap
-    stable = frame.stable_sets()
-    var_indices = sorted(set(var_indices))
-    total = len(stable) ** len(var_indices)
-    if total > cap:
-        raise CapExceeded(f"{total} stable valuations exceed cap {cap}")
-    for choice in itertools.product(stable, repeat=len(var_indices)):
-        model = LatticeModel(frame, dict(zip(var_indices, choice)))
-        if not lattice_consequence(model, phi, psi):
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Sorted modal language
 
@@ -218,17 +201,25 @@ def eval_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     """Tarskian evaluation; quantifiers of sort None range over A | B.
 
     `predval` interprets the unary predicates P_i / Q_i; the guards U1/Ud
-    default to the carriers when not given.
+    default to the carriers when not given.  Every point a quantifier
+    tries counts against the cap; passing it raises CapExceeded.
     """
     predval = {k: frozenset(v) for k, v in predval.items()}
     for var in fol_free_vars(phi):
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
+    cap = DEFAULT_CAP
+    tried = 0
+    domains = {None: sorted(frame.points_a | frame.points_b),
+               Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}
 
-    def domain(sort):
-        if sort is None:
-            return frame.points_a | frame.points_b
-        return frame.carrier(sort)
+    def instances(x, env):
+        nonlocal tried
+        for p in domains[x.var.sort]:
+            tried += 1
+            if tried > cap:
+                raise CapExceeded(f"quantifier instances exceed cap {cap}")
+            yield ev(x.body, {**env, x.var.name: p})
 
     def pred_set(name):
         if name in predval:
@@ -259,11 +250,9 @@ def eval_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
         if isinstance(x, FImp):
             return (not ev(x.left, env)) or ev(x.right, env)
         if isinstance(x, FForall):
-            return all(ev(x.body, {**env, x.var.name: p})
-                       for p in domain(x.var.sort))
+            return all(instances(x, env))
         if isinstance(x, FExists):
-            return any(ev(x.body, {**env, x.var.name: p})
-                       for p in domain(x.var.sort))
+            return any(instances(x, env))
         raise SortError(f"unknown FOL node {x!r}")
 
     env = {}

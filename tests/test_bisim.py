@@ -1,5 +1,11 @@
 """Sorted bisimulations, modal equivalence and distinguishing formulas."""
 
+import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +20,7 @@ from polarmodal.frames import Sort, SortedFrame, SortingType, random_frame
 from polarmodal.semantics import ModalModel, sat_modal, truth_set
 from polarmodal.syntax import modal_depth
 
-from conftest import make_rel, with_relation
+from conftest import ALL_TYPES, hash_seed_env, make_rel, with_relation
 
 VARS = [(Sort.ONE, 0), (Sort.DEL, 0)]
 SIG = {name: SortingType.parse(sorting)
@@ -71,6 +77,71 @@ def test_relation_forth_clause(f0):
     # the other direction has nothing to match, so it passes
     ok, _ = is_simulation(g, f, rel.inverse())
     assert ok
+
+
+def tuples_unmatched(f, g, name, head, head2, pairs):
+    """The least tuple of f's relation at `head` with no match at `head2`."""
+    inputs = f.relations[name].sorting.inputs
+    tuples2 = [t2 for t2 in g.relations[name].tuples if t2[0] == head2]
+    for t in sorted(t for t in f.relations[name].tuples if t[0] == head):
+        if not any(all((w, w2) in pairs[s] for w, w2, s in zip(t[1:], t2[1:], inputs))
+                   for t2 in tuples2):
+            return t
+    return None
+
+
+def simulation_by_tuples(f, g, rel):
+    """Reference `is_simulation`: one half per sort, scanning I and every tuple.
+
+    Pairs are taken in sorted order, sort-1 pairs first.
+    """
+    pairs = {Sort.ONE: rel.pairs_a, Sort.DEL: rel.pairs_b}
+    for a, a2 in sorted(rel.pairs_a):
+        for b in sorted(b for x, b in f.incidence if x == a):
+            if not any((b, b2) in rel.pairs_b and (a2, b2) in g.incidence
+                       for b2 in g.points_b):
+                return False, ("I-forth-A", (a, a2), b)
+        for name, r in sorted(f.relations.items()):
+            if r.sorting.output is Sort.ONE:
+                t = tuples_unmatched(f, g, name, a, a2, pairs)
+                if t is not None:
+                    return False, (f"{name}-forth", (a, a2), t)
+    for b, b2 in sorted(rel.pairs_b):
+        for a in sorted(a for a, y in f.incidence if y == b):
+            if not any((a, a2) in rel.pairs_a and (a2, b2) in g.incidence
+                       for a2 in g.points_a):
+                return False, ("I-forth-B", (b, b2), a)
+        for name, r in sorted(f.relations.items()):
+            if r.sorting.output is Sort.DEL:
+                t = tuples_unmatched(f, g, name, b, b2, pairs)
+                if t is not None:
+                    return False, (f"{name}-forth", (b, b2), t)
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.floats(0.0, 1.0),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_simulation_matches_tuple_scan(size_a, size_b, density, seed, same):
+    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
+    f = random_frame(size_a, size_b, sorting, density, seed)
+    g = f if same else random_frame(size_a, size_b, sorting, density, seed + 1)
+    big = largest_bisimulation(ModalModel(f, {}), ModalModel(g, {}))
+    assert is_simulation(f, g, big) == (True, None)
+    # the largest bisimulation with one pair toggled, and random relations
+    cand_a = sorted(itertools.product(f.points_a, g.points_a))
+    cand_b = sorted(itertools.product(f.points_b, g.points_b))
+    rels = [SortedPairRelation(big.pairs_a ^ {p}, big.pairs_b) for p in cand_a]
+    rels += [SortedPairRelation(big.pairs_a, big.pairs_b ^ {p}) for p in cand_b]
+    rng = random.Random(seed)
+    for _ in range(4):
+        rels.append(SortedPairRelation(
+            frozenset(p for p in cand_a if rng.random() < 0.5),
+            frozenset(p for p in cand_b if rng.random() < 0.5)))
+    for rel in [big] + rels:
+        assert is_simulation(f, g, rel) == simulation_by_tuples(f, g, rel)
+        back = rel.inverse()
+        assert is_simulation(g, f, back) == simulation_by_tuples(g, f, back)
 
 
 def test_ill_sorted_pairs(f0):
@@ -226,3 +297,42 @@ def test_excluded_pairs_have_verified_witnesses(seed):
                     assert not ok
                     assert sat_modal(m, a, theta) and \
                         not sat_modal(other, a2, theta)
+
+
+# ---------------------------------------------------------------- pinned
+
+PINS = Path(__file__).parent / "data" / "modal_equiv_pins.txt"
+
+# For 20 seeded model pairs (3+3 points against 3+3 or 3+4, relations of
+# SIG), the distinguishing formulas of the first two separated pairs of
+# each sort, at the a-priori depth bound.
+PIN_SCRIPT = """
+from polarmodal import gen
+from polarmodal.bisim import equivalence_depth_bound, modal_equiv
+from polarmodal.frames import Sort, SortingType, random_frame
+from polarmodal.syntax import print_modal
+
+SIG = {n: SortingType.parse(s) for n, s in (("f", "1;1"), ("g", "d;d"), ("h", "d;1d"))}
+VARS = [(Sort.ONE, 0), (Sort.DEL, 0)]
+for seed in range(20):
+    m = gen.random_modal_model(random_frame(3, 3, SIG, 0.5, seed), VARS, seed)
+    frame2 = random_frame(3, 3 + seed % 2, SIG, 0.5, seed + 1000)
+    m2 = gen.random_modal_model(frame2, VARS, seed + 1)
+    depth = equivalence_depth_bound(m, m2)
+    for sort in Sort:
+        found = 0
+        for w in sorted(m.frame.carrier(sort)):
+            for w2 in sorted(m2.frame.carrier(sort)):
+                ok, theta = modal_equiv(m, w, m2, w2, depth)
+                if not ok and found < 2:
+                    found += 1
+                    print(seed, w, w2, print_modal(theta))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "7"])
+def test_distinguishing_formulas_are_pinned(hash_seed):
+    out = subprocess.run([sys.executable, "-c", PIN_SCRIPT],
+                         env=hash_seed_env(hash_seed), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == PINS.read_text().splitlines()

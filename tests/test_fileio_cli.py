@@ -1,12 +1,17 @@
 """File formats and the command-line front end."""
 
+import subprocess
+import sys
+
 import pytest
 
-from polarmodal import catalog, cli, fileio
+from polarmodal import catalog, cli, fileio, semantics
 from polarmodal.errors import ParseError, PreconditionError
 from polarmodal.frames import Sort
 from polarmodal.semantics import LatticeModel, ModalModel
 from polarmodal.syntax import MAX_NESTING
+
+from conftest import hash_seed_env
 
 
 F0_TEXT = """\
@@ -179,11 +184,6 @@ def test_load_assignment():
         assert str(info.value) == f"{where}: {what}"
 
 
-def test_load_formula_file():
-    sig, formulas = fileio.load_formula_file("sig: f 1->1\n# note\nP0\nf(P0)\n")
-    assert "f" in sig and formulas == ["P0", "f(P0)"]
-
-
 # ---------------------------------------------------------------- CLI
 
 @pytest.fixture
@@ -241,6 +241,16 @@ def test_cli_stable(capsys):
     assert code == 0 and "stable: true" in out
     code, out, _ = run(capsys, "stable", "--fol", "P0(u)")
     assert code == 1 and "stable: false" in out
+
+
+def test_cli_stable_fol_is_capped(capsys, monkeypatch):
+    # fourteen binders over the catalog family: far more instances than the cap
+    formula = "all1 w . " * 14 + "(P0(u) | ~P0(u))"
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 1000)
+    code, out, err = run(capsys, "stable", "--fol", formula)
+    assert code == 2 and out == ""
+    assert err == ("error: resource cap exceeded: "
+                   "quantifier instances exceed cap 1000\n")
 
 
 def test_cli_reports_parse_errors(tmp_path, capsys):
@@ -328,6 +338,41 @@ def test_cli_bisim(model_file, capsys, tmp_path):
     code, out, _ = run(capsys, "bisim", model_file, model_file,
                        "--pairs", str(pairs))
     assert code == 1 and "violation" in out
+
+
+def test_cli_bisim_reports_the_least_violation(tmp_path, capsys):
+    # every pair but (a0, c0) and (b0, d0) fails, in a different clause
+    # for each sort
+    m1 = tmp_path / "m1.txt"
+    m1.write_text("sorts A: a0 a1 a2 a3  B: b0 b1\n"
+                  "I: a0 b0 , a1 b0 , a2 b1 , a3 b1\nval P0 : a0\n")
+    m2 = tmp_path / "m2.txt"
+    m2.write_text("sorts A: c0 c1 c2 c3  B: d0 d1\nI: c0 d0\nval P0 : c0\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"a{i} c{i}\n" for i in (3, 1, 2, 0))
+                     + "b1 d1\nb0 d0\n")
+    argv = ["bisim", str(m1), str(m2), "--pairs", str(pairs)]
+    least = ("violation (forth): clause I-forth-A at pair ('a1', 'c1') "
+             "with witness b0\n")
+    assert run(capsys, *argv) == (1, least, "")
+    for hash_seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-m", "polarmodal.cli", *argv],
+                              env=hash_seed_env(hash_seed),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (1, least)
+
+
+def test_cli_canon_rejects_tables_outside_the_carrier(tmp_path, capsys):
+    head = "elems c0 c1\nleq: c0 c0 , c0 c1 , c1 c1\nop f type 1->1 table: "
+    lat = tmp_path / "lattice.txt"
+    for rows, what in (
+            ("c0 -> c0 , c1 -> zz",
+             "value 'zz' at ('c1',) is not a lattice element"),
+            ("c0 -> c0 , c1 -> c1 , zz -> c1",
+             "table entry ('zz',) is not a tuple of 1 lattice elements")):
+        lat.write_text(head + rows + "\n")
+        assert run(capsys, "canon", str(lat)) == \
+            (2, "", f"error: operator f: {what}\n")
 
 
 def test_cli_canon(tmp_path, capsys):

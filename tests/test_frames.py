@@ -12,7 +12,7 @@ from polarmodal.frames import (
     SortedFrame, canonical_frame, canonical_relation_oracle, random_frame,
 )
 
-from conftest import make_rel, with_relation
+from conftest import ALL_TYPES, galois_dual, make_rel, with_relation
 
 
 def subsets(points):
@@ -160,10 +160,29 @@ def test_concepts_f0(f0):
 
 def test_galois_dual(f0):
     frame = with_relation(f0, make_rel("R", "1;1", [("a0", "a0")]))
-    assert frame.galois_dual("R", ("a0",)) == {"b0"}
-    assert frame.galois_dual("R", ("a1",)) == frame.points_b
+    assert galois_dual(frame, "R", ("a0",)) == {"b0"}
+    assert galois_dual(frame, "R", ("a1",)) == frame.points_b
     empty = with_relation(f0, make_rel("E", "1;1", []))
-    assert empty.galois_dual("E", ("a0",)) == frame.points_b
+    assert galois_dual(empty, "E", ("a0",)) == frame.points_b
+
+
+def test_edges_rows(f0):
+    frame = with_relation(f0, make_rel("f", "1;1", [("a0", "a1"), ("a0", "a0")]))
+    frame = with_relation(frame, make_rel("h", "d;1d", [("b0", "a1", "b1")]))
+    frame = with_relation(frame, make_rel("e", "1;d", []))
+    edges = frame.edges()
+    assert set(edges) == frame.points_a | frame.points_b
+    assert edges["a0"] == [(None, (Sort.DEL,), [("b1",)]),
+                           ("e", (Sort.DEL,), []),
+                           ("f", (Sort.ONE,), [("a0",), ("a1",)])]
+    assert edges["a1"][1:] == [("e", (Sort.DEL,), []), ("f", (Sort.ONE,), [])]
+    assert edges["b0"] == [(None, (Sort.ONE,), [("a1",)]),
+                           ("h", (Sort.ONE, Sort.DEL), [("a1", "b1")])]
+    assert edges["b1"] == [(None, (Sort.ONE,), [("a0",)]),
+                           ("h", (Sort.ONE, Sort.DEL), [])]
+    # built afresh: a caller may change its copy without touching the frame
+    edges["a0"][0][2].clear()
+    assert frame.edges()["a0"][0][2] == [("b1",)]
 
 
 def test_image_op(f0):
@@ -174,6 +193,38 @@ def test_image_op(f0):
     assert frame.image_op("R", [frame.points_a]) == {"a0", "a1"}
     with pytest.raises(SortError):
         frame.image_op("R", [{"b0"}])
+
+
+def section_stable_by_duals(frame, name):
+    """Reference `is_section_stable`: one tuple scan per Galois dual."""
+    rel = frame.relation(name)
+    dual_sort = rel.sorting.output.opposite
+    carriers = [sorted(frame.carrier(s)) for s in rel.sorting.inputs]
+    dual = {args: galois_dual(frame, name, args)
+            for args in itertools.product(*carriers)}
+    for args, sec in dual.items():
+        if not frame.is_stable(dual_sort, sec):
+            return False, (0, args)
+    for j, s in enumerate(rel.sorting.inputs):
+        others = carriers[:j] + carriers[j + 1:]
+        for head in sorted(frame.carrier(dual_sort)):
+            for rest in itertools.product(*others):
+                sec = frozenset(w for w in frame.carrier(s)
+                                if head in dual[rest[:j] + (w,) + rest[j:]])
+                if not frame.is_stable(s, sec):
+                    return False, (j + 1, (head,) + rest[:j] + ("_",) + rest[j:])
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.floats(0.0, 1.0),
+       st.integers(0, 10 ** 6))
+def test_section_stability_matches_dual_scan(size_a, size_b, density, seed):
+    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
+    frame = random_frame(size_a, size_b, sorting, density, seed)
+    for name in sorted(sorting):
+        assert frame.is_section_stable(name) == \
+            section_stable_by_duals(frame, name), name
 
 
 def test_section_stable_trivial(f0):
@@ -251,6 +302,18 @@ def test_normality_rejects_partial_table():
     dist = DistributionType((Sort.ONE,), Sort.ONE)
     with pytest.raises(NormalityError):
         FiniteLatticeExpansion(lat, {"f": (dist, {("c0",): "c0"})})
+
+
+def test_normality_rejects_tables_outside_the_carrier():
+    lat = catalog.chain(2)
+    dist = DistributionType((Sort.ONE,), Sort.ONE)
+    total = {("c0",): "c0", ("c1",): "c1"}
+    for table, what in (({("c0",): "c0", ("c1",): "zz"}, "value 'zz'"),
+                        ({**total, ("zz",): "c1"}, "entry ('zz',)"),
+                        ({**total, ("c0", "c1"): "c1"}, "entry ('c0', 'c1')")):
+        with pytest.raises(NormalityError) as info:
+            FiniteLatticeExpansion(lat, {"f": (dist, table)})
+        assert what in str(info.value)
 
 
 def test_catalog_expansions_are_normal():

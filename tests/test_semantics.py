@@ -5,22 +5,22 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import catalog, gen
+from polarmodal import gen, semantics
 from polarmodal.catalog import D1_1
 from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import Concept, Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
     LatticeModel, ModalModel, b_axioms, d_axioms, eval_fol, frame_valid_modal,
-    iter_valuations, k_axioms, lattice_consequence, lattice_consequence_frame,
-    lattice_extent, sat_lattice, sat_modal, sort_reduce,
-    sorting_constraint_sentences, truth_set,
+    iter_valuations, k_axioms, lattice_consequence, lattice_extent,
+    sat_lattice, sat_modal, sort_reduce, sorting_constraint_sentences,
+    truth_set,
 )
 from polarmodal.syntax import (
     FForall, FImp, FPred, FVar, LAnd, LApp, LOr, Signature, expand_sugar,
     parse_fol, parse_lattice, parse_modal,
 )
 
-from conftest import make_rel, with_relation
+from conftest import ALL_TYPES, galois_dual, make_rel, with_relation
 
 SIG = Signature.of({"f": D1_1})
 
@@ -61,11 +61,6 @@ def test_extent_operator(f0):
     assert c.extent == frame.closed_op("f", [frozenset({"a0"})])
 
 
-# one operator of each catalog distribution type
-ALL_TYPES = {"f": catalog.D1_1, "g": catalog.DD_D, "k": catalog.D11_1,
-             "m": catalog.DDD_D, "h": catalog.D1D_D, "n": catalog.DD1_D}
-
-
 def operator_by_tuples(frame, name, parts):
     """Reference concept of an operator node, by enumerating argument tuples.
 
@@ -76,7 +71,7 @@ def operator_by_tuples(frame, name, parts):
     rel = frame.relation(name)
     tuples = itertools.product(*(sorted(frame.carrier(s))
                                  for s in rel.sorting.inputs))
-    duals = [frame.galois_dual(name, u) for u in tuples
+    duals = [galois_dual(frame, name, u) for u in tuples
              if all(w in p for w, p in zip(u, parts))]
     if rel.sorting.output is Sort.ONE:
         intent = frame.points_b
@@ -126,15 +121,6 @@ def test_sat_and_consequence(f0):
     assert sat_lattice(m, "b0", parse_lattice("p0"))  # intent membership
     assert lattice_consequence(m, parse_lattice("p0 /\\ p1"), parse_lattice("p0"))
     assert not lattice_consequence(m, parse_lattice("p0"), parse_lattice("p1"))
-
-
-def test_frame_consequence(f0):
-    phi, psi = parse_lattice("p0 /\\ p1"), parse_lattice("p0")
-    assert lattice_consequence_frame(f0, phi, psi, [0, 1])
-    assert not lattice_consequence_frame(f0, parse_lattice("p0"), psi=parse_lattice("p1"),
-                                         var_indices=[0, 1])
-    with pytest.raises(CapExceeded):
-        lattice_consequence_frame(f0, phi, psi, [0, 1], cap=10)
 
 
 def test_lattice_model_stability():
@@ -229,6 +215,18 @@ def test_eval_fol(f0):
         eval_fol(f0, predval, {}, phi)  # u unassigned
     with pytest.raises(SortError):
         eval_fol(f0, predval, {"u": "b0"}, phi)
+
+
+def test_eval_fol_counts_quantifier_instances(f0, monkeypatch):
+    # two points for x, then two for y under each: 2 + 4 instances
+    phi = parse_fol("all1 x . all1 y . P0(x) | ~P0(x)")
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 6)
+    assert eval_fol(f0, {"P0": {"a0"}}, {}, phi)
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 5)
+    with pytest.raises(CapExceeded):
+        eval_fol(f0, {"P0": {"a0"}}, {}, phi)
+    # an existential stops at its first witness, and so does the count
+    assert eval_fol(f0, {"P0": {"a0"}}, {}, parse_fol("ex1 x . ex1 y . P0(x)"))
 
 
 def test_eval_fol_relation(f0):
