@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import ModalModel
-from .syntax import MApp, MBdia, MConst, MDdia, MNot, MVar, MAnd, ModalFormula
+from .syntax import (MApp, MBdia, MConst, MDdia, MNot, MVar, MAnd, ModalFormula,
+                     modal_var_key)
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ class _Refinement:
     def __init__(self, m: ModalModel, m2: ModalModel, depth: int | None = None):
         _check_compatible(m.frame, m2.frame)
         self.models = [m, m2]
-        self.vars = sorted(set(m.valuation) | set(m2.valuation),
-                           key=lambda v: (v[0].value, v[1]))
+        self.vars = sorted(set(m.valuation) | set(m2.valuation), key=modal_var_key)
         self.points = [
             (i, p) for i, mod in enumerate(self.models)
             for p in sorted(mod.frame.points_a | mod.frame.points_b)

@@ -18,8 +18,8 @@ from .frames import Sort, canonical_frame, random_frame, SortingType
 from .semantics import lattice_extent, sat_modal, truth_set
 from .bisim import SortedPairRelation, is_simulation, largest_bisimulation
 from .syntax import (
-    EMPTY_SIGNATURE, parse_fol, parse_lattice, parse_modal, print_fol,
-    print_modal,
+    EMPTY_SIGNATURE, modal_vars, parse_fol, parse_lattice, parse_modal,
+    print_fol, print_modal,
 )
 from .transform import is_stable_fol, is_stable_modal, std_translate, translate
 
@@ -101,9 +101,7 @@ def cmd_stable(args) -> int:
         # the control frame has non-closed subsets, so bare variables
         # are correctly reported unstable by default
         frames = [catalog.reference_frame(), catalog.unstable_control_frame()]
-    from .syntax import modal_vars
-    vars_in_use = sorted(modal_vars(alpha), key=lambda v: (v[0].value, v[1]))
-    ok = is_stable_modal(alpha, frames, vars_in_use)
+    ok = is_stable_modal(alpha, frames, modal_vars(alpha))
     print(f"stable: {str(ok).lower()}")
     return 0 if ok else 1
 
@@ -154,13 +152,11 @@ def cmd_canon(args) -> int:
 
 def cmd_concepts(args) -> int:
     frame = fileio.load_frame(_read(args.frame))
-    lattice = frame.all_concepts()
-    concepts = sorted(lattice.carrier,
-                      key=lambda c: (len(c.extent), sorted(c.extent)))
-    for c in concepts:
-        print("extent: " + " ".join(sorted(c.extent))
-              + " | intent: " + " ".join(sorted(c.intent)))
-    print(f"# {len(concepts)} concepts")
+    extents = frame.stable_sets()
+    for extent in extents:
+        print("extent: " + " ".join(sorted(extent))
+              + " | intent: " + " ".join(sorted(frame.galois_right(extent))))
+    print(f"# {len(extents)} concepts")
     return 0
 
 

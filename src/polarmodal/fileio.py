@@ -30,7 +30,7 @@ from .frames import (
     SortedFrame, SortedRelation, SortingType,
 )
 from .semantics import LatticeModel, ModalModel
-from .syntax import EMPTY_SIGNATURE, Signature, parse_modal
+from .syntax import EMPTY_SIGNATURE, Signature, modal_var_key, parse_modal
 
 
 def _lines(text: str):
@@ -181,7 +181,7 @@ def dump_frame(frame: SortedFrame) -> str:
 
 def dump_modal_model(model: ModalModel) -> str:
     out = [dump_frame(model.frame).rstrip("\n")]
-    for (sort, i) in sorted(model.valuation, key=lambda v: (v[0].value, v[1])):
+    for (sort, i) in sorted(model.valuation, key=modal_var_key):
         name = ("P" if sort is Sort.ONE else "Q") + str(i)
         out.append(f"val {name} : " + " ".join(sorted(model.valuation[(sort, i)])))
     return "\n".join(out) + "\n"

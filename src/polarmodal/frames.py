@@ -134,9 +134,12 @@ class SortedFrame:
             raise SortError("both sorts must be non-empty")
         if self.points_a & self.points_b:
             raise SortError("point sets of the two sorts must be disjoint")
-        for a, b in self.incidence:
-            if a not in self.points_a or b not in self.points_b:
-                raise SortError(f"incidence pair ({a},{b}) is not in A x B")
+        # every check reports the least bad pair or tuple; only then sorts
+        bad = [p for p in self.incidence
+               if p[0] not in self.points_a or p[1] not in self.points_b]
+        if bad:
+            a, b = min(bad)
+            raise SortError(f"incidence pair ({a},{b}) is not in A x B")
         for name, rel in self.relations.items():
             if rel.name != name:
                 raise SortError(f"relation {name} registered under wrong key")
@@ -148,14 +151,16 @@ class SortedFrame:
                       for b in self.points_b}
 
     def _check_relation(self, rel: SortedRelation):
-        for tup in rel.tuples:
-            if len(tup) != rel.sorting.arity + 1:
+        places = [self.carrier(s) for s in (rel.sorting.output, *rel.sorting.inputs)]
+        bad = [t for t in rel.tuples if len(t) != len(places)
+               or not all(map(frozenset.__contains__, places, t))]
+        if bad:
+            tup = min(bad)
+            if len(tup) != len(places):
                 raise SortError(f"relation {rel.name}: tuple {tup} has wrong arity")
-            if tup[0] not in self.carrier(rel.sorting.output):
-                raise SortError(f"relation {rel.name}: head {tup[0]} ill-sorted")
-            for w, s in zip(tup[1:], rel.sorting.inputs):
-                if w not in self.carrier(s):
-                    raise SortError(f"relation {rel.name}: argument {w} ill-sorted")
+            i = next(i for i, w in enumerate(tup) if w not in places[i])
+            role = "argument" if i else "head"
+            raise SortError(f"relation {rel.name}: {role} {tup[i]} ill-sorted")
 
     def carrier(self, sort: Sort) -> frozenset[str]:
         return self.points_a if sort is Sort.ONE else self.points_b
@@ -350,13 +355,9 @@ class SortedFrame:
 
     def all_concepts(self) -> "FiniteLattice":
         """The concept lattice, ordered by extent inclusion."""
-        concepts = frozenset(
-            Concept(c, self.galois_right(c)) for c in self.stable_sets()
-        )
-        leq = frozenset(
-            (x, y) for x in concepts for y in concepts if x.extent <= y.extent
-        )
-        return FiniteLattice(concepts, leq)
+        concepts = [Concept(c, self.galois_right(c)) for c in self.stable_sets()]
+        return FiniteLattice(concepts, ((x, y) for x in concepts for y in concepts
+                                        if x.extent <= y.extent))
 
 
 def _intersection_closure(gens: set[frozenset[str]],
@@ -374,8 +375,9 @@ def _intersection_closure(gens: set[frozenset[str]],
 class FiniteLattice:
     """A finite bounded lattice given by its order relation.
 
-    Meet and join tables are computed (and their existence verified) at
-    construction time.
+    Each element's downset and upset are indexed once; meets and joins are
+    read off that index on demand, and construction verifies that every
+    pair has them.  An order error names the least elements by repr.
     """
 
     def __init__(self, carrier: Iterable, leq: Iterable[tuple]):
@@ -383,50 +385,51 @@ class FiniteLattice:
         self.leq_pairs = frozenset(leq)
         if not self.carrier:
             raise PreconditionError("lattice carrier must be non-empty")
-        self._validate_order()
-        self._meet = {}
-        self._join = {}
-        self._build_tables()
-        bottoms = [x for x in self.carrier if all(self.leq(x, y) for y in self.carrier)]
-        tops = [x for x in self.carrier if all(self.leq(y, x) for y in self.carrier)]
-        self.bottom = bottoms[0]
-        self.top = tops[0]
-
-    def _validate_order(self):
+        outside = [p for p in self.leq_pairs if not self.carrier.issuperset(p)]
+        if outside:
+            x, y = min(outside, key=repr)
+            raise PreconditionError(f"leq pair ({x},{y}) outside carrier")
+        down = {x: set() for x in self.carrier}
+        up = {x: set() for x in self.carrier}
         for x, y in self.leq_pairs:
-            if x not in self.carrier or y not in self.carrier:
-                raise PreconditionError(f"leq pair ({x},{y}) outside carrier")
-        for x in self.carrier:
-            if not self.leq(x, x):
-                raise PreconditionError(f"order not reflexive at {x}")
-        for x, y in self.leq_pairs:
-            if x != y and self.leq(y, x):
-                raise PreconditionError(f"order not antisymmetric on {x},{y}")
-            for z in self.carrier:
-                if self.leq(y, z) and not self.leq(x, z):
-                    raise PreconditionError(f"order not transitive on {x},{y},{z}")
-
-    def _build_tables(self):
+            down[y].add(x)
+            up[x].add(y)
+        self._down = {x: frozenset(s) for x, s in down.items()}
+        self._up = {x: frozenset(s) for x, s in up.items()}
         elems = sorted(self.carrier, key=repr)
-        for x in elems:
-            for y in elems:
-                lower = [z for z in elems if self.leq(z, x) and self.leq(z, y)]
-                glb = [z for z in lower if all(self.leq(w, z) for w in lower)]
-                upper = [z for z in elems if self.leq(x, z) and self.leq(y, z)]
-                lub = [z for z in upper if all(self.leq(z, w) for w in upper)]
-                if len(glb) != 1 or len(lub) != 1:
+        self._validate_order(elems)
+        for i, x in enumerate(elems):
+            for y in elems[i + 1:]:
+                if self.meet(x, y) is None or self.join(x, y) is None:
                     raise PreconditionError(f"no meet/join for {x},{y}: not a lattice")
-                self._meet[(x, y)] = glb[0]
-                self._join[(x, y)] = lub[0]
+        self.bottom = next(x for x in elems if self._up[x] == self.carrier)
+        self.top = next(x for x in elems if self._down[x] == self.carrier)
+
+    def _validate_order(self, elems):
+        for x in elems:
+            if x not in self._down[x]:
+                raise PreconditionError(f"order not reflexive at {x}")
+        for x in elems:
+            twins = (self._up[x] & self._down[x]) - {x}
+            if twins:
+                y = min(twins, key=repr)
+                raise PreconditionError(f"order not antisymmetric on {x},{y}")
+        for x in elems:
+            above = self._up[x]
+            bad = [y for y in above if not self._up[y] <= above]
+            if bad:
+                y = min(bad, key=repr)
+                z = min(self._up[y] - above, key=repr)
+                raise PreconditionError(f"order not transitive on {x},{y},{z}")
 
     def leq(self, x, y) -> bool:
-        return (x, y) in self.leq_pairs
+        return x in self._down[y]
 
     def meet(self, x, y):
-        return self._meet[(x, y)]
+        return _greatest(self._down[x] & self._down[y], self._down)
 
     def join(self, x, y):
-        return self._join[(x, y)]
+        return _greatest(self._up[x] & self._up[y], self._up)
 
     def join_all(self, xs: Iterable):
         out = self.bottom
@@ -435,10 +438,10 @@ class FiniteLattice:
         return out
 
     def downset(self, x) -> frozenset:
-        return frozenset(y for y in self.carrier if self.leq(y, x))
+        return self._down[x]
 
     def upset(self, x) -> frozenset:
-        return frozenset(y for y in self.carrier if self.leq(x, y))
+        return self._up[x]
 
     # sorted views: sort d is the opposite order
     def sorted_join(self, sort: Sort, x, y):
@@ -449,17 +452,22 @@ class FiniteLattice:
 
     def is_isomorphic_by(self, other: "FiniteLattice", mapping: Mapping) -> bool:
         """Check that `mapping` is an order bijection onto `other`."""
-        if set(mapping.keys()) != set(self.carrier):
-            return False
-        if set(mapping.values()) != set(other.carrier):
-            return False
-        if len(set(mapping.values())) != len(self.carrier):
+        values = set(mapping.values())
+        if mapping.keys() != self.carrier or values != other.carrier \
+                or len(values) != len(self.carrier):
             return False
         return all(
             self.leq(x, y) == other.leq(mapping[x], mapping[y])
             for x in self.carrier
             for y in self.carrier
         )
+
+
+def _greatest(common: frozenset, index: dict):
+    """The z in `common` whose downset (or upset) in `index` is `common`,
+    or None.  Each such set lies inside `common`, so only the largest can."""
+    z = max(common, key=lambda w: len(index[w]), default=None)
+    return z if common and index[z] == common else None
 
 
 @dataclass
@@ -498,33 +506,31 @@ class FiniteLatticeExpansion:
                 raise NormalityError(
                     f"operator {name}: table missing entry {args}", operator=name
                 )
+        # one visit per context of coordinate j; a witness puts elems[0] there
         for j, s in enumerate(dist.inputs):
-            for args in itertools.product(elems, repeat=dist.arity):
+            zero = lat.sorted_bottom(s)
+            for rest in itertools.product(elems, repeat=dist.arity - 1):
+                def at(w):
+                    return table[rest[:j] + (w,) + rest[j:]]
+
                 # empty join of the j-th sorted coordinate
-                zero = lat.sorted_bottom(s)
-                at_zero = table[args[:j] + (zero,) + args[j + 1:]]
-                if at_zero != lat.sorted_bottom(dist.output):
+                if at(zero) != lat.sorted_bottom(dist.output):
                     raise NormalityError(
                         f"operator {name} does not preserve the sorted bottom "
                         f"in coordinate {j}",
                         operator=name, coordinate=j,
-                        witness=args[:j] + (zero,) + args[j + 1:],
+                        witness=rest[:j] + (zero,) + rest[j:],
                     )
                 for x in elems:
                     for y in elems:
-                        joined = lat.sorted_join(s, x, y)
-                        lhs = table[args[:j] + (joined,) + args[j + 1:]]
-                        rhs = lat.sorted_join(
-                            dist.output,
-                            table[args[:j] + (x,) + args[j + 1:]],
-                            table[args[:j] + (y,) + args[j + 1:]],
-                        )
+                        lhs = at(lat.sorted_join(s, x, y))
+                        rhs = lat.sorted_join(dist.output, at(x), at(y))
                         if lhs != rhs:
                             raise NormalityError(
                                 f"operator {name} fails join distribution "
                                 f"in coordinate {j}",
                                 operator=name, coordinate=j,
-                                witness=(args, x, y),
+                                witness=(rest[:j] + (elems[0],) + rest[j:], x, y),
                             )
 
     def apply(self, name: str, args: tuple):
@@ -535,7 +541,7 @@ class FiniteLatticeExpansion:
 B_SUFFIX = "*"
 
 
-def canonical_frame(exp: FiniteLatticeExpansion, b_suffix: str = B_SUFFIX) -> SortedFrame:
+def canonical_frame(exp: FiniteLatticeExpansion) -> SortedFrame:
     """Canonical frame of a finite lattice expansion.
 
     Both sorts are copies of the carrier (sort-d points carry a name
@@ -550,16 +556,16 @@ def canonical_frame(exp: FiniteLatticeExpansion, b_suffix: str = B_SUFFIX) -> So
         if not isinstance(x, str):
             raise PreconditionError("canonical_frame needs string-named elements")
     a_points = list(elems)
-    b_points = [x + b_suffix for x in elems]
+    b_points = [x + B_SUFFIX for x in elems]
     incidence = [
-        (x, y + b_suffix) for x in elems for y in elems if not lat.leq(x, y)
+        (x, y + B_SUFFIX) for x in elems for y in elems if not lat.leq(x, y)
     ]
     relations = {}
     for name, (dist, table) in exp.operators.items():
         sorting = dist.sorting()
 
         def point(elem, sort):
-            return elem if sort is Sort.ONE else elem + b_suffix
+            return elem if sort is Sort.ONE else elem + B_SUFFIX
 
         tuples = set()
         for args in itertools.product(elems, repeat=dist.arity):
@@ -575,8 +581,8 @@ def canonical_frame(exp: FiniteLatticeExpansion, b_suffix: str = B_SUFFIX) -> So
     return SortedFrame(a_points, b_points, incidence, relations)
 
 
-def canonical_relation_oracle(exp: FiniteLatticeExpansion, name: str,
-                              b_suffix: str = B_SUFFIX) -> SortedRelation:
+def canonical_relation_oracle(exp: FiniteLatticeExpansion,
+                              name: str) -> SortedRelation:
     """The canonical relation computed from the filter/ideal condition.
 
     Points of sort 1 stand for principal filters, points of sort d for
@@ -594,7 +600,7 @@ def canonical_relation_oracle(exp: FiniteLatticeExpansion, name: str,
         return lat.upset(gen) if sort is Sort.ONE else lat.downset(gen)
 
     def point(elem, sort):
-        return elem if sort is Sort.ONE else elem + b_suffix
+        return elem if sort is Sort.ONE else elem + B_SUFFIX
 
     tuples = set()
     for args in itertools.product(elems, repeat=dist.arity):

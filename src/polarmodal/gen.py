@@ -16,7 +16,7 @@ from .syntax import (
     EMPTY_SIGNATURE, FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr,
     FPred, FRelApp, FVar, FolFormula, LAnd, LApp, LBot, LOr, LTop, LVar,
     LatticeFormula, MAnd, MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot,
-    MOr, MVar, ModalFormula, Signature, mapp,
+    MOr, MVar, ModalFormula, Signature, mapp, modal_var_key,
 )
 
 
@@ -160,7 +160,7 @@ def random_modal_model(frame: SortedFrame, vars_in_use, seed) -> ModalModel:
     """Arbitrary sorted valuation of the given (sort, index) variables."""
     rng = _rng(seed)
     valuation = {}
-    for sort, i in sorted(vars_in_use, key=lambda v: (v[0].value, v[1])):
+    for sort, i in sorted(vars_in_use, key=modal_var_key):
         carrier = sorted(frame.carrier(sort))
         valuation[(sort, i)] = frozenset(
             p for p in carrier if rng.random() < 0.5

@@ -19,7 +19,7 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    fol_free_vars,
+    fol_free_vars, modal_var_key,
 )
 
 DEFAULT_CAP = int(os.environ.get("POLARMODAL_CAP", str(2 ** 20)))
@@ -165,27 +165,25 @@ def _powerset(items):
         yield from (frozenset(c) for c in itertools.combinations(items, r))
 
 
-def iter_valuations(frame: SortedFrame, vars_in_use, cap: int | None = None):
+def iter_valuations(frame: SortedFrame, vars_in_use):
     """All sorted valuations of the given variables, cap-checked upfront."""
-    cap = DEFAULT_CAP if cap is None else cap
-    vars_in_use = sorted(vars_in_use, key=lambda v: (v[0].value, v[1]))
+    vars_in_use = sorted(vars_in_use, key=modal_var_key)
     total = 1
     for sort, _ in vars_in_use:
         total *= 2 ** len(frame.carrier(sort))
-    if total > cap:
-        raise CapExceeded(f"{total} valuations exceed cap {cap}")
+    if total > DEFAULT_CAP:
+        raise CapExceeded(f"{total} valuations exceed cap {DEFAULT_CAP}")
     subset_lists = [list(_powerset(frame.carrier(sort))) for sort, _ in vars_in_use]
     for choice in itertools.product(*subset_lists):
         yield dict(zip(vars_in_use, choice))
 
 
-def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use,
-                      cap: int | None = None):
+def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
     """Validity on one frame: theta holds at all points under all valuations.
 
     Returns (True, None) or (False, (valuation, point)).
     """
-    for valuation in iter_valuations(frame, vars_in_use, cap):
+    for valuation in iter_valuations(frame, vars_in_use):
         model = ModalModel(frame, valuation)
         missing = frame.carrier(theta.sort) - truth_set(model, theta)
         if missing:

@@ -264,6 +264,11 @@ def expand_sugar(theta: ModalFormula) -> ModalFormula:
     raise SortError(f"unknown modal node {theta!r}")
 
 
+def modal_var_key(v: tuple[Sort, int]):
+    """The one order of modal variables: sort 1 first, then by index."""
+    return v[0].value, v[1]
+
+
 def modal_vars(theta: ModalFormula) -> set[tuple[Sort, int]]:
     if isinstance(theta, MVar):
         return {(theta.sort, theta.index)}

@@ -35,54 +35,45 @@ def _check_assignment(asg: Mapping[int, ModalFormula], phi: LatticeFormula):
             raise SortError(f"assignment for p{i} must be a sort-d formula")
 
 
+_MODES = {"bullet": Sort.ONE, "circle": Sort.DEL}
+
+
 def translate(mode: str, phi: LatticeFormula, asg: Mapping[int, ModalFormula],
               sig: Signature) -> ModalFormula:
     """The bullet translation (sort 1) or circle co-translation (sort d)."""
     _check_assignment(asg, phi)
-    if mode not in ("bullet", "circle"):
+    if mode not in _MODES:
         raise PreconditionError(f"unknown translation mode {mode!r}")
-    return _translate(mode, phi, asg, sig)
+    return _translate(_MODES[mode], phi, asg, sig)
 
 
-def _translate(mode, phi, asg, sig):
-    bullet = mode == "bullet"
+def _translate(sort, phi, asg, sig):
+    """The translation of phi into a formula of the given sort."""
+    bullet = sort is Sort.ONE
     if isinstance(phi, LVar):
         beta = asg[phi.index]
-        if bullet:
-            return MBbox(beta)
-        return MDbox(MBdia(MNot(beta)))
+        return MBbox(beta) if bullet else MDbox(MBdia(MNot(beta)))
     if isinstance(phi, LTop):
         return MConst(Sort.ONE, True) if bullet else MDbox(MConst(Sort.ONE, False))
     if isinstance(phi, LBot):
         return MBbox(MConst(Sort.DEL, False)) if bullet else MConst(Sort.DEL, True)
-    if isinstance(phi, LAnd):
-        if bullet:
-            return MAnd(_translate("bullet", phi.left, asg, sig),
-                        _translate("bullet", phi.right, asg, sig))
-        return MDbox(MOr(MBdia(_translate("circle", phi.left, asg, sig)),
-                         MBdia(_translate("circle", phi.right, asg, sig))))
-    if isinstance(phi, LOr):
-        if bullet:
-            return MBbox(MOr(MDdia(_translate("bullet", phi.left, asg, sig)),
-                             MDdia(_translate("bullet", phi.right, asg, sig))))
-        return MAnd(_translate("circle", phi.left, asg, sig),
-                    _translate("circle", phi.right, asg, sig))
+    if isinstance(phi, (LAnd, LOr)):
+        left = _translate(sort, phi.left, asg, sig)
+        right = _translate(sort, phi.right, asg, sig)
+        if isinstance(phi, LAnd):
+            return MAnd(left, right) if bullet else MDbox(MOr(MBdia(left), MBdia(right)))
+        return MBbox(MOr(MDdia(left), MDdia(right))) if bullet else MAnd(left, right)
     if isinstance(phi, LApp):
         dist = sig.get(phi.name)
-        args = tuple(
-            _translate("bullet" if s is Sort.ONE else "circle", a, asg, sig)
-            for a, s in zip(phi.args, dist.inputs)
-        )
+        args = tuple(_translate(s, a, asg, sig) for a, s in zip(phi.args, dist.inputs))
         diamond = mapp(sig, phi.name, args)
         if dist.output is Sort.ONE:
-            bullet_form = MBbox(MDdia(diamond))
-            if bullet:
-                return bullet_form
-            return MDbox(MNot(bullet_form))
-        circle_form = MDbox(MBdia(diamond))
-        if bullet:
-            return MBbox(MNot(circle_form))
-        return circle_form
+            form = MBbox(MDdia(diamond))
+        else:
+            form = MDbox(MBdia(diamond))
+        if dist.output is sort:
+            return form
+        return MBbox(MNot(form)) if bullet else MDbox(MNot(form))
     raise SortError(f"unknown lattice node {phi!r}")
 
 
@@ -271,13 +262,13 @@ def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
 
 
 def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
-                    vars_in_use, cap: int | None = None) -> bool:
+                    vars_in_use) -> bool:
     """True iff alpha and [b]<d> alpha agree under every valuation."""
     if alpha.sort is not Sort.ONE:
         raise SortError("stability is defined for sort-1 formulas")
     boxed = MBbox(MDdia(alpha))
     for frame in frames:
-        for valuation in iter_valuations(frame, vars_in_use, cap):
+        for valuation in iter_valuations(frame, vars_in_use):
             model = ModalModel(frame, valuation)
             if truth_set(model, alpha) != truth_set(model, boxed):
                 return False

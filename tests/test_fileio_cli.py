@@ -362,6 +362,33 @@ def test_cli_bisim_reports_the_least_violation(tmp_path, capsys):
         assert (done.returncode, done.stdout) == (1, least)
 
 
+@pytest.mark.parametrize("command, text, error", [
+    ("concepts", "sorts A: a0 a1  B: b0 b1\nI: a0 zz , a1 yy , xx b0\n",
+     "incidence pair (a0,zz) is not in A x B"),
+    ("concepts", "sorts A: a0 a1  B: b0 b1\nI: a0 b0\n"
+                 "rel f sort 1;1 : a0 b0 , a1 b1 , b0 a0\n",
+     "relation f: argument b0 ill-sorted"),
+    ("canon", "elems a b c d\n"
+              "leq: a a , b b , c c , d d , a b , b a , c d , d c\n",
+     "order not antisymmetric on a,b"),
+    ("canon", "elems a b c d\nleq: a a , b b , c c , d d , d c , c b , b a\n",
+     "order not transitive on c,b,a"),
+])
+def test_cli_reports_the_least_invalid_input(tmp_path, capsys, command, text,
+                                             error):
+    # several pairs or tuples are bad; the least one is named under
+    # every hash seed
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (2, "", f"error: {error}\n")
+    for hash_seed in ("0", "1"):
+        done = subprocess.run([sys.executable, "-m", "polarmodal.cli",
+                               command, str(path)],
+                              env=hash_seed_env(hash_seed),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (2, f"error: {error}\n")
+
+
 def test_cli_canon_rejects_tables_outside_the_carrier(tmp_path, capsys):
     head = "elems c0 c1\nleq: c0 c0 , c0 c1 , c1 c1\nop f type 1->1 table: "
     lat = tmp_path / "lattice.txt"

@@ -1,6 +1,8 @@
 """Galois machinery, concept lattices and canonical frames."""
 
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +158,23 @@ def test_concepts_f0(f0):
     assert lat.top.extent == f0.points_a
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_concept_lattice_matches_galois_theory(seed):
+    # meets intersect extents, joins intersect intents (Ganter & Wille)
+    size_a, size_b = 1 + seed % 6, 1 + seed // 6 % 6
+    frame = random_frame(size_a, size_b, None, 0.2 + seed % 5 * 0.15, seed)
+    lat = frame.all_concepts()
+    assert len(lat.carrier) == len(frame.stable_sets())
+    assert lat.bottom.extent == frame.closure(Sort.ONE, ())
+    assert lat.top.extent == frame.points_a
+    assert lat.top.intent == frame.closure(Sort.DEL, ())
+    for c in lat.carrier:
+        for d in lat.carrier:
+            assert lat.meet(c, d).extent == c.extent & d.extent
+            assert lat.join(c, d).intent == c.intent & d.intent
+            assert lat.leq(c, d) == (c.extent <= d.extent)
+
+
 # ---------------------------------------------------------------- relations
 
 def test_galois_dual(f0):
@@ -286,6 +305,162 @@ def test_order_validation():
     with pytest.raises(PreconditionError):
         FiniteLattice(["a", "b"],
                       [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
+
+
+def lattice_by_scan(carrier, leq):
+    """Meet and join tables, bottom and top of the order, by brute force.
+
+    The glb/lub scan of the former table-building constructor.  Each
+    check walks the elements sorted by repr and raises PreconditionError
+    with the constructor's text at the least offending elements.
+    """
+    carrier, pairs = set(carrier), set(leq)
+    elems = sorted(carrier, key=repr)
+
+    def le(x, y):
+        return (x, y) in pairs
+
+    for x, y in sorted(pairs, key=repr):
+        if x not in carrier or y not in carrier:
+            raise PreconditionError(f"leq pair ({x},{y}) outside carrier")
+    for x in elems:
+        if not le(x, x):
+            raise PreconditionError(f"order not reflexive at {x}")
+    for x, y in itertools.product(elems, repeat=2):
+        if x != y and le(x, y) and le(y, x):
+            raise PreconditionError(f"order not antisymmetric on {x},{y}")
+    for x, y, z in itertools.product(elems, repeat=3):
+        if le(x, y) and le(y, z) and not le(x, z):
+            raise PreconditionError(f"order not transitive on {x},{y},{z}")
+    meet, join = {}, {}
+    for x, y in itertools.product(elems, repeat=2):
+        lower = [z for z in elems if le(z, x) and le(z, y)]
+        glb = [z for z in lower if all(le(w, z) for w in lower)]
+        upper = [z for z in elems if le(x, z) and le(y, z)]
+        lub = [z for z in upper if all(le(z, w) for w in upper)]
+        if len(glb) != 1 or len(lub) != 1:
+            raise PreconditionError(f"no meet/join for {x},{y}: not a lattice")
+        meet[x, y], join[x, y] = glb[0], lub[0]
+    bottom = next(x for x in elems if all(le(x, y) for y in elems))
+    top = next(x for x in elems if all(le(y, x) for y in elems))
+    return meet, join, bottom, top
+
+
+def random_order(rng):
+    """A random relation closed reflexively and transitively; now and
+    then a pair is dropped or a pair outside the carrier added."""
+    n = rng.randint(1, 6)
+    elems = rng.sample("abcdefgh", n)  # repr order is not the order
+    acyclic = rng.random() < 0.7
+    pairs = {(x, x) for x in elems}
+    pairs |= {(x, y) for i, x in enumerate(elems) for y in elems[i + 1:]
+              if rng.random() < 0.4}
+    if not acyclic:
+        pairs |= {(y, x) for x, y in list(pairs) if rng.random() < 0.2}
+    if rng.random() < 0.5:  # a bottom and a top make lattices common
+        pairs |= {(elems[0], y) for y in elems} | {(x, elems[-1]) for x in elems}
+    changed = True
+    while changed:
+        extra = {(x, z) for x, y in pairs for y2, z in pairs if y == y2} - pairs
+        pairs |= extra
+        changed = bool(extra)
+    if rng.random() < 0.25:
+        kept = {(x, x) for x in elems} if rng.random() < 0.7 else set()
+        pairs.discard(rng.choice(sorted(pairs - kept) or sorted(pairs)))
+    if rng.random() < 0.05:
+        pairs.add((rng.choice(elems), "zz"))
+    return elems, pairs
+
+
+ORDER_FAULTS = ("outside", "reflexive", "antisymmetric", "transitive", "meet/join")
+
+
+def test_lattice_matches_brute_force_scan():
+    rng = random.Random(7)
+    outcomes = collections.Counter()
+    for _ in range(600):
+        elems, pairs = random_order(rng)
+        try:
+            meet, join, bottom, top = lattice_by_scan(elems, pairs)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as info:
+                FiniteLattice(elems, pairs)
+            assert str(info.value) == str(exc), (elems, sorted(pairs))
+            outcomes[next(k for k in ORDER_FAULTS if k in str(exc))] += 1
+            continue
+        lat = FiniteLattice(elems, pairs)
+        assert (lat.bottom, lat.top) == (bottom, top)
+        for x, y in itertools.product(elems, repeat=2):
+            assert lat.meet(x, y) == meet[x, y]
+            assert lat.join(x, y) == join[x, y]
+            assert lat.leq(x, y) == ((x, y) in pairs)
+        for x in elems:
+            assert lat.downset(x) == {y for y in elems if (y, x) in pairs}
+            assert lat.upset(x) == {y for y in elems if (x, y) in pairs}
+        outcomes["lattice"] += 1
+    # every branch is exercised: lattices and each kind of error
+    assert set(outcomes) == {"lattice", *ORDER_FAULTS}, outcomes
+
+
+def normality_by_full_product(lat, name, dist, table):
+    """The former normality loop: every argument tuple, with coordinate j
+    overwritten, so each context of coordinate j is checked n times."""
+    elems = sorted(lat.carrier, key=repr)
+    for j, s in enumerate(dist.inputs):
+        for args in itertools.product(elems, repeat=dist.arity):
+            zero = lat.sorted_bottom(s)
+            at_zero = table[args[:j] + (zero,) + args[j + 1:]]
+            if at_zero != lat.sorted_bottom(dist.output):
+                raise NormalityError(
+                    f"operator {name} does not preserve the sorted bottom "
+                    f"in coordinate {j}",
+                    operator=name, coordinate=j,
+                    witness=args[:j] + (zero,) + args[j + 1:],
+                )
+            for x in elems:
+                for y in elems:
+                    joined = lat.sorted_join(s, x, y)
+                    lhs = table[args[:j] + (joined,) + args[j + 1:]]
+                    rhs = lat.sorted_join(
+                        dist.output,
+                        table[args[:j] + (x,) + args[j + 1:]],
+                        table[args[:j] + (y,) + args[j + 1:]],
+                    )
+                    if lhs != rhs:
+                        raise NormalityError(
+                            f"operator {name} fails join distribution "
+                            f"in coordinate {j}",
+                            operator=name, coordinate=j,
+                            witness=(args, x, y),
+                        )
+
+
+def test_normality_matches_full_product_loop():
+    rng = random.Random(3)
+    outcomes = collections.Counter()
+    for lat_name in catalog.catalog_names():
+        exp = catalog.catalog_expansion(lat_name)
+        elems = sorted(exp.lattice.carrier)
+        for name, (dist, table) in sorted(exp.operators.items()):
+            for _ in range(12):
+                mutated = dict(table)
+                for key in rng.sample(sorted(table), rng.randint(1, 2)):
+                    mutated[key] = rng.choice(elems)
+                try:
+                    normality_by_full_product(exp.lattice, name, dist, mutated)
+                    want = None
+                except NormalityError as exc:
+                    want = (str(exc), exc.operator, exc.coordinate, exc.witness)
+                try:
+                    FiniteLatticeExpansion(exp.lattice, {name: (dist, mutated)})
+                    got = None
+                except NormalityError as exc:
+                    got = (str(exc), exc.operator, exc.coordinate, exc.witness)
+                assert got == want, (lat_name, name, mutated)
+                outcomes[want and ("bottom" in want[0], want[2])] += 1
+    # both kinds of failure, in both coordinates of binary operators
+    assert {(True, 0), (True, 1), (False, 0), (False, 1), None} \
+        <= set(outcomes), outcomes
 
 
 def test_normality_rejects_join_as_output_one():

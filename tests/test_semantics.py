@@ -179,11 +179,12 @@ def test_expand_sugar_preserves_truth(seed, depth, sort):
     assert truth_set(m, theta) == truth_set(m, expand_sugar(theta))
 
 
-def test_iter_valuations_cap(f0):
+def test_iter_valuations_cap(f0, monkeypatch):
     vals = list(iter_valuations(f0, [(Sort.ONE, 0)]))
     assert len(vals) == 4
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 10)
     with pytest.raises(CapExceeded):
-        list(iter_valuations(f0, [(Sort.ONE, 0), (Sort.DEL, 0)], cap=10))
+        list(iter_valuations(f0, [(Sort.ONE, 0), (Sort.DEL, 0)]))
 
 
 def test_frame_validity(f0):
