@@ -3,7 +3,8 @@
 Exit codes: 0 = success / property holds, 1 = property fails (witness in
 the report), 2 = usage, parse, sort or resource errors.  The environment
 variable POLARMODAL_CAP bounds exhaustive valuation searches and the
-quantifier instances of one FOL evaluation.
+quantifier instances of one FOL evaluation; a value that is not a
+positive integer fails every command with exit code 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from . import catalog, fileio, gen, suites
 from .errors import CapExceeded, PolarModalError
 from .frames import Sort, canonical_frame, random_frame, SortingType
-from .semantics import lattice_extent, sat_modal, truth_set
+from .semantics import lattice_extent, resource_cap, sat_modal, truth_set
 from .bisim import SortedPairRelation, is_simulation, largest_bisimulation
 from .syntax import (
     EMPTY_SIGNATURE, modal_vars, parse_fol, parse_lattice, parse_modal,
@@ -293,6 +294,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        resource_cap()
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: resource cap exceeded: {exc}", file=sys.stderr)

@@ -5,6 +5,14 @@ incidence relation I between them, and finitely many sorted relations.
 The Galois connection is generated by the complement of I; stable sets,
 formal concepts, relation-induced operators and canonical frames of
 finite lattice expansions are all computed here.
+
+Each frame interns its points once into a private int-bitset index.
+Within a sort, bit i of a mask is the i-th point in reverse name order,
+so the public (size, sorted points) order of point sets is the order of
+masks by (popcount, -mask).  Incidence rows and relation sections are
+ints; the Galois maps, boxes, diamonds, image operators, concept
+enumeration and section stability all work on them, and convert to
+frozensets once, at the public boundary.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NormalityError, PreconditionError, SortError
@@ -36,6 +45,9 @@ class Sort(Enum):
             return Sort.DEL
         raise SortError(f"unknown sort {text!r} (expected '1' or 'd')")
 
+
+# the kernels read a module global; an enum member lookup costs far more
+_ONE = Sort.ONE
 
 @dataclass(frozen=True)
 class SortingType:
@@ -117,6 +129,10 @@ class SortedFrame:
     The frame stores the incidence relation I; the Galois relation is
     always its complement.  Both sorts must be non-empty and disjoint.
     Instances are immutable after construction.
+
+    Every kernel runs on one private `_BitIndex` (see the module
+    docstring), built in a single pass over I; a relation is indexed on
+    its first use.
     """
 
     def __init__(
@@ -134,21 +150,16 @@ class SortedFrame:
             raise SortError("both sorts must be non-empty")
         if self.points_a & self.points_b:
             raise SortError("point sets of the two sorts must be disjoint")
+        index = self._index = _BitIndex(self.points_a, self.points_b)
         # every check reports the least bad pair or tuple; only then sorts
-        bad = [p for p in self.incidence
-               if p[0] not in self.points_a or p[1] not in self.points_b]
-        if bad:
-            a, b = min(bad)
+        if not index.link(self.incidence):
+            a, b = min(p for p in self.incidence
+                       if p[0] not in self.points_a or p[1] not in self.points_b)
             raise SortError(f"incidence pair ({a},{b}) is not in A x B")
         for name, rel in self.relations.items():
             if rel.name != name:
                 raise SortError(f"relation {name} registered under wrong key")
             self._check_relation(rel)
-        # successor/predecessor maps for I, used constantly
-        self._succ = {a: frozenset(b for x, b in self.incidence if x == a)
-                      for a in self.points_a}
-        self._pred = {b: frozenset(a for a, y in self.incidence if y == b)
-                      for b in self.points_b}
 
     def _check_relation(self, rel: SortedRelation):
         places = [self.carrier(s) for s in (rel.sorting.output, *rel.sorting.inputs)]
@@ -183,60 +194,52 @@ class SortedFrame:
             raise SortError(f"{b!r} is not a sort-d point")
         return (a, b) not in self.incidence
 
+    def _lift(self, op, sort: Sort, s: Iterable[str]) -> frozenset[str]:
+        """Apply a `_Side` operator from `sort` to its opposite to a point set."""
+        index = self._index
+        side = index.side(sort)
+        return index.side(sort.opposite).points(op(side, side.mask(s)))
+
     def galois_right(self, u: Iterable[str]) -> frozenset[str]:
         """U |-> {b | a polar b for all a in U}."""
-        u = self._check_subset(u, Sort.ONE)
-        return self.points_b.difference(*(self._succ[a] for a in u))
+        return self._lift(_Side.polar, Sort.ONE, u)
 
     def galois_left(self, v: Iterable[str]) -> frozenset[str]:
         """V |-> {a | a polar b for all b in V}."""
-        v = self._check_subset(v, Sort.DEL)
-        return self.points_a.difference(*(self._pred[b] for b in v))
+        return self._lift(_Side.polar, Sort.DEL, v)
 
     def closure(self, sort: Sort, s: Iterable[str]) -> frozenset[str]:
         """Galois closure on the given sort."""
-        if sort is Sort.ONE:
-            return self.galois_left(self.galois_right(s))
-        return self.galois_right(self.galois_left(s))
+        side = self._index.side(sort)
+        return side.points(side.close(side.mask(s)))
 
     def is_stable(self, sort: Sort, s: Iterable[str]) -> bool:
-        s = frozenset(s)
-        return self.closure(sort, s) == s
-
-    def _check_subset(self, s: Iterable[str], sort: Sort) -> frozenset[str]:
-        s = frozenset(s)
-        extra = s - self.carrier(sort)
-        if extra:
-            raise SortError(f"points {sorted(extra)} are not of sort {sort}")
-        return s
+        side = self._index.side(sort)
+        m = side.mask(s)
+        return side.close(m) == m
 
     # ------------------------------------------------------------------
     # Residuated operators generated by I
 
     def dia_ab(self, u: Iterable[str]) -> frozenset[str]:
         """{b | some a in U with aIb}; left half of the residuated pair."""
-        u = self._check_subset(u, Sort.ONE)
-        return frozenset(b for b in self.points_b if self._pred[b] & u)
+        return self._lift(_Side.dia, Sort.ONE, u)
 
     def box_ba(self, v: Iterable[str]) -> frozenset[str]:
         """{a | every I-successor of a lies in V}; right half of the pair."""
-        v = self._check_subset(v, Sort.DEL)
-        return frozenset(a for a in self.points_a if self._succ[a] <= v)
+        return self._lift(_Side.box, Sort.DEL, v)
 
     def box_ab(self, u: Iterable[str]) -> frozenset[str]:
         """Complement-conjugate of dia_ab: {b | every I-predecessor is in U}."""
-        u = self._check_subset(u, Sort.ONE)
-        return frozenset(b for b in self.points_b if self._pred[b] <= u)
+        return self._lift(_Side.box, Sort.ONE, u)
 
     def dia_ba(self, v: Iterable[str]) -> frozenset[str]:
         """Complement-conjugate of box_ba: {a | some I-successor is in V}."""
-        v = self._check_subset(v, Sort.DEL)
-        return frozenset(a for a in self.points_a if self._succ[a] & v)
+        return self._lift(_Side.dia, Sort.DEL, v)
 
     def check_seriality(self) -> bool:
-        return all(self._succ[a] for a in self.points_a) and all(
-            self._pred[b] for b in self.points_b
-        )
+        index = self._index
+        return all(index.a.rows.values()) and all(index.b.rows.values())
 
     # ------------------------------------------------------------------
     # Relation-induced operators
@@ -260,10 +263,12 @@ class SortedFrame:
             for t in rel.tuples:
                 args.setdefault((name, t[0]), []).append(t[1:])
         rows = {}
-        for sort, near in ((Sort.ONE, self._succ), (Sort.DEL, self._pred)):
+        for sort in Sort:
+            side, other = self._index.side(sort), self._index.side(sort.opposite)
             own = [rel for _, rel in sorted(self.relations.items())
                    if rel.sorting.output is sort]
-            for p, nbrs in near.items():
+            for bit, p in side.name.items():
+                nbrs = other.points(side.rows[bit])
                 rows[p] = [(None, (sort.opposite,), sorted((q,) for q in nbrs))]
                 rows[p] += [(rel.name, rel.sorting.inputs,
                              sorted(args.get((rel.name, p), ()))) for rel in own]
@@ -274,46 +279,43 @@ class SortedFrame:
         rel = self.relation(name)
         if len(args) != rel.sorting.arity:
             raise SortError(f"relation {name} expects {rel.sorting.arity} arguments")
-        sets = [self._check_subset(w, s) for w, s in zip(args, rel.sorting.inputs)]
-        out = set()
-        for tup in rel.tuples:
-            if all(w in ws for w, ws in zip(tup[1:], sets)):
-                out.add(tup[0])
-        return frozenset(out)
-
-    def _arg_tuples(self, sorting: SortingType):
-        return itertools.product(*(sorted(self.carrier(s)) for s in sorting.inputs))
+        index = self._index
+        masks = [index.side(s).mask(w) for w, s in zip(args, rel.sorting.inputs)]
+        return index.side(rel.sorting.output).points(index.image(rel, masks))
 
     def is_section_stable(self, name: str):
         """Check that every section of the Galois dual relation is closed.
 
         Returns (True, None) or (False, (position, fixed_tuple)); position 0
-        is the head place of the dual relation.
+        is the head place of the dual relation.  Its sections are Galois
+        images, closed by construction, so only positions 1..n can fail.
         """
         rel = self.relation(name)
-        dual_sort = rel.sorting.output.opposite
-        galois = self.galois_right if dual_sort is Sort.DEL else self.galois_left
-        heads = {}
-        for t in rel.tuples:
-            heads.setdefault(t[1:], []).append(t[0])
-        dual = {args: galois(heads.get(args, ()))
-                for args in self._arg_tuples(rel.sorting)}
-        # head sections are Galois images, closed by construction; checked anyway
-        for args, sec in dual.items():
-            if not self.is_stable(dual_sort, sec):
-                return False, (0, tuple(args))
-        for j, s in enumerate(rel.sorting.inputs):
-            others = [sorted(self.carrier(t)) for i, t in enumerate(rel.sorting.inputs)
-                      if i != j]
-            for head in sorted(self.carrier(dual_sort)):
-                for rest in itertools.product(*others):
-                    sec = frozenset(
-                        w for w in self.carrier(s)
-                        if head in dual[rest[:j] + (w,) + rest[j:]]
-                    )
-                    if not self.is_stable(s, sec):
-                        fixed = (head,) + rest[:j] + ("_",) + rest[j:]
-                        return False, (j + 1, fixed)
+        index = self._index
+        offsets, heads = index.heads(rel)
+        sides = [index.side(s) for s in rel.sorting.inputs]
+        dual = index.side(rel.sorting.output.opposite)
+        for j, side in enumerate(sides):
+            others, shifts = sides[:j] + sides[j + 1:], offsets[:j] + offsets[j + 1:]
+            axis, shift = side.order(), offsets[j]
+            rests = list(itertools.product(*(o.order() for o in others)))
+            # the heads at each argument tuple along axis j, one list per rest
+            lines = []
+            for rest in rests:
+                key = sum(map(lshift, rest, shifts))
+                lines.append([heads.get(key | w << shift, 0) for w in axis])
+            closed = {}
+            for h in dual.order():
+                row = dual.rows[h]
+                for rest, line in zip(rests, lines):
+                    # w is in the section iff h is polar to every head at w
+                    sec = sum(w for w, hs in zip(axis, line) if not row & hs)
+                    if sec not in closed:
+                        closed[sec] = side.close(sec) == sec
+                    if not closed[sec]:
+                        fixed = [o.name[w] for o, w in zip(others, rest)]
+                        fixed.insert(j, "_")
+                        return False, (j + 1, (dual.name[h], *fixed))
         return True, None
 
     def closed_op(self, name: str, args: Sequence[Iterable[str]]) -> frozenset[str]:
@@ -327,14 +329,17 @@ class SortedFrame:
         rel = self.relation(name)
         if len(args) != rel.sorting.arity:
             raise SortError(f"relation {name} expects {rel.sorting.arity} arguments")
-        sets = []
+        index = self._index
+        masks = []
         for j, (w, s) in enumerate(zip(args, rel.sorting.inputs)):
-            w = self._check_subset(w, s)
-            if not self.is_stable(s, w):
+            side = index.side(s)
+            m = side.mask(w)
+            if side.close(m) != m:
                 kind = "stable" if s is Sort.ONE else "co-stable"
                 raise PreconditionError(f"argument {j} of {name} must be a {kind} set")
-            sets.append(w)
-        return self.closure(rel.sorting.output, self.image_op(name, sets))
+            masks.append(m)
+        out = index.side(rel.sorting.output)
+        return out.points(out.close(index.image(rel, masks)))
 
     # ------------------------------------------------------------------
     # Concepts
@@ -345,13 +350,11 @@ class SortedFrame:
         Every stable set is an intersection of single-attribute extents,
         so the closure system is generated by those plus A itself.
         """
-        return _intersection_closure(
-            {self.galois_left({b}) for b in self.points_b}, self.points_a)
+        return self._index.a.closed_sets()
 
     def costable_sets(self) -> list[frozenset[str]]:
         """All co-stable subsets of B, dually to `stable_sets`."""
-        return _intersection_closure(
-            {self.galois_right({a}) for a in self.points_a}, self.points_b)
+        return self._index.b.closed_sets()
 
     def all_concepts(self) -> "FiniteLattice":
         """The concept lattice, ordered by extent inclusion."""
@@ -360,16 +363,162 @@ class SortedFrame:
                                         if x.extent <= y.extent))
 
 
-def _intersection_closure(gens: set[frozenset[str]],
-                          top: frozenset[str]) -> list[frozenset[str]]:
-    """`top` and every intersection of members of `gens`, by (size, sorted)."""
-    gens = gens | {top}
-    closed = set(gens)
-    frontier = gens
-    while frontier:
-        frontier = {x & y for x in frontier for y in gens} - closed
-        closed |= frontier
-    return sorted(closed, key=lambda s: (len(s), sorted(s)))
+class _BitIndex:
+    """A frame's two sorts as `_Side`s, and its relations indexed by bits.
+
+    A relation's argument tuples are packed into one int: each argument
+    place owns a run of bits, one per point of its sort.  So a tuple lies
+    in the argument sets iff its packed bits lie in theirs.  A relation is
+    indexed on first use, from tuples the frame has already checked.
+    """
+
+    def __init__(self, points_a: frozenset[str], points_b: frozenset[str]):
+        self.a, self.b = _Side(Sort.ONE, points_a), _Side(Sort.DEL, points_b)
+        # each side reads the other's carrier and rows but holds no reference
+        # to the other side, so a dropped frame is freed at once, not by the
+        # cycle collector
+        self.a.co_full, self.a.co_rows = self.b.full, self.b.rows
+        self.b.co_full, self.b.co_rows = self.a.full, self.a.rows
+        self._heads: dict[str, tuple[list[int], dict[int, int]]] = {}
+
+    def side(self, sort: Sort) -> "_Side":
+        return self.a if sort is _ONE else self.b
+
+    def link(self, incidence: Iterable[tuple[str, str]]) -> bool:
+        """Fill both sides' incidence rows; False if a pair is outside A x B."""
+        bit_a, bit_b = self.a.bit, self.b.bit
+        succ, pred = self.a.rows, self.b.rows
+        try:
+            for p in incidence:
+                a, b = bit_a[p[0]], bit_b[p[1]]
+                succ[a] |= b
+                pred[b] |= a
+        except KeyError:
+            return False
+        return True
+
+    def heads(self, rel: SortedRelation) -> tuple[list[int], dict[int, int]]:
+        """The bit offset of each argument place, and the mask of the heads
+        of each argument tuple, keyed by its points' bits shifted to those
+        offsets and summed."""
+        index = self._heads.get(rel.name)
+        if index is None:
+            sides = [self.side(s) for s in rel.sorting.inputs]
+            offsets = list(itertools.accumulate(
+                (len(side.bit) for side in sides[:-1]), initial=0))
+            head_bit = self.side(rel.sorting.output).bit
+            by_args = {}
+            for t in rel.tuples:
+                args = t[1:]
+                by_args[args] = by_args.get(args, 0) | head_bit[t[0]]
+            # each argument place's column of names, read as shifted bits
+            places = [map({p: b << off for p, b in side.bit.items()}.__getitem__, names)
+                      for side, off, names in zip(sides, offsets, zip(*by_args))]
+            keys = map(sum, zip(*places))
+            index = self._heads[rel.name] = offsets, dict(zip(keys, by_args.values()))
+        return index
+
+    def image(self, rel: SortedRelation, masks: Sequence[int]) -> int:
+        """Heads of the relation's tuples whose arguments lie in `masks`."""
+        offsets, heads = self.heads(rel)
+        packed = sum(map(lshift, masks, offsets))
+        out = 0
+        for args, hs in heads.items():
+            if args & packed == args and hs & ~out:
+                out |= hs
+        return out
+
+
+class _Side:
+    """One sort of a frame as int masks.
+
+    Bit i stands for the i-th point in reverse name order, so among sets
+    of one size the first in sorted-points order has the larger mask, and
+    a mask's highest bit is its least point.  Maps keyed by a point are
+    keyed by its single-bit mask; `rows` holds each point's I-neighbours
+    as a mask on the other side, whose carrier and rows are `co_full`
+    and `co_rows`.
+    """
+
+    __slots__ = ("sort", "bit", "name", "full", "rows", "co_full", "co_rows")
+
+    def __init__(self, sort: Sort, points: frozenset[str]):
+        self.sort = sort
+        bits = [1 << i for i in range(len(points))]
+        names = sorted(points, reverse=True)
+        self.bit = dict(zip(names, bits))
+        self.name = dict(zip(bits, names))
+        self.full = (1 << len(points)) - 1
+        self.rows = dict.fromkeys(bits, 0)
+        self.co_full: int
+        self.co_rows: dict[int, int]
+
+    def order(self) -> list[int]:
+        """Each point's bit, in name order."""
+        return sorted(self.name, reverse=True)
+
+    def mask(self, s: Iterable[str]) -> int:
+        """The mask of a point set, which must lie in this side's carrier."""
+        s = frozenset(s)
+        try:
+            return sum(map(self.bit.__getitem__, s))
+        except KeyError:
+            extra = sorted(s.difference(self.bit))
+            raise SortError(f"points {extra} are not of sort {self.sort}") from None
+
+    def points(self, m: int) -> frozenset[str]:
+        name = self.name
+        out = []
+        while m:
+            low = m & -m
+            out.append(name[low])
+            m ^= low
+        return frozenset(out)
+
+    def least(self, m: int) -> str:
+        """The least point, by name, of a non-empty mask."""
+        return self.name[1 << (m.bit_length() - 1)]
+
+    def dia(self, m: int) -> int:
+        """The I-neighbours, on the other side, of the points in m."""
+        return _union(self.rows, m)
+
+    def box(self, m: int) -> int:
+        """The other side's points whose I-neighbours all lie in m."""
+        return self.co_full & ~_union(self.rows, self.full & ~m)
+
+    def polar(self, m: int) -> int:
+        """The Galois map: the other side's points polar to all of m."""
+        return self.co_full & ~_union(self.rows, m)
+
+    def close(self, m: int) -> int:
+        return self.full & ~_union(self.co_rows, self.polar(m))
+
+    def closed_sets(self) -> list[frozenset[str]]:
+        """The closed sets of this side, ordered by (size, sorted points).
+
+        They are the carrier and every intersection of the Galois images of
+        the other side's single points; each image is intersected once with
+        every set found so far.
+        """
+        closed = {self.full}
+        for row in set(self.co_rows.values()):
+            gen = self.full & ~row
+            closed |= {c & gen for c in closed}
+        masks = sorted(closed, reverse=True)
+        masks.sort(key=int.bit_count)
+        return [self.points(m) for m in masks]
+
+
+
+def _union(rows: dict[int, int], m: int) -> int:
+    """The union of the rows of the points in m."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= rows[low]
+        m ^= low
+    return out
 
 
 class FiniteLattice:

@@ -13,7 +13,7 @@ import itertools
 import os
 from typing import Iterable, Mapping
 
-from .errors import CapExceeded, PreconditionError, SortError
+from .errors import CapExceeded, PolarModalError, PreconditionError, SortError
 from .frames import Concept, Sort, SortedFrame
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
@@ -22,7 +22,8 @@ from .syntax import (
     fol_free_vars, modal_var_key,
 )
 
-DEFAULT_CAP = int(os.environ.get("POLARMODAL_CAP", str(2 ** 20)))
+# read by `resource_cap`, which rejects a setting that is not a positive integer
+DEFAULT_CAP = os.environ.get("POLARMODAL_CAP", 2 ** 20)
 
 
 class LatticeModel:
@@ -68,38 +69,47 @@ class ModalModel:
 
 def lattice_extent(model: LatticeModel, phi: LatticeFormula) -> Concept:
     """Interpret phi as a formal concept; intent is always extent's image."""
-    frame = model.frame
+    index = model.frame._index
+    masks = {i: index.a.mask(s) for i, s in model.valuation.items()}
+    ext, intent = _concept(model.frame, masks, phi)
+    return Concept(index.a.points(ext), index.b.points(intent))
+
+
+def _concept(frame: SortedFrame, masks: Mapping[int, int],
+             phi: LatticeFormula) -> tuple[int, int]:
+    """Extent and intent masks of phi.  Operator arguments are concept
+    extents or intents, so closed: `closed_op` would find nothing to reject."""
+    index = frame._index
+    a, b = index.a, index.b
     if isinstance(phi, LVar):
-        ext = model.valuation.get(phi.index)
+        ext = masks.get(phi.index)
         if ext is None:
             raise PreconditionError(f"p{phi.index} has no valuation")
-        return Concept(ext, frame.galois_right(ext))
+        return ext, a.polar(ext)
     if isinstance(phi, LTop):
-        ext = frame.points_a
-        return Concept(ext, frame.galois_right(ext))
+        return a.full, a.polar(a.full)
     if isinstance(phi, LBot):
-        intent = frame.points_b
-        return Concept(frame.galois_left(intent), intent)
+        return b.polar(b.full), b.full
     if isinstance(phi, LAnd):
-        ext = lattice_extent(model, phi.left).extent & \
-            lattice_extent(model, phi.right).extent
-        return Concept(ext, frame.galois_right(ext))
+        ext = _concept(frame, masks, phi.left)[0] & _concept(frame, masks, phi.right)[0]
+        return ext, a.polar(ext)
     if isinstance(phi, LOr):
-        intent = lattice_extent(model, phi.left).intent & \
-            lattice_extent(model, phi.right).intent
-        return Concept(frame.galois_left(intent), intent)
+        intent = _concept(frame, masks, phi.left)[1] & \
+            _concept(frame, masks, phi.right)[1]
+        return b.polar(intent), intent
     if isinstance(phi, LApp):
         rel = frame.relation(phi.name)
         parts = []
         for arg, s in zip(phi.args, rel.sorting.inputs):
-            c = lattice_extent(model, arg)
-            parts.append(c.extent if s is Sort.ONE else c.intent)
+            ext, intent = _concept(frame, masks, arg)
+            parts.append(ext if s is Sort.ONE else intent)
         if len(phi.args) != rel.sorting.arity:
             raise SortError(f"{phi.name} arity mismatch with frame relation")
-        closed = frame.closed_op(phi.name, parts)
-        if rel.sorting.output is Sort.ONE:
-            return Concept(closed, frame.galois_right(closed))
-        return Concept(frame.galois_left(closed), closed)
+        out = index.side(rel.sorting.output)
+        closed = out.close(index.image(rel, parts))
+        if out is a:
+            return closed, a.polar(closed)
+        return b.polar(closed), closed
     raise SortError(f"unknown lattice node {phi!r}")
 
 
@@ -120,28 +130,41 @@ def lattice_consequence(model: LatticeModel, phi: LatticeFormula,
 
 def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
     """All points of theta's sort where theta holds."""
-    frame = model.frame
+    side = model.frame._index.side(theta.sort)
+    return side.points(_truth(model.frame, _masks(model), theta))
+
+
+def _masks(model: ModalModel) -> dict[tuple[Sort, int], int]:
+    index = model.frame._index
+    return {(sort, i): index.side(sort).mask(s)
+            for (sort, i), s in model.valuation.items()}
+
+
+def _truth(frame: SortedFrame, masks: Mapping[tuple[Sort, int], int],
+           theta: ModalFormula) -> int:
+    """The mask of `truth_set` under a valuation of masks."""
+    index = frame._index
     if isinstance(theta, MVar):
-        return model.var(theta.sort, theta.index)
+        return masks.get((theta.sort, theta.index), 0)
     if isinstance(theta, MConst):
-        return frame.carrier(theta.sort) if theta.truth else frozenset()
+        return index.side(theta.sort).full if theta.truth else 0
     if isinstance(theta, MNot):
-        return frame.carrier(theta.sort) - truth_set(model, theta.arg)
+        return index.side(theta.sort).full & ~_truth(frame, masks, theta.arg)
     if isinstance(theta, MAnd):
-        return truth_set(model, theta.left) & truth_set(model, theta.right)
+        return _truth(frame, masks, theta.left) & _truth(frame, masks, theta.right)
     if isinstance(theta, MOr):
-        return truth_set(model, theta.left) | truth_set(model, theta.right)
+        return _truth(frame, masks, theta.left) | _truth(frame, masks, theta.right)
     if isinstance(theta, MImp):
-        carrier = frame.carrier(theta.sort)
-        return (carrier - truth_set(model, theta.left)) | truth_set(model, theta.right)
+        return (index.side(theta.sort).full & ~_truth(frame, masks, theta.left)) | \
+            _truth(frame, masks, theta.right)
     if isinstance(theta, MBbox):
-        return frame.box_ba(truth_set(model, theta.arg))
+        return index.b.box(_truth(frame, masks, theta.arg))
     if isinstance(theta, MDbox):
-        return frame.box_ab(truth_set(model, theta.arg))
+        return index.a.box(_truth(frame, masks, theta.arg))
     if isinstance(theta, MBdia):
-        return frame.dia_ba(truth_set(model, theta.arg))
+        return index.b.dia(_truth(frame, masks, theta.arg))
     if isinstance(theta, MDdia):
-        return frame.dia_ab(truth_set(model, theta.arg))
+        return index.a.dia(_truth(frame, masks, theta.arg))
     if isinstance(theta, MApp):
         rel = frame.relation(theta.name)
         if rel.sorting.output is not theta.sort or \
@@ -149,14 +172,15 @@ def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
             raise SortError(
                 f"diamond {theta.name} does not match the frame relation sorting"
             )
-        return frame.image_op(theta.name, [truth_set(model, a) for a in theta.args])
+        return index.image(rel, [_truth(frame, masks, a) for a in theta.args])
     raise SortError(f"unknown modal node {theta!r}")
 
 
 def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
     if model.frame.sort_of(point) is not theta.sort:
         raise SortError(f"point {point} has the wrong sort for this formula")
-    return point in truth_set(model, theta)
+    side = model.frame._index.side(theta.sort)
+    return bool(side.bit[point] & _truth(model.frame, _masks(model), theta))
 
 
 def _powerset(items):
@@ -165,17 +189,41 @@ def _powerset(items):
         yield from (frozenset(c) for c in itertools.combinations(items, r))
 
 
-def iter_valuations(frame: SortedFrame, vars_in_use):
-    """All sorted valuations of the given variables, cap-checked upfront."""
+def resource_cap() -> int:
+    """The bound on valuations and quantifier instances: POLARMODAL_CAP,
+    which must be a positive integer, or 2**20 when it is unset."""
+    try:
+        cap = int(DEFAULT_CAP)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise PolarModalError(
+            f"POLARMODAL_CAP must be a positive integer, not {DEFAULT_CAP!r}")
+    return cap
+
+
+def _valuations(frame: SortedFrame, vars_in_use):
+    """The variables in key order, and every valuation of them as a tuple
+    of (subset, mask) choices, in `_powerset` order per variable.  The
+    number of valuations is checked against the cap first."""
     vars_in_use = sorted(vars_in_use, key=modal_var_key)
     total = 1
     for sort, _ in vars_in_use:
         total *= 2 ** len(frame.carrier(sort))
-    if total > DEFAULT_CAP:
-        raise CapExceeded(f"{total} valuations exceed cap {DEFAULT_CAP}")
-    subset_lists = [list(_powerset(frame.carrier(sort))) for sort, _ in vars_in_use]
-    for choice in itertools.product(*subset_lists):
-        yield dict(zip(vars_in_use, choice))
+    cap = resource_cap()
+    if total > cap:
+        raise CapExceeded(f"{total} valuations exceed cap {cap}")
+    index = frame._index
+    choices = [[(s, index.side(sort).mask(s)) for s in _powerset(frame.carrier(sort))]
+               for sort, _ in vars_in_use]
+    return vars_in_use, itertools.product(*choices)
+
+
+def iter_valuations(frame: SortedFrame, vars_in_use):
+    """All sorted valuations of the given variables, cap-checked upfront."""
+    keys, valuations = _valuations(frame, vars_in_use)
+    for choice in valuations:
+        yield {var: s for var, (s, _) in zip(keys, choice)}
 
 
 def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
@@ -183,11 +231,14 @@ def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
 
     Returns (True, None) or (False, (valuation, point)).
     """
-    for valuation in iter_valuations(frame, vars_in_use):
-        model = ModalModel(frame, valuation)
-        missing = frame.carrier(theta.sort) - truth_set(model, theta)
+    keys, valuations = _valuations(frame, vars_in_use)
+    side = frame._index.side(theta.sort)
+    for choice in valuations:
+        masks = {var: m for var, (_, m) in zip(keys, choice)}
+        missing = side.full & ~_truth(frame, masks, theta)
         if missing:
-            return False, (valuation, sorted(missing)[0])
+            valuation = {var: s for var, (s, _) in zip(keys, choice)}
+            return False, (valuation, side.least(missing))
     return True, None
 
 
@@ -206,7 +257,7 @@ def eval_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     for var in fol_free_vars(phi):
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
-    cap = DEFAULT_CAP
+    cap = resource_cap()
     tried = 0
     domains = {None: sorted(frame.points_a | frame.points_b),
                Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}

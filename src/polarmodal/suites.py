@@ -80,6 +80,9 @@ _VARS4 = [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]
 
 
 def _sample_frames(rng, count, max_a, max_b, sortings=None):
+    if min(max_a, max_b) < 2:
+        raise PreconditionError(
+            f"sort size bounds must be at least 2, not {max_a} and {max_b}")
     return [
         random_frame(rng.randrange(2, max_a + 1), rng.randrange(2, max_b + 1),
                      sortings, density=rng.random(), seed=rng.randrange(10 ** 9))

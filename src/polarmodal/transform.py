@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
-    LatticeModel, ModalModel, eval_fol, iter_valuations, lattice_extent,
+    LatticeModel, ModalModel, _truth, _valuations, eval_fol, lattice_extent,
     truth_set,
 )
 from .syntax import (
@@ -268,8 +268,9 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
         raise SortError("stability is defined for sort-1 formulas")
     boxed = MBbox(MDdia(alpha))
     for frame in frames:
-        for valuation in iter_valuations(frame, vars_in_use):
-            model = ModalModel(frame, valuation)
-            if truth_set(model, alpha) != truth_set(model, boxed):
+        keys, valuations = _valuations(frame, vars_in_use)
+        for choice in valuations:
+            masks = {var: m for var, (_, m) in zip(keys, choice)}
+            if _truth(frame, masks, alpha) != _truth(frame, masks, boxed):
                 return False
     return True

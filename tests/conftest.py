@@ -1,15 +1,31 @@
+import itertools
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import polarmodal
 from polarmodal import catalog
-from polarmodal.frames import Sort, SortedFrame, SortedRelation, SortingType
+from polarmodal.frames import (
+    Concept, Sort, SortedFrame, SortedRelation, SortingType, random_frame,
+)
+from polarmodal.syntax import (
+    LAnd, LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox,
+    MDdia, MImp, MNot, MOr, MVar, modal_var_key,
+)
 
 # one relation of each catalog distribution type
 ALL_TYPES = {"f": catalog.D1_1, "g": catalog.DD_D, "k": catalog.D11_1,
              "m": catalog.DDD_D, "h": catalog.D1D_D, "n": catalog.DD1_D}
+
+# random frames of 1-8 points per sort with one relation of each type, often
+# with empty or full incidence
+oracle_frames = st.builds(
+    random_frame, st.integers(1, 8), st.integers(1, 8),
+    st.just({name: dist.sorting() for name, dist in ALL_TYPES.items()}),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 10 ** 6),
+)
 
 
 @pytest.fixture
@@ -28,17 +44,193 @@ def with_relation(frame, rel):
                        {**frame.relations, rel.name: rel})
 
 
-def galois_dual(frame, name, args):
-    """Galois image of the relation's section at `args`, by a tuple scan.
+class SetKernels:
+    """Reference frame kernels on frozensets, read straight from I and the
+    relation tuples: the Galois maps, closure, boxes and diamonds,
+    `image_op`, the intersection closure with its sort, and the two
+    evaluators.  The library computes all of them on int bitsets."""
 
-    The section is the set of heads of the tuples with arguments `args`;
-    its image lies on the sort opposite to the relation's output.
-    """
-    rel = frame.relation(name)
-    section = frozenset(t[0] for t in rel.tuples if t[1:] == tuple(args))
-    if rel.sorting.output is Sort.ONE:
-        return frame.galois_right(section)
-    return frame.galois_left(section)
+    def __init__(self, frame):
+        self.frame = frame
+        self.succ = {a: frozenset(b for x, b in frame.incidence if x == a)
+                     for a in frame.points_a}
+        self.pred = {b: frozenset(a for a, y in frame.incidence if y == b)
+                     for b in frame.points_b}
+
+    def galois_right(self, u):
+        return self.frame.points_b.difference(*(self.succ[a] for a in u))
+
+    def galois_left(self, v):
+        return self.frame.points_a.difference(*(self.pred[b] for b in v))
+
+    def closure(self, sort, s):
+        if sort is Sort.ONE:
+            return self.galois_left(self.galois_right(s))
+        return self.galois_right(self.galois_left(s))
+
+    def is_stable(self, sort, s):
+        return self.closure(sort, s) == frozenset(s)
+
+    def dia_ab(self, u):
+        return frozenset(b for b in self.frame.points_b if self.pred[b] & u)
+
+    def box_ba(self, v):
+        return frozenset(a for a in self.frame.points_a if self.succ[a] <= v)
+
+    def box_ab(self, u):
+        return frozenset(b for b in self.frame.points_b if self.pred[b] <= u)
+
+    def dia_ba(self, v):
+        return frozenset(a for a in self.frame.points_a if self.succ[a] & v)
+
+    def image_op(self, name, args):
+        return frozenset(t[0] for t in self.frame.relation(name).tuples
+                         if all(w in ws for w, ws in zip(t[1:], args)))
+
+    def closed_op(self, name, args):
+        sort = self.frame.relation(name).sorting.output
+        return self.closure(sort, self.image_op(name, args))
+
+    def stable_sets(self):
+        return intersection_closure(
+            {self.galois_left({b}) for b in self.frame.points_b}, self.frame.points_a)
+
+    def costable_sets(self):
+        return intersection_closure(
+            {self.galois_right({a}) for a in self.frame.points_a}, self.frame.points_b)
+
+    def galois_dual(self, name, args):
+        """Galois image of the relation's section at `args`, by a tuple scan.
+
+        The section is the set of heads of the tuples with arguments
+        `args`; its image lies on the sort opposite to the relation's
+        output.
+        """
+        rel = self.frame.relation(name)
+        section = frozenset(t[0] for t in rel.tuples if t[1:] == tuple(args))
+        if rel.sorting.output is Sort.ONE:
+            return self.galois_right(section)
+        return self.galois_left(section)
+
+    def is_section_stable(self, name):
+        """`is_section_stable` from the Galois dual of every argument
+        tuple's heads, with the head sections checked too."""
+        frame = self.frame
+        rel = frame.relation(name)
+        dual_sort = rel.sorting.output.opposite
+        galois = self.galois_right if dual_sort is Sort.DEL else self.galois_left
+        heads = {}
+        for t in rel.tuples:
+            heads.setdefault(t[1:], set()).add(t[0])
+        carriers = [sorted(frame.carrier(s)) for s in rel.sorting.inputs]
+        dual = {args: galois(heads.get(args, ()))
+                for args in itertools.product(*carriers)}
+        for args, sec in dual.items():
+            if not self.is_stable(dual_sort, sec):
+                return False, (0, args)
+        for j, s in enumerate(rel.sorting.inputs):
+            others = carriers[:j] + carriers[j + 1:]
+            for head in sorted(frame.carrier(dual_sort)):
+                for rest in itertools.product(*others):
+                    sec = frozenset(w for w in frame.carrier(s)
+                                    if head in dual[rest[:j] + (w,) + rest[j:]])
+                    if not self.is_stable(s, sec):
+                        return False, (j + 1, (head,) + rest[:j] + ("_",) + rest[j:])
+        return True, None
+
+    def truth_set(self, valuation, theta):
+        frame = self.frame
+        go = self.truth_set
+        if isinstance(theta, MVar):
+            return valuation.get((theta.sort, theta.index), frozenset())
+        if isinstance(theta, MConst):
+            return frame.carrier(theta.sort) if theta.truth else frozenset()
+        if isinstance(theta, MNot):
+            return frame.carrier(theta.sort) - go(valuation, theta.arg)
+        if isinstance(theta, MAnd):
+            return go(valuation, theta.left) & go(valuation, theta.right)
+        if isinstance(theta, MOr):
+            return go(valuation, theta.left) | go(valuation, theta.right)
+        if isinstance(theta, MImp):
+            return (frame.carrier(theta.sort) - go(valuation, theta.left)) \
+                | go(valuation, theta.right)
+        if isinstance(theta, MBbox):
+            return self.box_ba(go(valuation, theta.arg))
+        if isinstance(theta, MDbox):
+            return self.box_ab(go(valuation, theta.arg))
+        if isinstance(theta, MBdia):
+            return self.dia_ba(go(valuation, theta.arg))
+        if isinstance(theta, MDdia):
+            return self.dia_ab(go(valuation, theta.arg))
+        assert isinstance(theta, MApp)
+        return self.image_op(theta.name, [go(valuation, a) for a in theta.args])
+
+    def lattice_extent(self, valuation, phi):
+        frame = self.frame
+
+        def concept(ext=None, intent=None):
+            if ext is None:
+                return Concept(self.galois_left(intent), intent)
+            return Concept(ext, self.galois_right(ext))
+
+        if isinstance(phi, LVar):
+            return concept(ext=valuation[phi.index])
+        if isinstance(phi, LTop):
+            return concept(ext=frame.points_a)
+        if isinstance(phi, LBot):
+            return concept(intent=frame.points_b)
+        if isinstance(phi, LAnd):
+            return concept(ext=self.lattice_extent(valuation, phi.left).extent
+                           & self.lattice_extent(valuation, phi.right).extent)
+        if isinstance(phi, LOr):
+            return concept(intent=self.lattice_extent(valuation, phi.left).intent
+                           & self.lattice_extent(valuation, phi.right).intent)
+        assert isinstance(phi, LApp)
+        rel = frame.relation(phi.name)
+        parts = []
+        for arg, s in zip(phi.args, rel.sorting.inputs):
+            c = self.lattice_extent(valuation, arg)
+            parts.append(c.extent if s is Sort.ONE else c.intent)
+        closed = self.closed_op(phi.name, parts)
+        if rel.sorting.output is Sort.ONE:
+            return concept(ext=closed)
+        return concept(intent=closed)
+
+    def frame_valid_modal(self, theta, vars_in_use):
+        """The first valuation, in powerset order per variable taken in key
+        order, and the least point at which theta fails."""
+        keys = sorted(vars_in_use, key=modal_var_key)
+        subsets = [list(powerset(self.frame.carrier(sort))) for sort, _ in keys]
+        for choice in itertools.product(*subsets):
+            valuation = dict(zip(keys, choice))
+            missing = self.frame.carrier(theta.sort) - self.truth_set(valuation, theta)
+            if missing:
+                return False, (valuation, sorted(missing)[0])
+        return True, None
+
+
+def intersection_closure(gens, top):
+    """`top` and every intersection of members of `gens`, by (size, sorted),
+    grown by intersecting a frontier with every generator until nothing
+    new appears."""
+    gens = gens | {top}
+    closed = set(gens)
+    frontier = gens
+    while frontier:
+        frontier = {x & y for x in frontier for y in gens} - closed
+        closed |= frontier
+    return sorted(closed, key=lambda s: (len(s), sorted(s)))
+
+
+def powerset(items):
+    items = sorted(items)
+    for r in range(len(items) + 1):
+        yield from (frozenset(c) for c in itertools.combinations(items, r))
+
+
+def galois_dual(frame, name, args):
+    """`SetKernels.galois_dual` on the given frame."""
+    return SetKernels(frame).galois_dual(name, args)
 
 
 def hash_seed_env(hash_seed):

@@ -1,9 +1,12 @@
 """File formats and the command-line front end."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polarmodal import catalog, cli, fileio, semantics
 from polarmodal.errors import ParseError, PreconditionError
@@ -253,6 +256,19 @@ def test_cli_stable_fol_is_capped(capsys, monkeypatch):
                    "quantifier instances exceed cap 1000\n")
 
 
+@pytest.mark.parametrize("cap", ["abc", "-5"])
+def test_cli_rejects_a_malformed_cap(cap):
+    env = {**hash_seed_env("0"), "POLARMODAL_CAP": cap}
+    done = subprocess.run([sys.executable, "-c", "import polarmodal"], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    done = subprocess.run([sys.executable, "-m", "polarmodal.cli", "stable", "P0"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == \
+        f"error: POLARMODAL_CAP must be a positive integer, not {cap!r}\n"
+
+
 def test_cli_reports_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("sorts A: a0  B: b0\nfoo bar\n")
@@ -444,3 +460,76 @@ def test_cli_verify(capsys):
     # determinism modulo the timing line
     code, out2, _ = run(capsys, "verify", "galois", "--count", "5")
     assert out.splitlines()[:-1] == out2.splitlines()[:-1]
+
+
+def test_cli_verify_rejects_small_size_bounds(capsys):
+    assert run(capsys, "verify", "galois", "--maxA", "1") == \
+        (2, "", "error: sort size bounds must be at least 2, not 1 and 4\n")
+
+
+# ---------------------------------------------------------------- fuzz
+
+FUZZ_TOKENS = ["", " ", "\n", ",", ":", ";", "(", ")", "->", "&", "|", "~",
+               "[b]", "<d>", "\\/", "/\\", "P0", "Q1", "p0", "a0", "b1", "zz",
+               "val", "sorts", "A:", "B:", "I:", "rel f sort 1;1 :", "elems",
+               "leq:", "op", "type", "table:", "1->1", "d", "1", "all1 x .",
+               "exd y .", "I(u, y)", "P0(u)", "f", "g(", ":="]
+
+FUZZ_BASES = [MODEL_TEXT, F0_TEXT, CHAIN3_TEXT, "p0 := [d] P0\np1 := Q0\n",
+              "a0 a0\nb1 b1\n",
+              MODEL_TEXT + "rel f sort 1;1 : a0 a1 , a1 a1\nval P1 : a1\n"]
+FUZZ_FORMULAS = ["P0 | ~P0", "[b] Q0", "<d> P0 -> P1", "p0 \\/ p1", "p0 /\\ 1",
+                 "P0(u)", "all1 x . exd y . I(x, y)", "f(P0)", "Q0"]
+
+
+@st.composite
+def mutated(draw, bases):
+    text = draw(st.sampled_from(bases))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        text = text[:i] + draw(st.sampled_from(FUZZ_TOKENS)) + text[j:]
+    return text
+
+
+def fuzz_commands(files, formula, n):
+    f1, f2, f3 = files
+    return [
+        ["eval", f1, formula], ["eval", f1, formula, "--point", "a0"],
+        ["eval", f1, formula, "--sig", "f 1->1"],
+        ["extent", f1, formula], ["extent", f1, formula, "--close"],
+        ["translate", formula, "--asg", f1],
+        ["translate", formula, "--asg", f1, "--mode", "circle"],
+        ["sttrans", formula], ["stable", formula], ["stable", formula, "--frame", f1],
+        ["stable", "--fol", formula], ["bisim", f1, f2],
+        ["bisim", f1, f2, "--pairs", f3], ["canon", f1], ["concepts", f1],
+        ["gen", "frame", "--seed", n, "--size-a", n, "--density", "0.5"],
+        ["gen", "model", "--size-b", n, "--sig", formula],
+        ["gen", "formula", "--lang", "fol", "--depth", n],
+        ["verify", "galois", "--count", "1", "--maxA", n],
+        ["verify", "stability", "--count", "1", "--seed", n],
+        ["eval", f1], ["bisim"], [formula],
+    ]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(mutated(FUZZ_BASES), min_size=3, max_size=3),
+       mutated(FUZZ_FORMULAS), st.sampled_from(["-1", "0", "1", "3", "x"]),
+       st.integers(0, 22))
+def test_cli_fuzz_exits_with_a_status(tmp_path, monkeypatch, texts, formula, n, pick):
+    # any input gives a report or an error line, never a traceback
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 4096)
+    files = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"input{k}.txt"
+        path.write_text(text, encoding="utf-8")
+        files.append(str(path))
+    argv = fuzz_commands(files, formula, n)[pick]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -14,7 +14,9 @@ from polarmodal.frames import (
     SortedFrame, canonical_frame, canonical_relation_oracle, random_frame,
 )
 
-from conftest import ALL_TYPES, galois_dual, make_rel, with_relation
+from conftest import (
+    ALL_TYPES, SetKernels, galois_dual, make_rel, oracle_frames, with_relation,
+)
 
 
 def subsets(points):
@@ -214,36 +216,13 @@ def test_image_op(f0):
         frame.image_op("R", [{"b0"}])
 
 
-def section_stable_by_duals(frame, name):
-    """Reference `is_section_stable`: one tuple scan per Galois dual."""
-    rel = frame.relation(name)
-    dual_sort = rel.sorting.output.opposite
-    carriers = [sorted(frame.carrier(s)) for s in rel.sorting.inputs]
-    dual = {args: galois_dual(frame, name, args)
-            for args in itertools.product(*carriers)}
-    for args, sec in dual.items():
-        if not frame.is_stable(dual_sort, sec):
-            return False, (0, args)
-    for j, s in enumerate(rel.sorting.inputs):
-        others = carriers[:j] + carriers[j + 1:]
-        for head in sorted(frame.carrier(dual_sort)):
-            for rest in itertools.product(*others):
-                sec = frozenset(w for w in frame.carrier(s)
-                                if head in dual[rest[:j] + (w,) + rest[j:]])
-                if not frame.is_stable(s, sec):
-                    return False, (j + 1, (head,) + rest[:j] + ("_",) + rest[j:])
-    return True, None
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.floats(0.0, 1.0),
-       st.integers(0, 10 ** 6))
-def test_section_stability_matches_dual_scan(size_a, size_b, density, seed):
-    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
-    frame = random_frame(size_a, size_b, sorting, density, seed)
-    for name in sorted(sorting):
+@given(oracle_frames)
+def test_section_stability_matches_dual_scan(frame):
+    oracle = SetKernels(frame)
+    for name in sorted(ALL_TYPES):
         assert frame.is_section_stable(name) == \
-            section_stable_by_duals(frame, name), name
+            oracle.is_section_stable(name), name
 
 
 def test_section_stable_trivial(f0):

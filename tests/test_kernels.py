@@ -1,0 +1,94 @@
+"""The bitset frame kernels against the set-based reference kernels."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from polarmodal import gen
+from polarmodal.frames import Sort
+from polarmodal.semantics import (
+    frame_valid_modal, lattice_extent, sat_modal, truth_set, b_axioms,
+    d_axioms, k_axioms,
+)
+from polarmodal.syntax import Signature, modal_vars
+
+from conftest import ALL_TYPES, SetKernels, oracle_frames
+
+SIG = Signature.of(ALL_TYPES)
+VARS = [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]
+
+
+def random_subset(rng, points):
+    return frozenset(p for p in sorted(points) if rng.random() < 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_frames, st.integers(0, 10 ** 6))
+def test_galois_maps_boxes_and_diamonds_match_sets(frame, seed):
+    rng = random.Random(seed)
+    oracle = SetKernels(frame)
+    assert frame.check_seriality() == (all(oracle.succ.values())
+                                       and all(oracle.pred.values()))
+    for _ in range(4):
+        u = random_subset(rng, frame.points_a)
+        v = random_subset(rng, frame.points_b)
+        for op, arg in (("galois_right", u), ("galois_left", v),
+                        ("dia_ab", u), ("box_ba", v), ("box_ab", u), ("dia_ba", v)):
+            assert getattr(frame, op)(arg) == getattr(oracle, op)(arg), op
+        for sort, s in ((Sort.ONE, u), (Sort.DEL, v)):
+            assert frame.closure(sort, s) == oracle.closure(sort, s)
+            assert frame.is_stable(sort, s) == oracle.is_stable(sort, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_frames, st.integers(0, 10 ** 6))
+def test_image_and_closed_operators_match_sets(frame, seed):
+    rng = random.Random(seed)
+    oracle = SetKernels(frame)
+    for name in sorted(ALL_TYPES):
+        inputs = frame.relation(name).sorting.inputs
+        for _ in range(3):
+            args = [random_subset(rng, frame.carrier(s)) for s in inputs]
+            assert frame.image_op(name, args) == oracle.image_op(name, args)
+            closed = [oracle.closure(s, w) for w, s in zip(args, inputs)]
+            assert frame.closed_op(name, closed) == oracle.closed_op(name, closed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_frames)
+def test_closed_set_lists_match_the_frontier_loop(frame):
+    oracle = SetKernels(frame)
+    assert frame.stable_sets() == oracle.stable_sets()
+    assert frame.costable_sets() == oracle.costable_sets()
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_frames, st.integers(0, 10 ** 6))
+def test_evaluators_match_sets(frame, seed):
+    oracle = SetKernels(frame)
+    model = gen.random_modal_model(frame, VARS, seed)
+    for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE, Sort.DEL)):
+        theta = gen.random_modal_formula(seed + k, 3, sort, 2, SIG)
+        expect = oracle.truth_set(model.valuation, theta)
+        assert truth_set(model, theta) == expect
+        assert {p for p in frame.carrier(sort) if sat_modal(model, p, theta)} == expect
+    lattice_model = gen.random_lattice_model(frame, range(3), seed)
+    for k in range(4):
+        phi = gen.random_lattice_formula(seed + k, 3, 3, SIG)
+        assert lattice_extent(lattice_model, phi) == \
+            oracle.lattice_extent(lattice_model.valuation, phi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_frames.filter(lambda f: len(f.points_a) <= 3 and len(f.points_b) <= 3),
+       st.integers(0, 10 ** 6))
+def test_frame_validity_counterexamples_match_sets(frame, seed):
+    oracle = SetKernels(frame)
+    formulas = [(theta, vars_in_use)
+                for _, theta, vars_in_use in k_axioms() + b_axioms() + d_axioms()]
+    for k, sort in enumerate((Sort.ONE, Sort.DEL)):
+        theta = gen.random_modal_formula(seed + k, 3, sort, 1, SIG)
+        formulas.append((theta, modal_vars(theta)))
+    for theta, vars_in_use in formulas:
+        assert frame_valid_modal(frame, theta, vars_in_use) == \
+            oracle.frame_valid_modal(theta, vars_in_use)
