@@ -136,12 +136,11 @@ class _Refinement:
 
     Points are tagged (model_index, point).  Level k classes identify
     points satisfying the same modal formulas of depth at most k.
-    Refinement stops after `depth` rounds (None: no limit) or at its
-    fixpoint, whichever comes first; the last level then stands for
+    Refinement runs to its fixpoint; the last level then stands for
     every deeper one.
     """
 
-    def __init__(self, m: ModalModel, m2: ModalModel, depth: int | None = None):
+    def __init__(self, m: ModalModel, m2: ModalModel):
         _check_compatible(m.frame, m2.frame)
         self.models = [m, m2]
         self.vars = sorted(set(m.valuation) | set(m2.valuation), key=modal_var_key)
@@ -151,7 +150,7 @@ class _Refinement:
         ]
         self.edges = [mod.frame.edges() for mod in self.models]
         self.levels: list[dict] = []
-        self._refine(depth)
+        self._refine()
 
     def sort_of(self, tagged):
         i, p = tagged
@@ -180,12 +179,12 @@ class _Refinement:
         return (cls[tagged], frozenset(c for c, in near),
                 tuple((name, frozenset(vecs)) for name, vecs in rows))
 
-    def _refine(self, depth: int | None):
+    def _refine(self):
         keys = {p: self._profile(p) for p in self.points}
         ids = {k: n for n, k in enumerate(sorted(set(keys.values())))}
         cls = {p: ids[keys[p]] for p in self.points}
         self.levels.append(cls)
-        for _ in itertools.count() if depth is None else range(depth):
+        while True:
             count = len(ids)
             prev = self.levels[-1]
             keys = {p: self._signature(p, prev) for p in self.points}
@@ -261,13 +260,13 @@ def modal_equiv(m: ModalModel, w: str, m2: ModalModel, w2: str, depth: int):
     """Agreement on all modal formulas of depth <= depth.
 
     Returns (True, None), or (False, theta) with theta satisfied at w
-    and refuted at w2.
+    and refuted at w2.  Both read the refinement's levels up to depth.
     """
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
     if m.frame.sort_of(w) is not m2.frame.sort_of(w2):
         raise SortError("points must have the same sort")
-    ref = _Refinement(m, m2, depth)
+    ref = _Refinement(m, m2)
     x, y = (0, w), (1, w2)
     if ref.equivalent(x, y, depth):
         return True, None

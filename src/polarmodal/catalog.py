@@ -142,10 +142,6 @@ def catalog_canonical_frames() -> dict[str, SortedFrame]:
             for name in _BUILDERS}
 
 
-def signature_of(exp: FiniteLatticeExpansion) -> Signature:
-    return Signature.of({name: dist for name, (dist, _) in exp.operators.items()})
-
-
 def reference_frame() -> SortedFrame:
     """The 2+2 frame used throughout the examples: I = {(a0,b1), (a1,b0)}."""
     return SortedFrame(["a0", "a1"], ["b0", "b1"], [("a0", "b1"), ("a1", "b0")])
@@ -161,11 +157,11 @@ def default_signature() -> Signature:
     return Signature.of({"f": D1_1, "g": DD_D})
 
 
-def default_model_family(num_vars: int = 2):
+def default_model_family():
     """Frames with predicate interpretations, for FOL stability checks.
 
-    Includes a frame where V(P0) is not Galois-stable, so the bare atom
-    P0(u) is a guaranteed unstable control.
+    Each interprets P0, P1, Q0 and Q1.  One frame has a V(P0) that is not
+    Galois-stable, so the bare atom P0(u) is a guaranteed unstable control.
     """
     sig = {"f": D1_1.sorting(), "g": DD_D.sorting()}
     f0 = reference_frame()
@@ -179,7 +175,7 @@ def default_model_family(num_vars: int = 2):
     for k, frame in enumerate(frames):
         pa, pb = sorted(frame.points_a), sorted(frame.points_b)
         predval = {}
-        for i in range(num_vars):
+        for i in range(2):
             predval[f"P{i}"] = frozenset(pa[(k + i) % len(pa):])
             predval[f"Q{i}"] = frozenset(pb[(k + i + 1) % len(pb):])
         family.append((frame, predval))

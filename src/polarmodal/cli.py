@@ -15,12 +15,12 @@ from pathlib import Path
 
 from . import catalog, fileio, gen, suites
 from .errors import CapExceeded, PolarModalError
-from .frames import Sort, canonical_frame, random_frame, SortingType
+from .frames import Sort, canonical_frame, random_frame
 from .semantics import lattice_extent, resource_cap, sat_modal, truth_set
 from .bisim import SortedPairRelation, is_simulation, largest_bisimulation
 from .syntax import (
     EMPTY_SIGNATURE, modal_vars, parse_fol, parse_lattice, parse_modal,
-    print_fol, print_modal,
+    print_fol, print_lattice, print_modal,
 )
 from .transform import is_stable_fol, is_stable_modal, std_translate, translate
 
@@ -162,10 +162,8 @@ def cmd_concepts(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    sortings = None
-    if args.sig:
-        sig = fileio.parse_signature_line(args.sig)
-        sortings = {name: sig.get(name).sorting() for name in sig.names()}
+    sig = _signature(args)
+    sortings = {name: sig.get(name).sorting() for name in sig.names()}
     if args.kind == "frame":
         frame = random_frame(args.size_a, args.size_b, sortings,
                              args.density, args.seed)
@@ -179,9 +177,7 @@ def cmd_gen(args) -> int:
         model = gen.random_modal_model(frame, vars_, args.seed + 1)
         print(fileio.dump_modal_model(model), end="")
         return 0
-    sig = fileio.parse_signature_line(args.sig) if args.sig else EMPTY_SIGNATURE
     if args.lang == "lattice":
-        from .syntax import print_lattice
         phi = gen.random_lattice_formula(args.seed, args.depth, 3, sig)
         print(print_lattice(phi))
     elif args.lang == "modal":

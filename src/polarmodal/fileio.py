@@ -75,12 +75,11 @@ def parse_frame_lines(text: str):
         if head == "sorts":
             if points_a is not None:
                 raise ParseError("repeated 'sorts' line", lineno)
-            try:
-                ai = tokens.index("A:")
-                bi = tokens.index("B:")
-            except ValueError:
-                raise ParseError("sorts line needs 'A:' and 'B:' markers", lineno)
-            points_a = tokens[ai + 1:bi]
+            if tokens[1:2] != ["A:"] or tokens.count("A:") != 1 \
+                    or tokens.count("B:") != 1:
+                raise ParseError("expected 'sorts A: points  B: points'", lineno)
+            bi = tokens.index("B:")
+            points_a = tokens[2:bi]
             points_b = tokens[bi + 1:]
             if not points_a or not points_b:
                 raise ParseError("both sorts must list at least one point", lineno)
@@ -184,13 +183,6 @@ def dump_modal_model(model: ModalModel) -> str:
     for (sort, i) in sorted(model.valuation, key=modal_var_key):
         name = ("P" if sort is Sort.ONE else "Q") + str(i)
         out.append(f"val {name} : " + " ".join(sorted(model.valuation[(sort, i)])))
-    return "\n".join(out) + "\n"
-
-
-def dump_lattice_model(model: LatticeModel) -> str:
-    out = [dump_frame(model.frame).rstrip("\n")]
-    for i in sorted(model.valuation):
-        out.append(f"val p{i} : " + " ".join(sorted(model.valuation[i])))
     return "\n".join(out) + "\n"
 
 

@@ -682,10 +682,6 @@ class FiniteLatticeExpansion:
                                 witness=(rest[:j] + (elems[0],) + rest[j:], x, y),
                             )
 
-    def apply(self, name: str, args: tuple):
-        dist, table = self.operators[name]
-        return table[tuple(args)]
-
 
 B_SUFFIX = "*"
 

@@ -85,9 +85,10 @@ def random_assignment(seed, indices: Iterable[int], depth: int = 2,
             for i in sorted(set(indices))}
 
 
-def random_fol_sentence(seed, depth: int, sig: Signature = EMPTY_SIGNATURE,
-                        num_preds: int = 2) -> FolFormula:
-    """A closed sorted FOL sentence with at least one quantifier."""
+def random_fol_sentence(seed, depth: int,
+                        sig: Signature = EMPTY_SIGNATURE) -> FolFormula:
+    """A closed sorted FOL sentence with at least one quantifier, over the
+    predicates P0, P1, Q0 and Q1."""
     rng = _rng(seed)
     counter = [0]
 
@@ -119,9 +120,9 @@ def random_fol_sentence(seed, depth: int, sig: Signature = EMPTY_SIGNATURE,
         if pick == "inc":
             return FInc(rng.choice(ones), rng.choice(dels))
         if pick == "p":
-            return FPred(f"P{rng.randrange(num_preds)}", rng.choice(ones))
+            return FPred(f"P{rng.randrange(2)}", rng.choice(ones))
         if pick == "q":
-            return FPred(f"Q{rng.randrange(num_preds)}", rng.choice(dels))
+            return FPred(f"Q{rng.randrange(2)}", rng.choice(dels))
         if pick == "eq1":
             return FEq(rng.choice(ones), rng.choice(ones))
         if pick == "eqd":

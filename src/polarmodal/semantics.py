@@ -183,12 +183,6 @@ def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
     return bool(side.bit[point] & _truth(model.frame, _masks(model), theta))
 
 
-def _powerset(items):
-    items = sorted(items)
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, r))
-
-
 def resource_cap() -> int:
     """The bound on valuations and quantifier instances: POLARMODAL_CAP,
     which must be a positive integer, or 2**20 when it is unset."""
@@ -203,9 +197,9 @@ def resource_cap() -> int:
 
 
 def _valuations(frame: SortedFrame, vars_in_use):
-    """The variables in key order, and every valuation of them as a tuple
-    of (subset, mask) choices, in `_powerset` order per variable.  The
-    number of valuations is checked against the cap first."""
+    """Every valuation of the variables as a {var: mask} dict, each
+    variable's masks by size and then by sorted points.  The number of
+    valuations is checked against the cap before the first one."""
     vars_in_use = sorted(vars_in_use, key=modal_var_key)
     total = 1
     for sort, _ in vars_in_use:
@@ -214,16 +208,12 @@ def _valuations(frame: SortedFrame, vars_in_use):
     if total > cap:
         raise CapExceeded(f"{total} valuations exceed cap {cap}")
     index = frame._index
-    choices = [[(s, index.side(sort).mask(s)) for s in _powerset(frame.carrier(sort))]
+    # descending masks, stably sorted by size: a mask's high bits are its
+    # least points, so each size comes in sorted-points order
+    choices = [sorted(range(index.side(sort).full, -1, -1), key=int.bit_count)
                for sort, _ in vars_in_use]
-    return vars_in_use, itertools.product(*choices)
-
-
-def iter_valuations(frame: SortedFrame, vars_in_use):
-    """All sorted valuations of the given variables, cap-checked upfront."""
-    keys, valuations = _valuations(frame, vars_in_use)
-    for choice in valuations:
-        yield {var: s for var, (s, _) in zip(keys, choice)}
+    for masks in itertools.product(*choices):
+        yield dict(zip(vars_in_use, masks))
 
 
 def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
@@ -231,13 +221,13 @@ def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
 
     Returns (True, None) or (False, (valuation, point)).
     """
-    keys, valuations = _valuations(frame, vars_in_use)
-    side = frame._index.side(theta.sort)
-    for choice in valuations:
-        masks = {var: m for var, (_, m) in zip(keys, choice)}
+    index = frame._index
+    side = index.side(theta.sort)
+    for masks in _valuations(frame, vars_in_use):
         missing = side.full & ~_truth(frame, masks, theta)
         if missing:
-            valuation = {var: s for var, (s, _) in zip(keys, choice)}
+            valuation = {var: index.side(var[0]).points(m)
+                         for var, m in masks.items()}
             return False, (valuation, side.least(missing))
     return True, None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import catalog, fileio, gen
 from .errors import PreconditionError
@@ -24,16 +25,11 @@ from .bisim import (
     largest_bisimulation, modal_equiv,
 )
 from .syntax import (
-    MBbox, MVar, Signature, modal_vars, print_fol, print_lattice, print_modal,
+    MBbox, Signature, modal_vars, print_fol, print_lattice, print_modal,
 )
 from .transform import (
     is_stable_fol, is_stable_modal, std_translate, translate,
     verify_translation_theorem,
-)
-
-SUITE_NAMES = (
-    "galois", "concepts", "prop21", "thm31", "cor31", "prop41",
-    "sortreduce", "axioms", "bisim-invariance", "stability",
 )
 
 
@@ -96,7 +92,6 @@ def suite_galois(rng, report, count=200, max_a=4, max_b=4, **_):
     frames = _sample_frames(rng, count, max_a, max_b)
     frames += list(catalog.catalog_canonical_frames().values())
     report.note(f"frames: {len(frames)} ({count} random + catalog canonical)")
-    from itertools import chain, combinations
     for idx, frame in enumerate(frames):
         for base, close_via, box_dia in (
             (frame.points_a, lambda s: frame.closure(Sort.ONE, s),
@@ -422,6 +417,7 @@ _SUITES = {
     "bisim-invariance": suite_bisim_invariance,
     "stability": suite_stability,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, **params) -> SuiteReport:

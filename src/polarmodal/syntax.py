@@ -230,40 +230,6 @@ def mapp(sig: Signature, name: str, args) -> MApp:
     return MApp(name, dist.output, args)
 
 
-def expand_sugar(theta: ModalFormula) -> ModalFormula:
-    """Rewrite into the primitive fragment: variables, ~, ->, [b], [d], diamonds.
-
-    Truth constants become tautologies/contradictions in a fresh-enough
-    variable of the right sort.
-    """
-    if isinstance(theta, MVar) or isinstance(theta, MApp):
-        if isinstance(theta, MApp):
-            return MApp(theta.name, theta.sort,
-                        tuple(expand_sugar(a) for a in theta.args))
-        return theta
-    if isinstance(theta, MConst):
-        v = MVar(theta.sort, 0)
-        taut = MImp(v, v)
-        return taut if theta.truth else MNot(taut)
-    if isinstance(theta, MNot):
-        return MNot(expand_sugar(theta.arg))
-    if isinstance(theta, MImp):
-        return MImp(expand_sugar(theta.left), expand_sugar(theta.right))
-    if isinstance(theta, MAnd):
-        return MNot(MImp(expand_sugar(theta.left), MNot(expand_sugar(theta.right))))
-    if isinstance(theta, MOr):
-        return MImp(MNot(expand_sugar(theta.left)), expand_sugar(theta.right))
-    if isinstance(theta, MBbox):
-        return MBbox(expand_sugar(theta.arg))
-    if isinstance(theta, MDbox):
-        return MDbox(expand_sugar(theta.arg))
-    if isinstance(theta, MBdia):
-        return MNot(MBbox(MNot(expand_sugar(theta.arg))))
-    if isinstance(theta, MDdia):
-        return MNot(MDbox(MNot(expand_sugar(theta.arg))))
-    raise SortError(f"unknown modal node {theta!r}")
-
-
 def modal_var_key(v: tuple[Sort, int]):
     """The one order of modal variables: sort 1 first, then by index."""
     return v[0].value, v[1]
@@ -720,14 +686,8 @@ def _modal_operand(p, sig):
     raise ParseError(f"unexpected token {tok!r} in modal formula", line, col)
 
 
-def print_modal(theta: ModalFormula, sugar: bool = True) -> str:
-    """Inverse of parse_modal up to whitespace.
-
-    With sugar=False the diamonds <b>/<d> and the derived connectives
-    are expanded to the primitive fragment before printing.
-    """
-    if not sugar:
-        theta = expand_sugar(theta)
+def print_modal(theta: ModalFormula) -> str:
+    """Inverse of parse_modal up to whitespace."""
     return _print_modal(theta, 0)
 
 

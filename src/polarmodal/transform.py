@@ -268,9 +268,7 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
         raise SortError("stability is defined for sort-1 formulas")
     boxed = MBbox(MDdia(alpha))
     for frame in frames:
-        keys, valuations = _valuations(frame, vars_in_use)
-        for choice in valuations:
-            masks = {var: m for var, (_, m) in zip(keys, choice)}
+        for masks in _valuations(frame, vars_in_use):
             if _truth(frame, masks, alpha) != _truth(frame, masks, boxed):
                 return False
     return True

@@ -277,6 +277,36 @@ def test_equivalence_stops_at_the_fixpoint(seed):
                     modal_equiv(m, w, m2, w2, depth)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_modal_equiv_at_every_depth(seed):
+    """At each depth up to the bound a verdict of False comes with a
+    formula of at most that depth that separates the points; a separated
+    pair stays separated at every larger depth, and at the bound the
+    verdict is bisimilarity."""
+    frame = random_frame(2, 2, SIG, 0.5, seed)
+    frame2 = random_frame(2, 2, SIG, 0.5, seed + 1)
+    m = gen.random_modal_model(frame, VARS, seed)
+    m2 = gen.random_modal_model(frame2, VARS, seed + 2)
+    # the model against itself keeps pairs, so both verdicts occur
+    for other in (m2, m):
+        big = largest_bisimulation(m, other)
+        bound = equivalence_depth_bound(m, other)
+        for sort, pairs in ((Sort.ONE, big.pairs_a), (Sort.DEL, big.pairs_b)):
+            for w in sorted(frame.carrier(sort)):
+                for w2 in sorted(other.frame.carrier(sort)):
+                    separated = False
+                    for k in range(bound + 1):
+                        ok, theta = modal_equiv(m, w, other, w2, k)
+                        assert not (ok and separated)
+                        if not ok:
+                            separated = True
+                            assert modal_depth(theta) <= k
+                            assert sat_modal(m, w, theta) and \
+                                not sat_modal(other, w2, theta)
+                    assert ok == ((w, w2) in pairs)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_excluded_pairs_have_verified_witnesses(seed):

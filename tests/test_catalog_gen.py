@@ -5,7 +5,7 @@ import pytest
 from polarmodal import catalog, gen
 from polarmodal.errors import PreconditionError
 from polarmodal.frames import Sort
-from polarmodal.syntax import modal_depth, modal_vars
+from polarmodal.syntax import Signature, modal_depth, modal_vars
 
 
 def test_catalog_names():
@@ -39,7 +39,8 @@ def test_distributive_members_have_residuals():
 def test_canonical_frames_and_signature():
     frames = catalog.catalog_canonical_frames()
     assert set(frames) == set(catalog.catalog_names())
-    sig = catalog.signature_of(catalog.catalog_expansion("b4"))
+    exp = catalog.catalog_expansion("b4")
+    sig = Signature.of({n: d for n, (d, _) in exp.operators.items()})
     assert "m" in sig and sig.get("m").arity == 2
 
 

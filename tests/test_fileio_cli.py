@@ -115,12 +115,10 @@ def test_load_model():
 
 
 def test_model_roundtrip():
-    modal, lattice = fileio.load_model(MODEL_TEXT)
+    modal = fileio.load_modal_model(MODEL_TEXT)
     again = fileio.load_modal_model(fileio.dump_modal_model(modal))
     assert again.valuation == modal.valuation
     assert again.frame.incidence == modal.frame.incidence
-    lat_again = fileio.load_model(fileio.dump_lattice_model(lattice))[1]
-    assert lat_again.valuation == lattice.valuation
 
 
 def test_frame_roundtrip():
@@ -135,7 +133,7 @@ def test_frame_roundtrip():
 def test_lattice_expansion_roundtrip():
     exp = fileio.load_lattice_expansion(CHAIN3_TEXT)
     assert exp.lattice.bottom == "c0" and exp.lattice.top == "c2"
-    assert exp.apply("f", ("c1",)) == "c1"
+    assert exp.operators["f"][1][("c1",)] == "c1"
     again = fileio.load_lattice_expansion(fileio.dump_lattice_expansion(exp))
     assert again.lattice.leq_pairs == exp.lattice.leq_pairs
     assert again.operators["f"] == exp.operators["f"]
@@ -376,6 +374,22 @@ def test_cli_bisim_reports_the_least_violation(tmp_path, capsys):
                               env=hash_seed_env(hash_seed),
                               capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (1, least)
+
+
+@pytest.mark.parametrize("sorts", [
+    "sorts A: a0 A: a1  B: b0",
+    "sorts A: a0  B: b0 B: b1",
+    "sorts x A: a0  B: b0",
+    "sorts B: b0  A: a0",
+    "sorts a0  B: b0",
+    "sorts",
+])
+def test_cli_rejects_a_malformed_sorts_line(tmp_path, capsys, sorts):
+    # each marker once, A: first; nothing is read as a point or dropped
+    path = tmp_path / "frame.txt"
+    path.write_text(f"# frame\n{sorts}\nI: a0 b0\n")
+    assert run(capsys, "concepts", str(path)) == \
+        (2, "", "error: line 2: expected 'sorts A: points  B: points'\n")
 
 
 @pytest.mark.parametrize("command, text, error", [

@@ -11,16 +11,18 @@ from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import Concept, Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
     LatticeModel, ModalModel, b_axioms, d_axioms, eval_fol, frame_valid_modal,
-    iter_valuations, k_axioms, lattice_consequence, lattice_extent,
+    k_axioms, lattice_consequence, lattice_extent,
     sat_lattice, sat_modal, sort_reduce, sorting_constraint_sentences,
     truth_set,
 )
 from polarmodal.syntax import (
-    FForall, FImp, FPred, FVar, LAnd, LApp, LOr, Signature, expand_sugar,
-    parse_fol, parse_lattice, parse_modal,
+    FForall, FImp, FPred, FVar, LAnd, LApp, LOr, MBbox, MBdia, MDbox, MDdia,
+    MNot, Signature, parse_fol, parse_lattice, parse_modal,
 )
 
-from conftest import ALL_TYPES, galois_dual, make_rel, with_relation
+from conftest import (
+    ALL_TYPES, galois_dual, make_rel, oracle_frames, with_relation,
+)
 
 SIG = Signature.of({"f": D1_1})
 
@@ -168,23 +170,25 @@ def test_sat_modal(f0):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(0, 3),
-       st.sampled_from([Sort.ONE, Sort.DEL]))
-def test_expand_sugar_preserves_truth(seed, depth, sort):
-    frame = SortedFrame(["a0", "a1"], ["b0", "b1"],
-                        [("a0", "b1"), ("a1", "b0")])
-    theta = gen.random_modal_formula(seed, depth, sort, 2)
+@given(oracle_frames, st.integers(0, 10 ** 6), st.integers(0, 3))
+def test_modal_duality(frame, seed, depth):
+    """Each diamond is the dual of its box: <b> phi is ~[b] ~phi and
+    <d> psi is ~[d] ~psi."""
     m = gen.random_modal_model(frame, [(Sort.ONE, 0), (Sort.ONE, 1),
                                        (Sort.DEL, 0), (Sort.DEL, 1)], seed)
-    assert truth_set(m, theta) == truth_set(m, expand_sugar(theta))
+    phi = gen.random_modal_formula(seed, depth, Sort.DEL, 2)
+    psi = gen.random_modal_formula(seed + 1, depth, Sort.ONE, 2)
+    assert truth_set(m, MBdia(phi)) == truth_set(m, MNot(MBbox(MNot(phi))))
+    assert truth_set(m, MDdia(psi)) == truth_set(m, MNot(MDbox(MNot(psi))))
 
 
-def test_iter_valuations_cap(f0, monkeypatch):
-    vals = list(iter_valuations(f0, [(Sort.ONE, 0)]))
-    assert len(vals) == 4
-    monkeypatch.setattr(semantics, "DEFAULT_CAP", 10)
-    with pytest.raises(CapExceeded):
-        list(iter_valuations(f0, [(Sort.ONE, 0), (Sort.DEL, 0)]))
+def test_frame_valid_modal_cap(f0, monkeypatch):
+    """The cap bounds the number of valuations before any is tried."""
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 4)
+    tautology = parse_modal("P0 -> P0")
+    assert frame_valid_modal(f0, tautology, [(Sort.ONE, 0)]) == (True, None)
+    with pytest.raises(CapExceeded, match="16 valuations exceed cap 4"):
+        frame_valid_modal(f0, tautology, [(Sort.ONE, 0), (Sort.DEL, 0)])
 
 
 def test_frame_validity(f0):
@@ -250,7 +254,7 @@ def test_sort_reduce_shape():
 def test_sort_reduce_agreement(seed, depth):
     frame = SortedFrame(["a0", "a1"], ["b0", "b1"],
                         [("a0", "b1"), ("a1", "b0")])
-    phi = gen.random_fol_sentence(seed, depth, num_preds=2)
+    phi = gen.random_fol_sentence(seed, depth)
     predval = {"P0": {"a0"}, "P1": {"a1"}, "Q0": {"b0"}, "Q1": frozenset()}
     assert eval_fol(frame, predval, {}, phi) == \
         eval_fol(frame, predval, {}, sort_reduce(phi))

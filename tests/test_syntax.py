@@ -9,8 +9,8 @@ from polarmodal.errors import ParseError, PolarModalError, SortError
 from polarmodal.frames import DistributionType, Sort, SortingType
 from polarmodal.syntax import (
     FEq, FExists, FForall, FImp, FInc, FolFormula, FPred, FRelApp, FVar, LAnd,
-    LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox, MConst, MDdia,
-    MImp, MNot, MOr, MVar, ModalFormula, Signature, expand_sugar, fol_all_var_names,
+    LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox, MDdia,
+    MImp, MNot, MOr, MVar, ModalFormula, Signature, fol_all_var_names,
     fol_free_vars, fol_subst, mapp, modal_depth, modal_vars, parse_fol,
     parse_lattice, parse_modal, print_fol, print_lattice, print_modal,
 )
@@ -110,27 +110,13 @@ def test_modal_measures():
     assert modal_depth(parse_modal("g(Q0)", SIG)) == 1
 
 
-def test_expand_sugar():
-    assert expand_sugar(parse_modal("P0 & P1")) == \
-        MNot(MImp(MVar(Sort.ONE, 0), MNot(MVar(Sort.ONE, 1))))
-    desugared = expand_sugar(parse_modal("<b> Q0"))
-    assert desugared == MNot(MBbox(MNot(MVar(Sort.DEL, 0))))
-    assert desugared.sort is Sort.ONE
-    top = expand_sugar(MConst(Sort.DEL, True))
-    assert top.sort is Sort.DEL and isinstance(top, MImp)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 4),
-       st.sampled_from([Sort.ONE, Sort.DEL]), st.booleans())
-def test_modal_roundtrip(seed, depth, sort, sugar):
+       st.sampled_from([Sort.ONE, Sort.DEL]))
+def test_modal_roundtrip(seed, depth, sort):
     theta = gen.random_modal_formula(seed, depth, sort, 2, SIG)
-    printed = print_modal(theta, sugar=sugar)
-    reparsed = parse_modal(printed, SIG)
-    if sugar:
-        assert reparsed == theta
-    else:
-        assert reparsed == expand_sugar(theta)
+    reparsed = parse_modal(print_modal(theta), SIG)
+    assert reparsed == theta
     assert reparsed.sort is theta.sort
 
 

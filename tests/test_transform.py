@@ -1,5 +1,8 @@
 """Bullet/circle translations, standard translation and stability."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,13 +12,15 @@ from polarmodal.errors import PreconditionError, SortError
 from polarmodal.frames import Sort, SortedFrame, random_frame
 from polarmodal.semantics import eval_fol, truth_set
 from polarmodal.syntax import (
-    FForall, FImp, FInc, FPred, FVar, Signature, parse_fol, parse_lattice,
-    parse_modal, print_fol, print_modal,
+    FForall, FImp, FInc, FPred, FVar, MBbox, MDdia, Signature, modal_vars,
+    parse_fol, parse_lattice, parse_modal, print_fol, print_modal,
 )
 from polarmodal.transform import (
     induced_model, is_stable_fol, is_stable_modal, stability_transform,
     std_translate, translate, verify_translation_theorem,
 )
+
+from conftest import SetKernels, powerset
 
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1})
 
@@ -176,6 +181,38 @@ def test_is_stable_modal():
     assert not is_stable_modal(parse_modal("P0"), frames, [(Sort.ONE, 0)])
     with pytest.raises(SortError):
         is_stable_modal(parse_modal("Q0"), frames, [(Sort.DEL, 0)])
+
+
+def stable_by_sets(alpha, frames, vars_in_use):
+    """`is_stable_modal` by set kernels, one powerset valuation at a time."""
+    boxed = MBbox(MDdia(alpha))
+    keys = list(vars_in_use)
+    for frame in frames:
+        kernels = SetKernels(frame)
+        subsets = [list(powerset(frame.carrier(sort))) for sort, _ in keys]
+        for choice in itertools.product(*subsets):
+            valuation = dict(zip(keys, choice))
+            if kernels.truth_set(valuation, alpha) != \
+                    kernels.truth_set(valuation, boxed):
+                return False
+    return True
+
+
+def test_is_stable_modal_matches_set_oracle():
+    sig = catalog.default_signature()
+    sortings = {name: sig.get(name).sorting() for name in sig.names()}
+    verdicts = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        frames = [random_frame(rng.randint(1, 3), rng.randint(1, 3), sortings,
+                               rng.random(), rng.randrange(10 ** 6))
+                  for _ in range(rng.randint(1, 2))]
+        alpha = gen.random_modal_formula(rng, rng.randint(0, 3), Sort.ONE, 2, sig)
+        vars_in_use = modal_vars(alpha)
+        verdict = is_stable_modal(alpha, frames, vars_in_use)
+        assert verdict == stable_by_sets(alpha, frames, vars_in_use), seed
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_stability_transform_agrees_with_closure(f0):
