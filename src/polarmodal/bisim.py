@@ -7,12 +7,19 @@ it gives the coarsest stable partition, whose cross-model pairs form the
 largest bisimulation on finite models.  When two points separate, a
 distinguishing formula is synthesised from the refinement witness.
 
+The refinement of the last ordered model pair is kept, keyed by the
+identity of the two models, so `largest_bisimulation` and every
+`modal_equiv` call on that pair share one run to the fixpoint.  Within
+it, each characteristic formula is built once per (point, depth): equal
+subformulas of a distinguishing formula are one shared object.
+
 Both the forth clauses and the refinement read a frame through
 `SortedFrame.edges()`, where I and every relation have one row shape.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -117,7 +124,7 @@ def largest_bisimulation(m: ModalModel, m2: ModalModel) -> SortedPairRelation:
     union: the cross-model pairs that share a class once refinement has
     reached its fixpoint.
     """
-    cls = _Refinement(m, m2).levels[-1]
+    cls = _refinement(m, m2).levels[-1]
 
     def shared(points, points2):
         return frozenset((w, w2) for w in points for w2 in points2
@@ -150,6 +157,7 @@ class _Refinement:
         ]
         self.edges = [mod.frame.edges() for mod in self.models]
         self.levels: list[dict] = []
+        self._characteristic: dict = {}
         self._refine()
 
     def sort_of(self, tagged):
@@ -210,7 +218,15 @@ class _Refinement:
     # ------------------------------------------------------------------
 
     def characteristic(self, x, d: int) -> ModalFormula:
-        """A depth-d formula true exactly on x's level-d class."""
+        """A depth-d formula true exactly on x's level-d class.
+
+        Built once per (x, d): every later request returns that object."""
+        phi = self._characteristic.get((x, d))
+        if phi is None:
+            phi = self._characteristic[(x, d)] = self._conjoin(x, d)
+        return phi
+
+    def _conjoin(self, x, d: int) -> ModalFormula:
         sort = self.sort_of(x)
         conjuncts = [
             self.distinguish(x, q, d)
@@ -256,6 +272,16 @@ class _Refinement:
         raise PreconditionError("signatures differ without a modal witness")
 
 
+@functools.lru_cache(maxsize=1)
+def _refinement(m: ModalModel, m2: ModalModel) -> _Refinement:
+    """The refinement of the ordered pair (m, m2), kept for the last pair.
+
+    Models hash by identity and are immutable after construction; the
+    single slot keeps at most one pair alive.  A pair that raises is not
+    kept."""
+    return _Refinement(m, m2)
+
+
 def modal_equiv(m: ModalModel, w: str, m2: ModalModel, w2: str, depth: int):
     """Agreement on all modal formulas of depth <= depth.
 
@@ -266,7 +292,7 @@ def modal_equiv(m: ModalModel, w: str, m2: ModalModel, w2: str, depth: int):
         raise PreconditionError("depth must be >= 0")
     if m.frame.sort_of(w) is not m2.frame.sort_of(w2):
         raise SortError("points must have the same sort")
-    ref = _Refinement(m, m2)
+    ref = _refinement(m, m2)
     x, y = (0, w), (1, w2)
     if ref.equivalent(x, y, depth):
         return True, None

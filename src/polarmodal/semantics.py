@@ -48,7 +48,11 @@ class LatticeModel:
 
 
 class ModalModel:
-    """A frame with an unrestricted sorted valuation of P/Q variables."""
+    """A frame with an unrestricted sorted valuation of P/Q variables.
+
+    Instances are immutable after construction: `bisim` keeps the
+    refinement of the last model pair keyed by model identity.
+    """
 
     def __init__(self, frame: SortedFrame,
                  valuation: Mapping[tuple[Sort, int], Iterable[str]]):

@@ -1,15 +1,17 @@
 """Sorted bisimulations, modal equivalence and distinguishing formulas."""
 
+import dataclasses
 import itertools
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import gen
+from polarmodal import bisim, gen
 from polarmodal.bisim import (
     SortedPairRelation, all_bisimulations_union, equivalence_depth_bound,
     is_bisimulation, is_model_bisimulation, is_simulation,
@@ -18,7 +20,7 @@ from polarmodal.bisim import (
 from polarmodal.errors import PreconditionError, SortError
 from polarmodal.frames import Sort, SortedFrame, SortingType, random_frame
 from polarmodal.semantics import ModalModel, sat_modal, truth_set
-from polarmodal.syntax import modal_depth
+from polarmodal.syntax import ModalFormula, modal_depth
 
 from conftest import ALL_TYPES, hash_seed_env, make_rel, with_relation
 
@@ -327,6 +329,81 @@ def test_excluded_pairs_have_verified_witnesses(seed):
                     assert not ok
                     assert sat_modal(m, a, theta) and \
                         not sat_modal(other, a2, theta)
+
+
+# ---------------------------------------------------------------- shared refinement
+
+def _model(seed, size_a, size_b, sig=SIG):
+    return gen.random_modal_model(random_frame(size_a, size_b, sig, 0.5, seed),
+                                  VARS, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 99)),
+                min_size=1, max_size=12))
+def test_shared_refinement_matches_a_fresh_one(seed, calls):
+    """Interleaved calls on several ordered pairs, one of them a rebuilt
+    copy of a model, answer as a fresh `_Refinement` per call does; an
+    incompatible pair raises every time, so no failure is kept."""
+    m, m2 = _model(seed, 2, 3), _model(seed + 1, 3, 2)
+    pairs = [(m, m2), (m2, m), (m, m), (m, _model(seed + 1, 3, 2))]
+    odd = _model(seed + 2, 2, 2, sig=None)
+    for which, largest, pick in calls:
+        a, b = pairs[which]
+        if largest:
+            got = largest_bisimulation(a, b)
+            with mock.patch.object(bisim, "_refinement", bisim._Refinement):
+                assert got == largest_bisimulation(a, b)
+        else:
+            sort = (Sort.ONE, Sort.DEL)[pick % 2]
+            points = sorted(a.frame.carrier(sort))
+            points2 = sorted(b.frame.carrier(sort))
+            w, w2 = points[pick % len(points)], points2[pick % len(points2)]
+            depth = pick % (equivalence_depth_bound(a, b) + 2)
+            got = modal_equiv(a, w, b, w2, depth)
+            with mock.patch.object(bisim, "_refinement", bisim._Refinement):
+                assert got == modal_equiv(a, w, b, w2, depth)
+        assert bisim._refinement(a, b) is bisim._refinement(a, b)
+        with pytest.raises(PreconditionError):
+            largest_bisimulation(m, odd)
+        with pytest.raises(PreconditionError):
+            modal_equiv(odd, "a0", m, "a0", pick)
+
+
+def _path(n):
+    """a0 - b0 - a1 - b1 - ... with n points per sort, P0 true at a0 only."""
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    incidence = list(zip(a, b)) + list(zip(a[1:], b))
+    return ModalModel(SortedFrame(a, b, incidence), {(Sort.ONE, 0): ["a0"]})
+
+
+def _distinct_subformulas(theta):
+    seen, todo = set(), [theta]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        for field in dataclasses.fields(x):
+            value = getattr(x, field.name)
+            todo.extend(v for v in (value if isinstance(value, tuple) else (value,))
+                        if isinstance(v, ModalFormula))
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_path_formulas_share_subformulas(n):
+    # as a tree the formula grows exponentially in n (about 3 * 10**11 nodes
+    # at n=7); each characteristic subformula is built once, so the
+    # distinct objects stay quadratic in n
+    m, m2 = _path(n), _path(n + 1)
+    ok, theta = modal_equiv(m, "a0", m2, "a0", equivalence_depth_bound(m, m2))
+    assert not ok
+    assert _distinct_subformulas(theta) <= 30 * n ** 2
+    if n <= 3:
+        assert sat_modal(m, "a0", theta) and not sat_modal(m2, "a0", theta)
 
 
 # ---------------------------------------------------------------- pinned
