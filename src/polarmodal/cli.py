@@ -3,8 +3,9 @@
 Exit codes: 0 = success / property holds, 1 = property fails (witness in
 the report), 2 = usage, parse, sort or resource errors.  The environment
 variable POLARMODAL_CAP bounds exhaustive valuation searches and the
-quantifier instances of one FOL evaluation; a value that is not a
-positive integer fails every command with exit code 2.
+quantifier instances of one FOL evaluation, or of the whole search for
+`stable --fol`; a value that is not a positive integer fails every
+command with exit code 2.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterable, Mapping
+from operator import and_, itemgetter, or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, PolarModalError, PreconditionError, SortError
 from .frames import Concept, Sort, SortedFrame
@@ -51,18 +52,22 @@ class ModalModel:
     """A frame with an unrestricted sorted valuation of P/Q variables.
 
     Instances are immutable after construction: `bisim` keeps the
-    refinement of the last model pair keyed by model identity.
+    refinement of the last model pair keyed by model identity, and the
+    valuation's masks are computed once, here.
     """
 
     def __init__(self, frame: SortedFrame,
                  valuation: Mapping[tuple[Sort, int], Iterable[str]]):
         self.frame = frame
         self.valuation = {}
+        # each variable's mask as a batch of one, as `_truths` reads it
+        self._masks = {}
         for (sort, i), s in valuation.items():
             s = frozenset(s)
             if not s <= frame.carrier(sort):
                 raise SortError(f"valuation of variable {i} ill-sorted for {sort}")
             self.valuation[(sort, i)] = s
+            self._masks[(sort, i)] = [frame._index.side(sort).mask(s)]
 
     def var(self, sort: Sort, i: int) -> frozenset[str]:
         return self.valuation.get((sort, i), frozenset())
@@ -135,40 +140,46 @@ def lattice_consequence(model: LatticeModel, phi: LatticeFormula,
 def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
     """All points of theta's sort where theta holds."""
     side = model.frame._index.side(theta.sort)
-    return side.points(_truth(model.frame, _masks(model), theta))
+    return side.points(_truths(model.frame, model._masks, theta, 1)[0])
 
 
-def _masks(model: ModalModel) -> dict[tuple[Sort, int], int]:
-    index = model.frame._index
-    return {(sort, i): index.side(sort).mask(s)
-            for (sort, i), s in model.valuation.items()}
+def _truths(frame: SortedFrame, columns: Mapping[tuple[Sort, int], list[int]],
+            theta: ModalFormula, n: int) -> list[int]:
+    """The masks of `truth_set` under a batch of n valuations.
 
-
-def _truth(frame: SortedFrame, masks: Mapping[tuple[Sort, int], int],
-           theta: ModalFormula) -> int:
-    """The mask of `truth_set` under a valuation of masks."""
+    `columns` holds each variable's n masks, one per valuation; a
+    variable it lacks is false everywhere.  Each node is one list
+    operation over the whole batch, so a search walks theta once per
+    batch rather than once per valuation.
+    """
     index = frame._index
     if isinstance(theta, MVar):
-        return masks.get((theta.sort, theta.index), 0)
+        column = columns.get((theta.sort, theta.index))
+        return [0] * n if column is None else column
     if isinstance(theta, MConst):
-        return index.side(theta.sort).full if theta.truth else 0
+        return [index.side(theta.sort).full if theta.truth else 0] * n
     if isinstance(theta, MNot):
-        return index.side(theta.sort).full & ~_truth(frame, masks, theta.arg)
+        # masks lie inside the carrier, so xor with it is complement
+        flip = index.side(theta.sort).full.__xor__
+        return list(map(flip, _truths(frame, columns, theta.arg, n)))
     if isinstance(theta, MAnd):
-        return _truth(frame, masks, theta.left) & _truth(frame, masks, theta.right)
+        return list(map(and_, _truths(frame, columns, theta.left, n),
+                        _truths(frame, columns, theta.right, n)))
     if isinstance(theta, MOr):
-        return _truth(frame, masks, theta.left) | _truth(frame, masks, theta.right)
+        return list(map(or_, _truths(frame, columns, theta.left, n),
+                        _truths(frame, columns, theta.right, n)))
     if isinstance(theta, MImp):
-        return (index.side(theta.sort).full & ~_truth(frame, masks, theta.left)) | \
-            _truth(frame, masks, theta.right)
+        flip = index.side(theta.sort).full.__xor__
+        return list(map(or_, map(flip, _truths(frame, columns, theta.left, n)),
+                        _truths(frame, columns, theta.right, n)))
     if isinstance(theta, MBbox):
-        return index.b.box(_truth(frame, masks, theta.arg))
+        return list(map(index.b.box, _truths(frame, columns, theta.arg, n)))
     if isinstance(theta, MDbox):
-        return index.a.box(_truth(frame, masks, theta.arg))
+        return list(map(index.a.box, _truths(frame, columns, theta.arg, n)))
     if isinstance(theta, MBdia):
-        return index.b.dia(_truth(frame, masks, theta.arg))
+        return list(map(index.b.dia, _truths(frame, columns, theta.arg, n)))
     if isinstance(theta, MDdia):
-        return index.a.dia(_truth(frame, masks, theta.arg))
+        return list(map(index.a.dia, _truths(frame, columns, theta.arg, n)))
     if isinstance(theta, MApp):
         rel = frame.relation(theta.name)
         if rel.sorting.output is not theta.sort or \
@@ -176,7 +187,8 @@ def _truth(frame: SortedFrame, masks: Mapping[tuple[Sort, int], int],
             raise SortError(
                 f"diamond {theta.name} does not match the frame relation sorting"
             )
-        return index.image(rel, [_truth(frame, masks, a) for a in theta.args])
+        args = [_truths(frame, columns, a, n) for a in theta.args]
+        return [index.image(rel, masks) for masks in zip(*args)]
     raise SortError(f"unknown modal node {theta!r}")
 
 
@@ -184,7 +196,7 @@ def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
     if model.frame.sort_of(point) is not theta.sort:
         raise SortError(f"point {point} has the wrong sort for this formula")
     side = model.frame._index.side(theta.sort)
-    return bool(side.bit[point] & _truth(model.frame, _masks(model), theta))
+    return bool(side.bit[point] & _truths(model.frame, model._masks, theta, 1)[0])
 
 
 def resource_cap() -> int:
@@ -200,13 +212,18 @@ def resource_cap() -> int:
     return cap
 
 
+# valuations a search evaluates in one walk of its formula
+_BATCH = 1024
+
+
 def _valuations(frame: SortedFrame, vars_in_use):
-    """Every valuation of the variables as a {var: mask} dict, each
-    variable's masks by size and then by sorted points.  The number of
-    valuations is checked against the cap before the first one."""
-    vars_in_use = sorted(vars_in_use, key=modal_var_key)
+    """The variables in key order, and an iterator over every valuation of
+    them as a tuple of masks in that order, each variable's masks by size
+    and then by sorted points.  The number of valuations is checked
+    against the cap before the first one."""
+    keys = sorted(vars_in_use, key=modal_var_key)
     total = 1
-    for sort, _ in vars_in_use:
+    for sort, _ in keys:
         total *= 2 ** len(frame.carrier(sort))
     cap = resource_cap()
     if total > cap:
@@ -215,24 +232,33 @@ def _valuations(frame: SortedFrame, vars_in_use):
     # descending masks, stably sorted by size: a mask's high bits are its
     # least points, so each size comes in sorted-points order
     choices = [sorted(range(index.side(sort).full, -1, -1), key=int.bit_count)
-               for sort, _ in vars_in_use]
-    for masks in itertools.product(*choices):
-        yield dict(zip(vars_in_use, masks))
+               for sort, _ in keys]
+    return keys, itertools.product(*choices)
+
+
+def _batches(keys, valuations):
+    """Cut the valuations into batches of at most `_BATCH`, each given as
+    its list of mask tuples and as the columns `_truths` reads."""
+    while batch := list(itertools.islice(valuations, _BATCH)):
+        yield batch, dict(zip(keys, map(list, zip(*batch))))
 
 
 def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
     """Validity on one frame: theta holds at all points under all valuations.
 
-    Returns (True, None) or (False, (valuation, point)).
+    Returns (True, None) or (False, (valuation, point)) for the first
+    valuation, in `_valuations` order, that misses a point.
     """
     index = frame._index
     side = index.side(theta.sort)
-    for masks in _valuations(frame, vars_in_use):
-        missing = side.full & ~_truth(frame, masks, theta)
-        if missing:
+    keys, valuations = _valuations(frame, vars_in_use)
+    for batch, columns in _batches(keys, valuations):
+        truths = _truths(frame, columns, theta, len(batch))
+        if truths.count(side.full) < len(batch):
+            k = next(k for k, m in enumerate(truths) if m != side.full)
             valuation = {var: index.side(var[0]).points(m)
-                         for var, m in masks.items()}
-            return False, (valuation, side.least(missing))
+                         for var, m in zip(keys, batch[k])}
+            return False, (valuation, side.least(side.full & ~truths[k]))
     return True, None
 
 
@@ -247,64 +273,119 @@ def eval_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     default to the carriers when not given.  Every point a quantifier
     tries counts against the cap; passing it raises CapExceeded.
     """
-    predval = {k: frozenset(v) for k, v in predval.items()}
-    for var in fol_free_vars(phi):
+    free = fol_free_vars(phi)
+    for var in free:
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
+    budget = _instance_budget()
+    for var in free:
+        if var.sort is not None and \
+                assignment[var.name] not in frame.carrier(var.sort):
+            raise SortError(f"assignment of {var.name} has the wrong sort")
+    names = sorted({var.name for var in free})
+    run = _compile_fol(frame, predval, phi, names, budget)
+    return run(*(assignment[name] for name in names))
+
+
+def _instance_budget() -> tuple[int, Iterator[bool]]:
+    """One budget of quantifier instances: the cap, and an iterator that
+    yields True once per instance the cap allows and then runs dry.  Every
+    formula compiled against one budget draws on it."""
     cap = resource_cap()
-    tried = 0
+    return cap, itertools.repeat(True, cap)
+
+
+def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
+                 phi: FolFormula, free: Sequence[str],
+                 budget: tuple[int, Iterator[bool]]) -> Callable[..., bool]:
+    """phi as a function of the points assigned to the variables `free`,
+    which must include phi's free variables, in that order.
+
+    phi is walked once.  Each variable, free or bound, gets a slot in one
+    list, a binder its own slot even when it shadows another, and every
+    node becomes a closure over the slots.  Domains and the sets that
+    atoms test are looked up here; an unknown relation or an
+    uninterpreted predicate raises only when evaluation reaches it.
+    """
+    cap, ticks = budget
     domains = {None: sorted(frame.points_a | frame.points_b),
                Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}
+    preds = {"U1": frame.points_a, "Ud": frame.points_b}
+    preds.update((name, frozenset(s)) for name, s in predval.items())
+    incidence = frame.incidence
+    env = [None] * len(free)
 
-    def instances(x, env):
-        nonlocal tried
-        for p in domains[x.var.sort]:
-            tried += 1
-            if tried > cap:
-                raise CapExceeded(f"quantifier instances exceed cap {cap}")
-            yield ev(x.body, {**env, x.var.name: p})
+    def unreachable(message):
+        """A node that raises PreconditionError when evaluation reaches it."""
+        def raise_():
+            raise PreconditionError(message)
+        return raise_
 
-    def pred_set(name):
-        if name in predval:
-            return predval[name]
-        if name == "U1":
-            return frame.points_a
-        if name == "Ud":
-            return frame.points_b
-        raise PreconditionError(f"predicate {name} has no interpretation")
-
-    def ev(x, env):
+    def comp(x, scope):
         if isinstance(x, FEq):
-            return env[x.left.name] == env[x.right.name]
+            i, j = scope[x.left.name], scope[x.right.name]
+            return lambda: env[i] == env[j]
         if isinstance(x, FInc):
-            return (env[x.u.name], env[x.v.name]) in frame.incidence
+            i, j = scope[x.u.name], scope[x.v.name]
+            return lambda: (env[i], env[j]) in incidence
         if isinstance(x, FRelApp):
-            rel = frame.relation(x.name)
-            tup = (env[x.head.name],) + tuple(env[a.name] for a in x.args)
-            return tup in rel.tuples
+            rel = frame.relations.get(x.name)
+            if rel is None:
+                return unreachable(f"no relation named {x.name!r} in frame")
+            tuples = rel.tuples
+            row = itemgetter(*(scope[v.name] for v in (x.head, *x.args)))
+            return lambda: row(env) in tuples
         if isinstance(x, FPred):
-            return env[x.arg.name] in pred_set(x.name)
+            points = preds.get(x.name)
+            if points is None:
+                return unreachable(f"predicate {x.name} has no interpretation")
+            i = scope[x.arg.name]
+            return lambda: env[i] in points
         if isinstance(x, FNot):
-            return not ev(x.arg, env)
-        if isinstance(x, FAnd):
-            return ev(x.left, env) and ev(x.right, env)
-        if isinstance(x, FOr):
-            return ev(x.left, env) or ev(x.right, env)
-        if isinstance(x, FImp):
-            return (not ev(x.left, env)) or ev(x.right, env)
-        if isinstance(x, FForall):
-            return all(instances(x, env))
-        if isinstance(x, FExists):
-            return any(instances(x, env))
+            arg = comp(x.arg, scope)
+            return lambda: not arg()
+        if isinstance(x, (FAnd, FOr, FImp)):
+            left, right = comp(x.left, scope), comp(x.right, scope)
+            if isinstance(x, FAnd):
+                return lambda: left() and right()
+            if isinstance(x, FOr):
+                return lambda: left() or right()
+            return lambda: not left() or right()
+        if isinstance(x, (FForall, FExists)):
+            k = len(env)
+            env.append(None)
+            body = comp(x.body, {**scope, x.var.name: k})
+            domain = domains[x.var.sort]
+            exceeded = f"quantifier instances exceed cap {cap}"
+            if isinstance(x, FForall):
+                def forall():
+                    for p in domain:
+                        if not next(ticks, False):
+                            raise CapExceeded(exceeded)
+                        env[k] = p
+                        if not body():
+                            return False
+                    return True
+                return forall
+
+            def exists():
+                for p in domain:
+                    if not next(ticks, False):
+                        raise CapExceeded(exceeded)
+                    env[k] = p
+                    if body():
+                        return True
+                return False
+            return exists
         raise SortError(f"unknown FOL node {x!r}")
 
-    env = {}
-    for var in fol_free_vars(phi):
-        point = assignment[var.name]
-        if var.sort is not None and point not in frame.carrier(var.sort):
-            raise SortError(f"assignment of {var.name} has the wrong sort")
-        env[var.name] = point
-    return ev(phi, env)
+    root = comp(phi, {name: k for k, name in enumerate(free)})
+    arity = len(free)
+
+    def run(*points):
+        env[:arity] = points
+        return root()
+    return run
 
 
 def sort_reduce(phi: FolFormula) -> FolFormula:

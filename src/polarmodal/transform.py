@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
-    LatticeModel, ModalModel, _truth, _valuations, eval_fol, lattice_extent,
-    truth_set,
+    LatticeModel, ModalModel, _batches, _compile_fol, _instance_budget, _truths,
+    _valuations, lattice_extent, truth_set,
 )
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
@@ -247,16 +247,19 @@ ModelFamily = Sequence[tuple[SortedFrame, Mapping[str, frozenset]]]
 def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
     """Stability of phi relative to a finite family of models.
 
-    Returns (True, None) or (False, (family_index, point)).
+    Returns (True, None) or (False, (family_index, point)).  phi and its
+    transform are compiled once per model, and every evaluation in one
+    call draws on one budget of `resource_cap()` quantifier instances.
     """
     if not model_family:
         raise PreconditionError("model family must be non-empty")
     closed = stability_transform(phi, free_var)
+    budget = _instance_budget()
     for idx, (frame, predval) in enumerate(model_family):
+        lhs = _compile_fol(frame, predval, phi, [free_var], budget)
+        rhs = _compile_fol(frame, predval, closed, [free_var], budget)
         for a in sorted(frame.points_a):
-            lhs = eval_fol(frame, predval, {free_var: a}, phi)
-            rhs = eval_fol(frame, predval, {free_var: a}, closed)
-            if lhs != rhs:
+            if lhs(a) != rhs(a):
                 return False, (idx, a)
     return True, None
 
@@ -266,9 +269,11 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
     """True iff alpha and [b]<d> alpha agree under every valuation."""
     if alpha.sort is not Sort.ONE:
         raise SortError("stability is defined for sort-1 formulas")
-    boxed = MBbox(MDdia(alpha))
     for frame in frames:
-        for masks in _valuations(frame, vars_in_use):
-            if _truth(frame, masks, alpha) != _truth(frame, masks, boxed):
+        index = frame._index
+        keys, valuations = _valuations(frame, vars_in_use)
+        for batch, columns in _batches(keys, valuations):
+            truths = _truths(frame, columns, alpha, len(batch))
+            if truths != list(map(index.b.box, map(index.a.dia, truths))):
                 return False
     return True

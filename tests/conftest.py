@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 import polarmodal
 from polarmodal import catalog
+from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import (
     Concept, Sort, SortedFrame, SortedRelation, SortingType, random_frame,
 )
+from polarmodal.semantics import resource_cap
 from polarmodal.syntax import (
-    LAnd, LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox,
-    MDdia, MImp, MNot, MOr, MVar, modal_var_key,
+    FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, LAnd,
+    LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox, MDdia,
+    MImp, MNot, MOr, MVar, fol_free_vars, modal_var_key,
 )
 
 # one relation of each catalog distribution type
@@ -207,6 +210,85 @@ class SetKernels:
             if missing:
                 return False, (valuation, sorted(missing)[0])
         return True, None
+
+
+def stable_by_sets(alpha, frames, vars_in_use):
+    """`is_stable_modal` by set kernels, one powerset valuation at a time."""
+    boxed = MBbox(MDdia(alpha))
+    keys = list(vars_in_use)
+    for frame in frames:
+        kernels = SetKernels(frame)
+        subsets = [list(powerset(frame.carrier(sort))) for sort, _ in keys]
+        for choice in itertools.product(*subsets):
+            valuation = dict(zip(keys, choice))
+            if kernels.truth_set(valuation, alpha) != \
+                    kernels.truth_set(valuation, boxed):
+                return False
+    return True
+
+
+def fol_oracle(frame, predval, assignment, phi):
+    """`eval_fol` by recursion over phi with a dict environment, copied at
+    every binder: the same checks, instance count and errors, one tree
+    walk per visit."""
+    predval = {k: frozenset(v) for k, v in predval.items()}
+    for var in fol_free_vars(phi):
+        if var.name not in assignment:
+            raise PreconditionError(f"free variable {var.name} is unassigned")
+    cap = resource_cap()
+    tried = 0
+    domains = {None: sorted(frame.points_a | frame.points_b),
+               Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}
+
+    def instances(x, env):
+        nonlocal tried
+        for p in domains[x.var.sort]:
+            tried += 1
+            if tried > cap:
+                raise CapExceeded(f"quantifier instances exceed cap {cap}")
+            yield ev(x.body, {**env, x.var.name: p})
+
+    def pred_set(name):
+        if name in predval:
+            return predval[name]
+        if name == "U1":
+            return frame.points_a
+        if name == "Ud":
+            return frame.points_b
+        raise PreconditionError(f"predicate {name} has no interpretation")
+
+    def ev(x, env):
+        if isinstance(x, FEq):
+            return env[x.left.name] == env[x.right.name]
+        if isinstance(x, FInc):
+            return (env[x.u.name], env[x.v.name]) in frame.incidence
+        if isinstance(x, FRelApp):
+            rel = frame.relation(x.name)
+            tup = (env[x.head.name],) + tuple(env[a.name] for a in x.args)
+            return tup in rel.tuples
+        if isinstance(x, FPred):
+            return env[x.arg.name] in pred_set(x.name)
+        if isinstance(x, FNot):
+            return not ev(x.arg, env)
+        if isinstance(x, FAnd):
+            return ev(x.left, env) and ev(x.right, env)
+        if isinstance(x, FOr):
+            return ev(x.left, env) or ev(x.right, env)
+        if isinstance(x, FImp):
+            return (not ev(x.left, env)) or ev(x.right, env)
+        if isinstance(x, FForall):
+            return all(instances(x, env))
+        if isinstance(x, FExists):
+            return any(instances(x, env))
+        raise SortError(f"unknown FOL node {x!r}")
+
+    env = {}
+    for var in fol_free_vars(phi):
+        point = assignment[var.name]
+        if var.sort is not None and point not in frame.carrier(var.sort):
+            raise SortError(f"assignment of {var.name} has the wrong sort")
+        env[var.name] = point
+    return ev(phi, env)
 
 
 def intersection_closure(gens, top):

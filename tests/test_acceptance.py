@@ -5,15 +5,26 @@ the aggregate verdict, so `pytest -v` gives one pass/fail line per
 property.
 """
 
+import functools
+from pathlib import Path
+
 import pytest
 
-from polarmodal.suites import run_suite
+from polarmodal.suites import SUITE_NAMES, run_suite
+
+REPORTS = Path(__file__).parent / "data" / "suite_reports.txt"
+
+
+@functools.cache
+def report(name):
+    """One run per suite at its defaults, shared by every test here."""
+    return run_suite(name)
 
 
 @pytest.fixture(scope="module")
 def prop21_report():
     # the closed-operator and distribution checks share one suite run
-    return run_suite("prop21")
+    return report("prop21")
 
 
 def _check(report):
@@ -22,11 +33,11 @@ def _check(report):
 
 
 def test_criterion_01_galois_closure_coincidence():
-    _check(run_suite("galois"))
+    _check(report("galois"))
 
 
 def test_criterion_02_concept_lattice_isomorphism():
-    _check(run_suite("concepts"))
+    _check(report("concepts"))
 
 
 def test_criterion_03_canonical_closed_operators(prop21_report):
@@ -38,25 +49,38 @@ def test_criterion_04_join_distribution(prop21_report):
 
 
 def test_criterion_05_translation_equalities():
-    _check(run_suite("thm31"))
+    _check(report("thm31"))
 
 
 def test_criterion_06_translation_range_stability():
-    _check(run_suite("cor31"))
+    _check(report("cor31"))
 
 
 def test_criterion_07_standard_translation_and_sort_reduction():
-    _check(run_suite("prop41"))
-    _check(run_suite("sortreduce"))
+    _check(report("prop41"))
+    _check(report("sortreduce"))
 
 
 def test_criterion_08_bisimulation_invariance():
-    _check(run_suite("bisim-invariance"))
+    _check(report("bisim-invariance"))
 
 
 def test_criterion_09_stability_of_translations():
-    _check(run_suite("stability"))
+    _check(report("stability"))
 
 
 def test_criterion_10_axiom_validity():
-    _check(run_suite("axioms"))
+    _check(report("axioms"))
+
+
+def test_reports_match_the_recorded_text():
+    """Every line of the ten default reports but `# wall time`, as
+    recorded in tests/data/suite_reports.txt."""
+    recorded = {}
+    for block in REPORTS.read_text(encoding="utf-8").split("suite ")[1:]:
+        recorded[block.split("\n", 1)[0]] = "suite " + block
+    assert list(recorded) == list(SUITE_NAMES)
+    for name in SUITE_NAMES:
+        lines = report(name).render().splitlines(keepends=True)
+        assert lines[-1].startswith("# wall time ")
+        assert "".join(lines[:-1]) == recorded[name], name

@@ -254,6 +254,17 @@ def test_cli_stable_fol_is_capped(capsys, monkeypatch):
                    "quantifier instances exceed cap 1000\n")
 
 
+def test_cli_stable_fol_shares_one_cap_across_the_family(capsys, monkeypatch):
+    """Each of the 18 evaluations stays under the default cap (at most
+    3 + 3^2 + ... + 3^12 = 797,160 instances), but together they pass it."""
+    formula = "all1 w . " * 12 + "(P0(u) | ~P0(u))"
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 2 ** 20)
+    code, out, err = run(capsys, "stable", "--fol", formula)
+    assert code == 2 and out == ""
+    assert err == ("error: resource cap exceeded: "
+                   f"quantifier instances exceed cap {2 ** 20}\n")
+
+
 @pytest.mark.parametrize("cap", ["abc", "-5"])
 def test_cli_rejects_a_malformed_cap(cap):
     env = {**hash_seed_env("0"), "POLARMODAL_CAP": cap}

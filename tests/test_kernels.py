@@ -1,18 +1,21 @@
 """The bitset frame kernels against the set-based reference kernels."""
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import gen
-from polarmodal.frames import Sort
+from polarmodal import gen, semantics
+from polarmodal.frames import Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
     frame_valid_modal, lattice_extent, sat_modal, truth_set, b_axioms,
     d_axioms, k_axioms,
 )
-from polarmodal.syntax import Signature, modal_vars
+from polarmodal.syntax import Signature, modal_vars, parse_modal
+from polarmodal.transform import is_stable_modal
 
-from conftest import ALL_TYPES, SetKernels, oracle_frames
+from conftest import ALL_TYPES, SetKernels, oracle_frames, stable_by_sets
 
 SIG = Signature.of(ALL_TYPES)
 VARS = [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]
@@ -92,3 +95,52 @@ def test_frame_validity_counterexamples_match_sets(frame, seed):
     for theta, vars_in_use in formulas:
         assert frame_valid_modal(frame, theta, vars_in_use) == \
             oracle.frame_valid_modal(theta, vars_in_use)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_frames.filter(lambda f: len(f.points_a) <= 3 and len(f.points_b) <= 3),
+       st.integers(0, 10 ** 6), st.sampled_from([1, 2, 7]))
+def test_valuation_batches_of_any_size_match_sets(frame, seed, batch):
+    """Searches cut into small batches find what one set-based walk per
+    valuation finds, whichever batch the first counterexample falls in."""
+    oracle = SetKernels(frame)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_BATCH", batch)
+        for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE)):
+            theta = gen.random_modal_formula(seed + k, 3, sort, 2, SIG)
+            vars_in_use = modal_vars(theta)
+            assert frame_valid_modal(frame, theta, vars_in_use) == \
+                oracle.frame_valid_modal(theta, vars_in_use)
+            if sort is Sort.ONE:
+                assert is_stable_modal(theta, [frame], vars_in_use) == \
+                    stable_by_sets(theta, [frame], vars_in_use)
+
+
+# every point of A is incident to every point of B, so [b][d] P0 holds
+# everywhere when P0 = A and nowhere otherwise
+FULL_6 = SortedFrame([f"a{i}" for i in range(6)], [f"b{i}" for i in range(6)],
+                     itertools.product([f"a{i}" for i in range(6)],
+                                       [f"b{i}" for i in range(6)]))
+P01 = [(Sort.ONE, 0), (Sort.ONE, 1)]
+
+
+def test_searches_past_the_first_batch_match_sets():
+    """On 6+6 points two variables have 4,096 valuations, four batches.
+    P0 = A is the last of P0's 64 masks, so the first counterexample below
+    is valuation 4,033, in the last batch."""
+    assert 64 * 64 > 2 * semantics._BATCH
+    oracle = SetKernels(FULL_6)
+    theta = parse_modal("~([b] [d] P0 & P1)")
+    found = frame_valid_modal(FULL_6, theta, P01)
+    assert found == oracle.frame_valid_modal(theta, P01)
+    assert found == (False, ({(Sort.ONE, 0): FULL_6.points_a,
+                              (Sort.ONE, 1): frozenset({"a0"})}, "a0"))
+    # unstable exactly when P0 = A and P1 is neither empty nor A
+    alpha = parse_modal("[b] [d] P0 & P1")
+    assert is_stable_modal(alpha, [FULL_6], P01) is False
+    assert stable_by_sets(alpha, [FULL_6], P01) is False
+    assert is_stable_modal(parse_modal("[b] [d] P0 & [b] <d> P1"), [FULL_6], P01)
+    frame = random_frame(6, 6, {}, 0.4, seed=3)
+    for _, axiom, vars_in_use in k_axioms():
+        assert frame_valid_modal(frame, axiom, vars_in_use) == \
+            SetKernels(frame).frame_valid_modal(axiom, vars_in_use) == (True, None)

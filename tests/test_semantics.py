@@ -1,6 +1,7 @@
 """Concept semantics, sorted modal truth sets and FOL evaluation."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +17,15 @@ from polarmodal.semantics import (
     truth_set,
 )
 from polarmodal.syntax import (
-    FForall, FImp, FPred, FVar, LAnd, LApp, LOr, MBbox, MBdia, MDbox, MDdia,
-    MNot, Signature, parse_fol, parse_lattice, parse_modal,
+    MAX_NESTING, FForall, FImp, FPred, FVar, LAnd, LApp, LOr, MBbox, MBdia,
+    MDbox, MDdia, MNot, Signature, modal_vars, parse_fol, parse_lattice,
+    parse_modal,
 )
+from polarmodal.transform import is_stable_fol, is_stable_modal, std_translate
 
 from conftest import (
-    ALL_TYPES, galois_dual, make_rel, oracle_frames, with_relation,
+    ALL_TYPES, SetKernels, fol_oracle, galois_dual, make_rel, oracle_frames,
+    stable_by_sets, with_relation,
 )
 
 SIG = Signature.of({"f": D1_1})
@@ -266,3 +270,136 @@ def test_constraint_sentences(f0):
     assert len(sentences) == 3
     for s in sentences:
         assert eval_fol(frame, {}, {}, s)
+
+
+def random_predval(frame, seed):
+    rng = random.Random(seed)
+    return {f"{name}{i}": frozenset(p for p in sorted(frame.carrier(sort))
+                                    if rng.random() < 0.5)
+            for name, sort in (("P", Sort.ONE), ("Q", Sort.DEL)) for i in range(2)}
+
+
+def outcome(evaluate, *args):
+    """The value of `evaluate(*args)`, or the type and text of its error."""
+    try:
+        return evaluate(*args)
+    except (CapExceeded, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_frames, st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_eval_fol_matches_the_recursive_oracle(frame, seed, depth):
+    """Sentences with relation atoms, their sort reductions (unsorted
+    quantifiers, U1/Ud guards) and standard translations at every point."""
+    sig = Signature.of(ALL_TYPES)
+    predval = random_predval(frame, seed)
+    phi = gen.random_fol_sentence(seed, depth, sig)
+    for psi in (phi, sort_reduce(phi)):
+        assert eval_fol(frame, predval, {}, psi) == \
+            fol_oracle(frame, predval, {}, psi)
+    st_u = std_translate(gen.random_modal_formula(seed, depth, Sort.ONE, 2, sig), "u")
+    for a in sorted(frame.points_a):
+        assert eval_fol(frame, predval, {"u": a}, st_u) == \
+            fol_oracle(frame, predval, {"u": a}, st_u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_frames, st.integers(0, 10 ** 6))
+def test_eval_fol_exceeds_the_cap_at_the_oracle_count(frame, seed):
+    """The least cap under which a sentence evaluates is the same for the
+    compiled evaluator and the oracle."""
+    phi = gen.random_fol_sentence(seed, 2)
+    predval = random_predval(frame, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        def under(cap, evaluate):
+            mp.setattr(semantics, "DEFAULT_CAP", cap)
+            return outcome(evaluate, frame, predval, {}, phi)
+
+        low, high = 1, 10 ** 6  # the oracle raises below `low`, passes at `high`
+        while low < high:
+            mid = (low + high) // 2
+            if under(mid, fol_oracle) in (True, False):
+                high = mid
+            else:
+                low = mid + 1
+        assert under(low, eval_fol) == under(low, fol_oracle)
+        assert under(low, eval_fol) in (True, False)
+        if low > 1:
+            assert under(low - 1, eval_fol) == under(low - 1, fol_oracle) == \
+                (CapExceeded, f"quantifier instances exceed cap {low - 1}")
+
+
+def test_eval_fol_gives_each_binder_its_own_slot(f0):
+    predval = {"P0": {"a0"}, "Q0": {"b1"}}
+    for text, expect in [
+            # the inner x ranges on its own; the outer x is intact after it
+            ("all1 x . (ex1 x . ~P0(x)) & P0(x)", False),
+            ("ex1 x . (all1 x . P0(x) | ~P0(x)) & P0(x)", True),
+            # a sort-d x shadows a sort-1 x
+            ("ex1 x . (alld x . Q0(x) | ~Q0(x)) & P0(x)", True),
+            ("all1 x . ex1 x . P0(x)", True),
+            ("ex1 x . all1 x . P0(x)", False)]:
+        phi = parse_fol(text)
+        assert eval_fol(f0, predval, {}, phi) is expect, text
+        assert fol_oracle(f0, predval, {}, phi) is expect, text
+    # a binder that shadows the free variable leaves its assignment alone
+    phi = parse_fol("(ex1 u . ~P0(u)) & P0(u)", free={"u": Sort.ONE})
+    assert eval_fol(f0, predval, {"u": "a0"}, phi)
+    assert not eval_fol(f0, predval, {"u": "a1"}, phi)
+
+
+def test_eval_fol_raises_on_uninterpreted_names_only_when_reached(f0):
+    predval = {"P0": {"a0"}}
+    unknown = PreconditionError, "predicate P7 has no interpretation"
+    no_f = PreconditionError, "no relation named 'f' in frame"
+    for text, expect in [
+            ("ex1 x . P0(x) | P7(x)", True),   # a0 is a witness
+            ("all1 x . ~P0(x) & P7(x)", False),  # a0 is a counterexample
+            ("ex1 x . ~P0(x) & P7(x)", unknown),  # a1 reaches P7
+            ("all1 x . P7(x) | P0(x)", unknown),
+            ("ex1 x . P0(x) | f(x, x)", True),
+            ("all1 x . P0(x) & f(x, x)", no_f)]:
+        phi = parse_fol(text, SIG)
+        assert outcome(eval_fol, f0, predval, {}, phi) == expect, text
+        assert outcome(fol_oracle, f0, predval, {}, phi) == expect, text
+
+
+# ------------------------------------------------------------ depth limit
+
+def nested(language, shape):
+    """A formula whose syntax tree is `MAX_NESTING` nodes deep."""
+    atom, joiner = {"modal": ("P0", " & "), "fol": ("P0(u)", " & ")}[language]
+    if shape == "prefix":
+        return "~" * MAX_NESTING + atom
+    if shape == "boxes":
+        return "[b] <d> " * (MAX_NESTING // 2) + atom
+    if shape == "binders":
+        return "ex1 x . " * MAX_NESTING + atom
+    return joiner.join([atom] * (MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("shape", ["prefix", "boxes", "chain"])
+def test_modal_searches_at_the_nesting_limit(f0, shape):
+    theta = parse_modal(nested("modal", shape))
+    vars_in_use = modal_vars(theta)
+    model = mmodel(f0)
+    oracle = SetKernels(f0)
+    assert truth_set(model, theta) == oracle.truth_set(model.valuation, theta)
+    assert frame_valid_modal(f0, theta, vars_in_use) == \
+        oracle.frame_valid_modal(theta, vars_in_use)
+    assert is_stable_modal(theta, [f0], vars_in_use) == \
+        stable_by_sets(theta, [f0], vars_in_use)
+
+
+@pytest.mark.parametrize("shape", ["prefix", "binders", "chain"])
+def test_fol_searches_at_the_nesting_limit(f0, shape):
+    """Bound the stack, not the time: the binders shape nests a hundred
+    quantifiers, so it runs on one point per sort."""
+    frame = f0 if shape != "binders" else SortedFrame(["a0"], ["b0"], [])
+    phi = parse_fol(nested("fol", shape), free={"u": Sort.ONE})
+    predval = {"P0": {"a0"}}
+    for a in sorted(frame.points_a):
+        assert eval_fol(frame, predval, {"u": a}, phi) == \
+            fol_oracle(frame, predval, {"u": a}, phi)
+    assert is_stable_fol(phi, "u", [(frame, predval)])[0] in (True, False)

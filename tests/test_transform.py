@@ -6,13 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import catalog, gen
+from polarmodal import catalog, gen, semantics
 from polarmodal.catalog import D1_1, D11_1, DD_D
-from polarmodal.errors import PreconditionError, SortError
+from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import Sort, SortedFrame, random_frame
 from polarmodal.semantics import eval_fol, truth_set
 from polarmodal.syntax import (
-    FForall, FImp, FInc, FPred, FVar, MBbox, MDdia, Signature, modal_vars,
+    FForall, FImp, FInc, FPred, FVar, Signature, modal_vars,
     parse_fol, parse_lattice, parse_modal, print_fol, print_modal,
 )
 from polarmodal.transform import (
@@ -20,7 +20,7 @@ from polarmodal.transform import (
     std_translate, translate, verify_translation_theorem,
 )
 
-from conftest import SetKernels, powerset
+from conftest import stable_by_sets
 
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1})
 
@@ -175,27 +175,32 @@ def test_is_stable_fol_control():
         is_stable_fol(bare, "u", [])
 
 
+def test_is_stable_fol_draws_on_one_budget(monkeypatch):
+    """Two copies of a model need exactly twice the quantifier instances
+    of one: the cap bounds the whole search, not each model or point."""
+    family = catalog.default_model_family()[:1]
+    boxed = std_translate(parse_modal("[b] Q0"), "u")
+
+    def verdict(cap, models):
+        monkeypatch.setattr(semantics, "DEFAULT_CAP", cap)
+        try:
+            return is_stable_fol(boxed, "u", models)
+        except CapExceeded:
+            return None
+
+    need = next(cap for cap in itertools.count(1)
+                if verdict(cap, family) is not None)
+    assert need > 2  # more than one evaluation's worth
+    assert verdict(2 * need - 1, family * 2) is None
+    assert verdict(2 * need, family * 2) == (True, None)
+
+
 def test_is_stable_modal():
     frames = [catalog.reference_frame(), catalog.unstable_control_frame()]
     assert is_stable_modal(parse_modal("[b] Q0"), frames, [(Sort.DEL, 0)])
     assert not is_stable_modal(parse_modal("P0"), frames, [(Sort.ONE, 0)])
     with pytest.raises(SortError):
         is_stable_modal(parse_modal("Q0"), frames, [(Sort.DEL, 0)])
-
-
-def stable_by_sets(alpha, frames, vars_in_use):
-    """`is_stable_modal` by set kernels, one powerset valuation at a time."""
-    boxed = MBbox(MDdia(alpha))
-    keys = list(vars_in_use)
-    for frame in frames:
-        kernels = SetKernels(frame)
-        subsets = [list(powerset(frame.carrier(sort))) for sort, _ in keys]
-        for choice in itertools.product(*subsets):
-            valuation = dict(zip(keys, choice))
-            if kernels.truth_set(valuation, alpha) != \
-                    kernels.truth_set(valuation, boxed):
-                return False
-    return True
 
 
 def test_is_stable_modal_matches_set_oracle():
