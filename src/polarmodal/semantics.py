@@ -212,7 +212,7 @@ def resource_cap() -> int:
     return cap
 
 
-# valuations a search evaluates in one walk of its formula
+# the most valuations a search evaluates in one walk of its formula
 _BATCH = 1024
 
 
@@ -237,10 +237,14 @@ def _valuations(frame: SortedFrame, vars_in_use):
 
 
 def _batches(keys, valuations):
-    """Cut the valuations into batches of at most `_BATCH`, each given as
-    its list of mask tuples and as the columns `_truths` reads."""
-    while batch := list(itertools.islice(valuations, _BATCH)):
+    """Cut the valuations into batches of 1, 2, 4, ... up to `_BATCH`, each
+    given as its list of mask tuples and as the columns `_truths` reads.
+    Doubling bounds the work before a search stops at its k-th valuation
+    by about 2k valuations, however large the space."""
+    size = 1
+    while batch := list(itertools.islice(valuations, size)):
         yield batch, dict(zip(keys, map(list, zip(*batch))))
+        size = min(2 * size, _BATCH)
 
 
 def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
@@ -315,12 +319,6 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     incidence = frame.incidence
     env = [None] * len(free)
 
-    def unreachable(message):
-        """A node that raises PreconditionError when evaluation reaches it."""
-        def raise_():
-            raise PreconditionError(message)
-        return raise_
-
     def comp(x, scope):
         if isinstance(x, FEq):
             i, j = scope[x.left.name], scope[x.right.name]
@@ -331,14 +329,17 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
         if isinstance(x, FRelApp):
             rel = frame.relations.get(x.name)
             if rel is None:
-                return unreachable(f"no relation named {x.name!r} in frame")
+                return lambda: frame.relation(x.name)
             tuples = rel.tuples
             row = itemgetter(*(scope[v.name] for v in (x.head, *x.args)))
             return lambda: row(env) in tuples
         if isinstance(x, FPred):
             points = preds.get(x.name)
             if points is None:
-                return unreachable(f"predicate {x.name} has no interpretation")
+                def uninterpreted():
+                    raise PreconditionError(
+                        f"predicate {x.name} has no interpretation")
+                return uninterpreted
             i = scope[x.arg.name]
             return lambda: env[i] in points
         if isinstance(x, FNot):
@@ -357,26 +358,18 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
             body = comp(x.body, {**scope, x.var.name: k})
             domain = domains[x.var.sort]
             exceeded = f"quantifier instances exceed cap {cap}"
-            if isinstance(x, FForall):
-                def forall():
-                    for p in domain:
-                        if not next(ticks, False):
-                            raise CapExceeded(exceeded)
-                        env[k] = p
-                        if not body():
-                            return False
-                    return True
-                return forall
+            # the body value that settles the quantifier early
+            stop = isinstance(x, FExists)
 
-            def exists():
+            def quantify():
                 for p in domain:
                     if not next(ticks, False):
                         raise CapExceeded(exceeded)
                     env[k] = p
-                    if body():
-                        return True
-                return False
-            return exists
+                    if body() is stop:
+                        return stop
+                return not stop
+            return quantify
         raise SortError(f"unknown FOL node {x!r}")
 
     root = comp(phi, {name: k for k, name in enumerate(free)})

@@ -124,11 +124,19 @@ FULL_6 = SortedFrame([f"a{i}" for i in range(6)], [f"b{i}" for i in range(6)],
 P01 = [(Sort.ONE, 0), (Sort.ONE, 1)]
 
 
+def test_batches_double_up_to_the_cap():
+    """A search stops early at small cost: batches grow 1, 2, 4, ... and
+    only then run `_BATCH` valuations at a time."""
+    keys, valuations = semantics._valuations(FULL_6, P01)
+    sizes = [len(batch) for batch, _ in semantics._batches(keys, valuations)]
+    assert sizes == [2 ** i for i in range(11)] + [1024, 1024, 1]
+    assert semantics._BATCH == 1024 and sum(sizes) == 64 * 64
+
+
 def test_searches_past_the_first_batch_match_sets():
-    """On 6+6 points two variables have 4,096 valuations, four batches.
+    """On 6+6 points two variables have 4,096 valuations, fourteen batches.
     P0 = A is the last of P0's 64 masks, so the first counterexample below
-    is valuation 4,033, in the last batch."""
-    assert 64 * 64 > 2 * semantics._BATCH
+    is valuation 4,033, in the thirteenth."""
     oracle = SetKernels(FULL_6)
     theta = parse_modal("~([b] [d] P0 & P1)")
     found = frame_valid_modal(FULL_6, theta, P01)
