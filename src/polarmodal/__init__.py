@@ -7,8 +7,7 @@ from .errors import (
 )
 from .frames import (
     Concept, DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
-    SortedFrame, SortedRelation, SortingType, canonical_frame,
-    canonical_relation_oracle, random_frame,
+    SortedFrame, SortedRelation, SortingType, canonical_frame, random_frame,
 )
 from .syntax import (
     EMPTY_SIGNATURE, FolFormula, LatticeFormula, ModalFormula, Signature,

@@ -274,15 +274,6 @@ class SortedFrame:
                              sorted(args.get((rel.name, p), ()))) for rel in own]
         return rows
 
-    def image_op(self, name: str, args: Sequence[Iterable[str]]) -> frozenset[str]:
-        """Existential image operator of the named relation."""
-        rel = self.relation(name)
-        if len(args) != rel.sorting.arity:
-            raise SortError(f"relation {name} expects {rel.sorting.arity} arguments")
-        index = self._index
-        masks = [index.side(s).mask(w) for w, s in zip(args, rel.sorting.inputs)]
-        return index.side(rel.sorting.output).points(index.image(rel, masks))
-
     def is_section_stable(self, name: str):
         """Check that every section of the Galois dual relation is closed.
 
@@ -724,43 +715,6 @@ def canonical_frame(exp: FiniteLatticeExpansion) -> SortedFrame:
                     )
         relations[name] = SortedRelation(name, sorting, frozenset(tuples))
     return SortedFrame(a_points, b_points, incidence, relations)
-
-
-def canonical_relation_oracle(exp: FiniteLatticeExpansion,
-                              name: str) -> SortedRelation:
-    """The canonical relation computed from the filter/ideal condition.
-
-    Points of sort 1 stand for principal filters, points of sort d for
-    principal ideals.  The relation condition quantifies over all members
-    of the argument filters/ideals verbatim:
-    u R w1..wn iff for all a1..an, (every aj in wj) implies phi(a) in u.
-    Used as an independent cross-check of `canonical_frame`.
-    """
-    lat = exp.lattice
-    dist, table = exp.operators[name]
-    elems = sorted(lat.carrier, key=str)
-
-    def members(gen, sort):
-        # principal filter of the generator on sort 1, principal ideal on d
-        return lat.upset(gen) if sort is Sort.ONE else lat.downset(gen)
-
-    def point(elem, sort):
-        return elem if sort is Sort.ONE else elem + B_SUFFIX
-
-    tuples = set()
-    for args in itertools.product(elems, repeat=dist.arity):
-        arg_members = [members(w, s) for w, s in zip(args, dist.inputs)]
-        for u in elems:
-            target = members(u, dist.output)
-            if all(
-                table[a] in target
-                for a in itertools.product(*arg_members)
-            ):
-                tuples.add(
-                    (point(u, dist.output),)
-                    + tuple(point(w, s) for w, s in zip(args, dist.inputs))
-                )
-    return SortedRelation(name, dist.sorting(), frozenset(tuples))
 
 
 # ----------------------------------------------------------------------

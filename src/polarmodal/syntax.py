@@ -255,17 +255,39 @@ def modal_vars(theta: ModalFormula) -> set[tuple[Sort, int]]:
 
 
 def modal_depth(theta: ModalFormula) -> int:
-    if isinstance(theta, (MVar, MConst)):
-        return 0
-    if isinstance(theta, MNot):
-        return modal_depth(theta.arg)
-    if isinstance(theta, (MAnd, MOr, MImp)):
-        return max(modal_depth(theta.left), modal_depth(theta.right))
-    if isinstance(theta, (MBbox, MDbox, MBdia, MDdia)):
-        return 1 + modal_depth(theta.arg)
-    if isinstance(theta, MApp):
-        return 1 + max((modal_depth(a) for a in theta.args), default=0)
-    raise SortError(f"unknown modal node {theta!r}")
+    """The deepest nesting of boxes, diamonds and named diamonds in theta.
+
+    The walk keeps its own stack and visits each distinct subformula
+    object once, so a formula that shares its subformulas costs its
+    number of distinct nodes, not the size of its tree, and deep nesting
+    does not reach Python's recursion limit.
+    """
+    depth = {}  # by id: theta keeps every subformula alive meanwhile
+    todo = [theta]
+    while todo:
+        x = todo[-1]
+        if id(x) in depth:
+            todo.pop()
+            continue
+        if isinstance(x, (MVar, MConst)):
+            args, step = (), 0
+        elif isinstance(x, MNot):
+            args, step = (x.arg,), 0
+        elif isinstance(x, (MAnd, MOr, MImp)):
+            args, step = (x.left, x.right), 0
+        elif isinstance(x, (MBbox, MDbox, MBdia, MDdia)):
+            args, step = (x.arg,), 1
+        elif isinstance(x, MApp):
+            args, step = x.args, 1
+        else:
+            raise SortError(f"unknown modal node {x!r}")
+        pending = [a for a in args if id(a) not in depth]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        depth[id(x)] = step + max((depth[id(a)] for a in args), default=0)
+    return depth[id(theta)]
 
 
 # ======================================================================

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
-    LatticeModel, ModalModel, _batches, _compile_fol, _instance_budget, _truths,
-    _valuations, lattice_extent, truth_set,
+    LatticeModel, ModalModel, _Kernels, _batches, _compile_fol, _instance_budget,
+    _truths, _valuations, lattice_extent, truth_set,
 )
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
@@ -270,10 +270,10 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
     if alpha.sort is not Sort.ONE:
         raise SortError("stability is defined for sort-1 formulas")
     for frame in frames:
-        index = frame._index
         keys, valuations = _valuations(frame, vars_in_use)
         for batch, columns in _batches(keys, valuations):
-            truths = _truths(frame, columns, alpha, len(batch))
-            if truths != list(map(index.b.box, map(index.a.dia, truths))):
+            kernels = _Kernels(frame, memo=True)
+            truths = _truths(frame, columns, alpha, len(batch), kernels)
+            if truths != list(map(kernels.b_box, map(kernels.a_dia, truths))):
                 return False
     return True

@@ -9,13 +9,14 @@ import polarmodal
 from polarmodal import catalog
 from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import (
-    Concept, Sort, SortedFrame, SortedRelation, SortingType, random_frame,
+    B_SUFFIX, Concept, FiniteLatticeExpansion, Sort, SortedFrame, SortedRelation,
+    SortingType, random_frame,
 )
 from polarmodal.semantics import resource_cap
 from polarmodal.syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, LAnd,
     LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox, MDdia,
-    MImp, MNot, MOr, MVar, fol_free_vars, modal_var_key,
+    MImp, MNot, MOr, MVar, ModalFormula, fol_free_vars, modal_var_key,
 )
 
 # one relation of each catalog distribution type
@@ -35,6 +36,17 @@ oracle_frames = st.builds(
 def f0():
     """The 2+2 reference frame: I = {(a0,b1), (a1,b0)}."""
     return SortedFrame(["a0", "a1"], ["b0", "b1"], [("a0", "b1"), ("a1", "b0")])
+
+
+def image_op(frame, name, args):
+    """The existential image of the named relation at the argument point
+    sets, read through the frame's bitset kernel `_BitIndex.image`."""
+    rel = frame.relation(name)
+    if len(args) != rel.sorting.arity:
+        raise SortError(f"relation {name} expects {rel.sorting.arity} arguments")
+    index = frame._index
+    masks = [index.side(s).mask(w) for w, s in zip(args, rel.sorting.inputs)]
+    return index.side(rel.sorting.output).points(index.image(rel, masks))
 
 
 def make_rel(name, sorting, tuples):
@@ -225,6 +237,57 @@ def stable_by_sets(alpha, frames, vars_in_use):
                     kernels.truth_set(valuation, boxed):
                 return False
     return True
+
+
+def canonical_relation_oracle(exp: FiniteLatticeExpansion,
+                              name: str) -> SortedRelation:
+    """The canonical relation computed from the filter/ideal condition.
+
+    Points of sort 1 stand for principal filters, points of sort d for
+    principal ideals.  The relation condition quantifies over all members
+    of the argument filters/ideals verbatim:
+    u R w1..wn iff for all a1..an, (every aj in wj) implies phi(a) in u.
+    Used as an independent cross-check of `canonical_frame`.
+    """
+    lat = exp.lattice
+    dist, table = exp.operators[name]
+    elems = sorted(lat.carrier, key=str)
+
+    def members(gen, sort):
+        # principal filter of the generator on sort 1, principal ideal on d
+        return lat.upset(gen) if sort is Sort.ONE else lat.downset(gen)
+
+    def point(elem, sort):
+        return elem if sort is Sort.ONE else elem + B_SUFFIX
+
+    tuples = set()
+    for args in itertools.product(elems, repeat=dist.arity):
+        arg_members = [members(w, s) for w, s in zip(args, dist.inputs)]
+        for u in elems:
+            target = members(u, dist.output)
+            if all(
+                table[a] in target
+                for a in itertools.product(*arg_members)
+            ):
+                tuples.add(
+                    (point(u, dist.output),)
+                    + tuple(point(w, s) for w, s in zip(args, dist.inputs))
+                )
+    return SortedRelation(name, dist.sorting(), frozenset(tuples))
+
+
+def modal_depth_oracle(theta: ModalFormula) -> int:
+    """`syntax.modal_depth` by plain recursion, one visit per tree node."""
+    if isinstance(theta, (MVar, MConst)):
+        return 0
+    if isinstance(theta, MNot):
+        return modal_depth_oracle(theta.arg)
+    if isinstance(theta, (MAnd, MOr, MImp)):
+        return max(modal_depth_oracle(theta.left), modal_depth_oracle(theta.right))
+    if isinstance(theta, (MBbox, MDbox, MBdia, MDdia)):
+        return 1 + modal_depth_oracle(theta.arg)
+    assert isinstance(theta, MApp)
+    return 1 + max((modal_depth_oracle(a) for a in theta.args), default=0)
 
 
 def fol_oracle(frame, predval, assignment, phi):

@@ -11,11 +11,12 @@ from polarmodal import catalog
 from polarmodal.errors import NormalityError, PreconditionError, SortError
 from polarmodal.frames import (
     Concept, DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
-    SortedFrame, canonical_frame, canonical_relation_oracle, random_frame,
+    SortedFrame, canonical_frame, random_frame,
 )
 
 from conftest import (
-    ALL_TYPES, SetKernels, galois_dual, make_rel, oracle_frames, with_relation,
+    ALL_TYPES, SetKernels, canonical_relation_oracle, galois_dual, image_op,
+    make_rel, oracle_frames, with_relation,
 )
 
 
@@ -209,11 +210,11 @@ def test_edges_rows(f0):
 def test_image_op(f0):
     frame = with_relation(f0, make_rel("R", "1;1",
                                        [("a0", "a0"), ("a1", "a0")]))
-    assert frame.image_op("R", [{"a0"}]) == {"a0", "a1"}
-    assert frame.image_op("R", [frozenset()]) == frozenset()
-    assert frame.image_op("R", [frame.points_a]) == {"a0", "a1"}
+    assert image_op(frame, "R", [{"a0"}]) == {"a0", "a1"}
+    assert image_op(frame, "R", [frozenset()]) == frozenset()
+    assert image_op(frame, "R", [frame.points_a]) == {"a0", "a1"}
     with pytest.raises(SortError):
-        frame.image_op("R", [{"b0"}])
+        image_op(frame, "R", [{"b0"}])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,21 +1,27 @@
 """The bitset frame kernels against the set-based reference kernels."""
 
+import functools
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import gen, semantics
+from polarmodal import frames, gen, semantics, transform
 from polarmodal.frames import Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
-    frame_valid_modal, lattice_extent, sat_modal, truth_set, b_axioms,
-    d_axioms, k_axioms,
+    ModalModel, frame_valid_modal, lattice_extent, sat_modal, truth_set,
+    b_axioms, d_axioms, k_axioms,
 )
-from polarmodal.syntax import Signature, modal_vars, parse_modal
+from polarmodal.syntax import (
+    MAnd, MBbox, MBdia, MDbox, MDdia, MImp, MNot, MOr, Signature, mapp,
+    modal_vars, parse_modal,
+)
 from polarmodal.transform import is_stable_modal
 
-from conftest import ALL_TYPES, SetKernels, oracle_frames, stable_by_sets
+from conftest import ALL_TYPES, SetKernels, image_op, oracle_frames, stable_by_sets
 
 SIG = Signature.of(ALL_TYPES)
 VARS = [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]
@@ -52,7 +58,7 @@ def test_image_and_closed_operators_match_sets(frame, seed):
         inputs = frame.relation(name).sorting.inputs
         for _ in range(3):
             args = [random_subset(rng, frame.carrier(s)) for s in inputs]
-            assert frame.image_op(name, args) == oracle.image_op(name, args)
+            assert image_op(frame, name, args) == oracle.image_op(name, args)
             closed = [oracle.closure(s, w) for w, s in zip(args, inputs)]
             assert frame.closed_op(name, closed) == oracle.closed_op(name, closed)
 
@@ -152,3 +158,154 @@ def test_searches_past_the_first_batch_match_sets():
     for _, axiom, vars_in_use in k_axioms():
         assert frame_valid_modal(frame, axiom, vars_in_use) == \
             SetKernels(frame).frame_valid_modal(axiom, vars_in_use) == (True, None)
+
+
+# ------------------------------------------------- per-search kernel memos
+
+def _contexts(a, d):
+    """Sort-1 formulas that each put the one sort-1 subformula a, or the one
+    sort-d subformula d, under a box, a diamond or a named diamond of every
+    relation; boxes and diamonds of both sides, and relations of one arity
+    on both sorts, meet the same masks."""
+    return [MBbox(MDdia(a)), MBdia(MDbox(a)), MBbox(d), MBdia(d),
+            mapp(SIG, "f", [a]), mapp(SIG, "k", [a, a]),
+            MBbox(mapp(SIG, "g", [d])), MBdia(mapp(SIG, "m", [d, d])),
+            MBbox(mapp(SIG, "h", [a, d])), MBdia(mapp(SIG, "n", [d, a]))]
+
+
+small_frames = oracle_frames.filter(
+    lambda f: len(f.points_a) <= 3 and len(f.points_b) <= 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_frames, st.integers(0, 10 ** 6), st.sampled_from([1, 2, 7]),
+       st.permutations(range(10)),
+       st.lists(st.sampled_from([MAnd, MOr, MImp]), min_size=9, max_size=9))
+def test_shared_subformulas_under_memoised_kernels_match_sets(
+        frame, seed, batch, order, joins):
+    """One subformula under many boxes, diamonds and named diamonds: every
+    kernel's memo sees the same masks, and must still answer for its own
+    side and relation."""
+    a = gen.random_modal_formula(seed, 1, Sort.ONE, 1, SIG)
+    d = gen.random_modal_formula(seed + 1, 1, Sort.DEL, 1, SIG)
+    contexts = _contexts(a, d)
+    parts = [contexts[i] for i in order]
+    theta = functools.reduce(lambda x, step: step[0](x, step[1]),
+                             zip(joins, parts[1:]), parts[0])
+    oracle = SetKernels(frame)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_BATCH", batch)
+        for phi in (theta, MNot(theta), MDdia(theta)):
+            vars_in_use = modal_vars(phi)
+            assert frame_valid_modal(frame, phi, vars_in_use) == \
+                oracle.frame_valid_modal(phi, vars_in_use)
+        for alpha in (theta, parts[0], MNot(parts[-1])):
+            vars_in_use = modal_vars(alpha)
+            assert is_stable_modal(alpha, [frame], vars_in_use) == \
+                stable_by_sets(alpha, [frame], vars_in_use)
+
+
+def _counting_kernels(mp, calls):
+    """Count every box, diamond and relation image computed, by kernel,
+    side or relation, and argument, and mark the start of every batch a
+    search evaluates with None."""
+    def counted(kernel, key):
+        def run(self, *args):
+            calls.append((kernel.__name__, key(self, *args)))
+            return kernel(self, *args)
+        return run
+    for name in ("box", "dia"):
+        mp.setattr(frames._Side, name, counted(
+            getattr(frames._Side, name), lambda side, m: (side.sort.value, m)))
+    mp.setattr(frames._BitIndex, "image", counted(
+        frames._BitIndex.image, lambda index, rel, masks: (rel.name, tuple(masks))))
+    batches = semantics._batches
+
+    def marked(keys, valuations):
+        for batch in batches(keys, valuations):
+            calls.append(None)
+            yield batch
+    for module in (semantics, transform):
+        mp.setattr(module, "_batches", marked)
+
+
+def _runs(calls):
+    """The kernel calls between batch marks."""
+    runs = [[]]
+    for call in calls:
+        if call is None:
+            runs.append([])
+        else:
+            runs[-1].append(call)
+    return runs
+
+
+def _twin(frame):
+    return SortedFrame(frame.points_a, frame.points_b, frame.incidence,
+                       frame.relations)
+
+
+def test_searches_leave_nothing_behind():
+    """Two searches and a `truth_set`, back to back on one frame, each give
+    what they give on a fresh frame and compute every kernel value afresh;
+    within a batch of a search no value is computed twice, and the next
+    batch computes afresh what it needs."""
+    frame = random_frame(3, 3, {n: d.sorting() for n, d in ALL_TYPES.items()},
+                         0.5, seed=4)
+    # same points and relations, other incidence: a memo kept across
+    # frames would answer for the wrong one
+    other = random_frame(3, 3, {n: d.sorting() for n, d in ALL_TYPES.items()},
+                         0.5, seed=5)
+    theta = functools.reduce(MOr, _contexts(parse_modal("P0"),
+                                            parse_modal("Q0 -> [d] P1")))
+    # stable, so its search runs through every batch
+    alpha = parse_modal("[b] <d> (P0 & f(P0) | <b> Q0)", SIG)
+    valuation = {(Sort.ONE, 0): ["a0", "a2"], (Sort.DEL, 0): ["b1"],
+                 (Sort.ONE, 1): ["a1"]}
+    # each query, and whether it is a search
+    queries = [
+        (lambda f: frame_valid_modal(f, theta, modal_vars(theta)), True),
+        (lambda f: is_stable_modal(alpha, [f], modal_vars(alpha)), True),
+        (lambda f: truth_set(ModalModel(f, valuation), theta), False),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        _counting_kernels(mp, calls)
+        for query, search in queries + queries:
+            for f in (frame, other):
+                del calls[:]
+                found = query(f)
+                used = list(calls)
+                del calls[:]
+                assert query(_twin(f)) == found
+                assert sorted(calls, key=repr) == sorted(used, key=repr)
+                runs = _runs(used)
+                if search:
+                    # every batch reads its kernels afresh
+                    assert runs[0] == [] and len(runs) > 2 and all(runs[1:])
+                else:
+                    assert len(runs) == 1
+                # a single evaluation reads the bare kernels: the sort-d
+                # subformula's [d] P1 is computed once per context
+                assert all(len(set(run)) == len(run) for run in runs) is search
+
+
+def test_a_frame_is_freed_when_its_last_search_returns():
+    """A search leaves no reference cycle through its frame: with the
+    cycle collector off, dropping the last reference to the frame frees
+    it at once."""
+    frame = random_frame(3, 3, {n: d.sorting() for n, d in ALL_TYPES.items()},
+                         0.5, seed=4)
+    theta = functools.reduce(MOr, _contexts(parse_modal("P0"), parse_modal("Q0")))
+    model = ModalModel(frame, {(Sort.ONE, 0): ["a0"]})
+    gone = weakref.ref(frame)
+    gc.disable()
+    try:
+        frame_valid_modal(frame, theta, modal_vars(theta))
+        is_stable_modal(theta, [frame], modal_vars(theta))
+        truth_set(model, theta)
+        sat_modal(model, "a0", theta)
+        del frame, model
+        assert gone() is None
+    finally:
+        gc.enable()

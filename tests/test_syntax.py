@@ -15,6 +15,8 @@ from polarmodal.syntax import (
     parse_lattice, parse_modal, print_fol, print_lattice, print_modal,
 )
 
+from conftest import modal_depth_oracle
+
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1, "r": D1D_D})
 
 
@@ -108,6 +110,32 @@ def test_modal_measures():
     assert modal_vars(theta) == {(Sort.DEL, 0), (Sort.ONE, 1)}
     assert modal_depth(theta) == 2
     assert modal_depth(parse_modal("g(Q0)", SIG)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5),
+       st.sampled_from([Sort.ONE, Sort.DEL]))
+def test_modal_depth_matches_recursion(seed, depth, sort):
+    theta = gen.random_modal_formula(seed, depth, sort, 2, SIG)
+    assert modal_depth(theta) == modal_depth_oracle(theta)
+
+
+def _shared_chain(k):
+    """x_0 = P0, x_(i+1) = [b] <d> x_i | f(x_i): k levels, each naming the
+    one object x_i twice, so the tree has about 2**k nodes and depth 2k."""
+    x = MVar(Sort.ONE, 0)
+    for _ in range(k):
+        x = MOr(MBbox(MDdia(x)), mapp(SIG, "f", [x]))
+    return x
+
+
+def test_modal_depth_visits_shared_subformulas_once():
+    for k in range(8):
+        assert modal_depth(_shared_chain(k)) == modal_depth_oracle(_shared_chain(k)) \
+            == 2 * k
+    # 2**3000 tree nodes and 6,000 levels: past any tree walk and past
+    # Python's recursion limit
+    assert modal_depth(_shared_chain(3000)) == 6000
 
 
 @settings(max_examples=100, deadline=None)
