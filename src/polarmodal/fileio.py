@@ -128,7 +128,7 @@ def load_frame(text: str) -> SortedFrame:
     return SortedFrame(points_a, points_b, incidence, relations)
 
 
-def _parse_valuations(frame, val_lines):
+def _parse_valuations(val_lines):
     modal, lattice = {}, {}
     for lineno, tokens in val_lines:
         if len(tokens) < 2 or tokens[1] != ":":
@@ -152,7 +152,7 @@ def load_model(text: str, close: bool = False):
     """Load a model file; returns (ModalModel | None, LatticeModel | None)."""
     points_a, points_b, incidence, relations, val_lines = parse_frame_lines(text)
     frame = SortedFrame(points_a, points_b, incidence, relations)
-    modal, lattice = _parse_valuations(frame, val_lines)
+    modal, lattice = _parse_valuations(val_lines)
     modal_model = ModalModel(frame, modal) if modal or not lattice else None
     lattice_model = LatticeModel(frame, lattice, close=close) if lattice else None
     return modal_model, lattice_model
@@ -241,20 +241,6 @@ def load_lattice_expansion(text: str) -> FiniteLatticeExpansion:
         raise ParseError("missing 'elems' line")
     lattice = FiniteLattice(elems, leq)
     return FiniteLatticeExpansion(lattice, ops)
-
-
-def dump_lattice_expansion(exp: FiniteLatticeExpansion) -> str:
-    lat = exp.lattice
-    elems = sorted(lat.carrier)
-    out = ["elems " + " ".join(elems)]
-    out.append("leq: " + " , ".join(f"{x} {y}" for x, y in sorted(lat.leq_pairs)))
-    for name in sorted(exp.operators):
-        dist, table = exp.operators[name]
-        rows = " , ".join(
-            " ".join(args) + " -> " + table[args] for args in sorted(table)
-        )
-        out.append(f"op {name} type {dist} table: {rows}")
-    return "\n".join(out) + "\n"
 
 
 # ----------------------------------------------------------------------

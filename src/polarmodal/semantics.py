@@ -6,14 +6,13 @@ formulas by Tarskian evaluation with sorted quantifier ranges.  Frame
 validity enumerates all valuations of the variables in use, capped by a
 configurable resource limit.
 
-A valuation search walks its formula once per batch of valuations and
-reads the frame's boxes, diamonds and relation images through memo
-tables (`_Kernels`), so each distinct mask, or tuple of masks, is
-computed once per batch.  The tables belong to one batch and are
-dropped when the next begins; nothing is stored on the frame, and a
-kernel's table holds at most one entry per valuation in the batch for
-each node that reads it.  A single evaluation (`truth_set`,
-`sat_modal`) reads the bare kernels through the same walk.
+A valuation search walks its formula once per batch of valuations.  At
+a box, diamond or named diamond the walk computes the frame kernel once
+per distinct argument in that node's column of masks (`_each`): the
+table that shares the results lives only for that one call, so it never
+outgrows the batch and nothing is stored on the frame.  A column without
+repeats, which includes every single evaluation (`truth_set`,
+`sat_modal`, a batch of one), maps the kernel directly.
 """
 
 from __future__ import annotations
@@ -69,7 +68,9 @@ class ModalModel:
 
     Instances are immutable after construction: `bisim` keeps the
     refinement of the last model pair keyed by model identity, and the
-    valuation's masks and the frame's bare kernels are fetched once, here.
+    valuation's masks are computed once, here.  Evaluation reads the
+    frame's kernels through the same walk as a valuation search, on a
+    batch of one; it keeps no table of their results.
     """
 
     def __init__(self, frame: SortedFrame,
@@ -84,7 +85,6 @@ class ModalModel:
                 raise SortError(f"valuation of variable {i} ill-sorted for {sort}")
             self.valuation[(sort, i)] = s
             self._masks[(sort, i)] = [frame._index.side(sort).mask(s)]
-        self._kernels = _Kernels(frame)
 
     def var(self, sort: Sort, i: int) -> frozenset[str]:
         return self.valuation.get((sort, i), frozenset())
@@ -156,60 +156,28 @@ def lattice_consequence(model: LatticeModel, phi: LatticeFormula,
 def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
     """All points of theta's sort where theta holds."""
     side = model.frame._index.side(theta.sort)
-    return side.points(_truths(model.frame, model._masks, theta, 1, model._kernels)[0])
+    return side.points(_truths(model.frame, model._masks, theta, 1)[0])
 
 
-class _Memo(dict):
-    """A kernel's results by argument, each computed on its first lookup."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: Callable):
-        self.kernel = kernel
-
-    def __missing__(self, arg):
-        value = self[arg] = self.kernel(arg)
-        return value
-
-
-class _Kernels(dict):
-    """The frame kernels `_truths` maps over a column: the boxes and
-    diamonds of both sides as attributes, each taking a mask, and each
-    relation's image under the relation's name, fetched on first use and
-    taking the tuple of its argument masks.
-
-    With `memo`, each kernel is the lookup of its own `_Memo`, so each
-    distinct argument is computed once while this object lives; a search
-    makes one per batch, which bounds every memo by the batch size.
-    Without `memo` the kernels are the bare frame methods.
-    """
-
-    __slots__ = ("frame", "memo", "a_box", "a_dia", "b_box", "b_dia")
-
-    def __init__(self, frame: SortedFrame, memo: bool = False):
-        self.frame, self.memo = frame, memo
-        a, b = frame._index.a, frame._index.b
-        self.a_box, self.a_dia = self._kernel(a.box), self._kernel(a.dia)
-        self.b_box, self.b_dia = self._kernel(b.box), self._kernel(b.dia)
-
-    def __missing__(self, name: str):
-        rel = self.frame.relation(name)
-        kernel = self[name] = self._kernel(partial(self.frame._index.image, rel))
-        return kernel
-
-    def _kernel(self, kernel: Callable) -> Callable:
-        return _Memo(kernel).__getitem__ if self.memo else kernel
+def _each(kernel: Callable, column: list) -> list:
+    """kernel applied to every entry of a column, once per distinct entry."""
+    distinct = set(column)
+    # with nothing to share a table is pure cost, as for every batch of one
+    if len(distinct) == len(column):
+        return list(map(kernel, column))
+    table = dict(zip(distinct, map(kernel, distinct)))
+    return list(map(table.__getitem__, column))
 
 
 def _truths(frame: SortedFrame, columns: Mapping[tuple[Sort, int], list[int]],
-            theta: ModalFormula, n: int, kernels: _Kernels) -> list[int]:
+            theta: ModalFormula, n: int) -> list[int]:
     """The masks of `truth_set` under a batch of n valuations.
 
     `columns` holds each variable's n masks, one per valuation; a
     variable it lacks is false everywhere.  Each node is one list
     operation over the whole batch, so a search walks theta once per
     batch rather than once per valuation.  Boxes, diamonds and relation
-    images are read through `kernels`.
+    images are computed once per distinct argument of the node (`_each`).
     """
     index = frame._index
     if isinstance(theta, MVar):
@@ -220,25 +188,25 @@ def _truths(frame: SortedFrame, columns: Mapping[tuple[Sort, int], list[int]],
     if isinstance(theta, MNot):
         # masks lie inside the carrier, so xor with it is complement
         flip = index.side(theta.sort).full.__xor__
-        return list(map(flip, _truths(frame, columns, theta.arg, n, kernels)))
+        return list(map(flip, _truths(frame, columns, theta.arg, n)))
     if isinstance(theta, MAnd):
-        return list(map(and_, _truths(frame, columns, theta.left, n, kernels),
-                        _truths(frame, columns, theta.right, n, kernels)))
+        return list(map(and_, _truths(frame, columns, theta.left, n),
+                        _truths(frame, columns, theta.right, n)))
     if isinstance(theta, MOr):
-        return list(map(or_, _truths(frame, columns, theta.left, n, kernels),
-                        _truths(frame, columns, theta.right, n, kernels)))
+        return list(map(or_, _truths(frame, columns, theta.left, n),
+                        _truths(frame, columns, theta.right, n)))
     if isinstance(theta, MImp):
         flip = index.side(theta.sort).full.__xor__
-        return list(map(or_, map(flip, _truths(frame, columns, theta.left, n, kernels)),
-                        _truths(frame, columns, theta.right, n, kernels)))
+        return list(map(or_, map(flip, _truths(frame, columns, theta.left, n)),
+                        _truths(frame, columns, theta.right, n)))
     if isinstance(theta, MBbox):
-        return list(map(kernels.b_box, _truths(frame, columns, theta.arg, n, kernels)))
+        return _each(index.b.box, _truths(frame, columns, theta.arg, n))
     if isinstance(theta, MDbox):
-        return list(map(kernels.a_box, _truths(frame, columns, theta.arg, n, kernels)))
+        return _each(index.a.box, _truths(frame, columns, theta.arg, n))
     if isinstance(theta, MBdia):
-        return list(map(kernels.b_dia, _truths(frame, columns, theta.arg, n, kernels)))
+        return _each(index.b.dia, _truths(frame, columns, theta.arg, n))
     if isinstance(theta, MDdia):
-        return list(map(kernels.a_dia, _truths(frame, columns, theta.arg, n, kernels)))
+        return _each(index.a.dia, _truths(frame, columns, theta.arg, n))
     if isinstance(theta, MApp):
         rel = frame.relation(theta.name)
         if rel.sorting.output is not theta.sort or \
@@ -246,8 +214,8 @@ def _truths(frame: SortedFrame, columns: Mapping[tuple[Sort, int], list[int]],
             raise SortError(
                 f"diamond {theta.name} does not match the frame relation sorting"
             )
-        args = [_truths(frame, columns, a, n, kernels) for a in theta.args]
-        return list(map(kernels[theta.name], zip(*args)))
+        args = [_truths(frame, columns, a, n) for a in theta.args]
+        return _each(partial(index.image, rel), list(zip(*args)))
     raise SortError(f"unknown modal node {theta!r}")
 
 
@@ -256,7 +224,7 @@ def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
     if frame.sort_of(point) is not theta.sort:
         raise SortError(f"point {point} has the wrong sort for this formula")
     side = frame._index.side(theta.sort)
-    truths = _truths(frame, model._masks, theta, 1, model._kernels)
+    truths = _truths(frame, model._masks, theta, 1)
     return bool(side.bit[point] & truths[0])
 
 
@@ -318,8 +286,7 @@ def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
     side = index.side(theta.sort)
     keys, valuations = _valuations(frame, vars_in_use)
     for batch, columns in _batches(keys, valuations):
-        kernels = _Kernels(frame, memo=True)
-        truths = _truths(frame, columns, theta, len(batch), kernels)
+        truths = _truths(frame, columns, theta, len(batch))
         if truths.count(side.full) < len(batch):
             k = next(k for k, m in enumerate(truths) if m != side.full)
             valuation = {var: index.side(var[0]).points(m)

@@ -8,6 +8,7 @@ Failure entries carry replayable witnesses in the file formats of
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -88,7 +89,7 @@ def _sample_frames(rng, count, max_a, max_b, sortings=None):
 
 # ----------------------------------------------------------------------
 
-def suite_galois(rng, report, count=200, max_a=4, max_b=4, **_):
+def suite_galois(rng, report, count=200, max_a=4, max_b=4):
     frames = _sample_frames(rng, count, max_a, max_b)
     frames += list(catalog.catalog_canonical_frames().values())
     report.note(f"frames: {len(frames)} ({count} random + catalog canonical)")
@@ -111,7 +112,7 @@ def suite_galois(rng, report, count=200, max_a=4, max_b=4, **_):
     return report
 
 
-def suite_concepts(rng, report, **_):
+def suite_concepts(rng, report):
     from .frames import Concept, FiniteLatticeExpansion
     for name in catalog.catalog_names():
         lat = catalog.catalog_lattice(name)
@@ -131,7 +132,7 @@ def suite_concepts(rng, report, **_):
     return report
 
 
-def suite_prop21(rng, report, **_):
+def suite_prop21(rng, report):
     import itertools
     for name in catalog.catalog_names():
         exp = catalog.catalog_expansion(name)
@@ -196,7 +197,7 @@ def suite_prop21(rng, report, **_):
     return report
 
 
-def suite_thm31(rng, report, count=100, max_a=4, max_b=4, **_):
+def suite_thm31(rng, report, count=100, max_a=4, max_b=4):
     sig = _SUITE_SIGNATURE
     for k in range(count):
         frame = _sample_frames(rng, 1, max_a, max_b, _SUITE_SORTINGS)[0]
@@ -216,7 +217,7 @@ def suite_thm31(rng, report, count=100, max_a=4, max_b=4, **_):
     return report
 
 
-def suite_cor31(rng, report, count=50, **_):
+def suite_cor31(rng, report, count=50):
     sig = _SUITE_SIGNATURE
     frames = [random_frame(2, 2, _SUITE_SORTINGS, 0.5, seed=101),
               random_frame(3, 2, _SUITE_SORTINGS, 0.4, seed=102),
@@ -245,7 +246,7 @@ def _predval_of(model):
             for (s, i) in model.valuation}
 
 
-def suite_prop41(rng, report, count=200, max_a=4, max_b=4, **_):
+def suite_prop41(rng, report, count=200, max_a=4, max_b=4):
     sig = _SUITE_SIGNATURE
     for k in range(count):
         frame = _sample_frames(rng, 1, max_a, max_b, _SUITE_SORTINGS)[0]
@@ -265,7 +266,7 @@ def suite_prop41(rng, report, count=200, max_a=4, max_b=4, **_):
     return report
 
 
-def suite_sortreduce(rng, report, count=200, max_a=4, max_b=4, **_):
+def suite_sortreduce(rng, report, count=200, max_a=4, max_b=4):
     sig = _SUITE_SIGNATURE
     for k in range(count):
         frame = _sample_frames(rng, 1, max_a, max_b, _SUITE_SORTINGS)[0]
@@ -288,7 +289,7 @@ def suite_sortreduce(rng, report, count=200, max_a=4, max_b=4, **_):
 
 
 def suite_axioms(rng, report, count=100, max_a=4, max_b=4,
-                 serial_only=False, **_):
+                 serial_only=False):
     frames = _sample_frames(rng, count, max_a, max_b)
     from .frames import SortedFrame
     non_serial = SortedFrame(["a0", "a1"], ["b0", "b1"], [])
@@ -321,10 +322,14 @@ def suite_axioms(rng, report, count=100, max_a=4, max_b=4,
     return report
 
 
-def suite_bisim_invariance(rng, report, count=50, corpus_size=500, **_):
+# formulas checked on every model pair of the bisim-invariance suite
+_CORPUS_SIZE = 500
+
+
+def suite_bisim_invariance(rng, report, count=50):
     sig = _SUITE_SIGNATURE
     vars_ = [(Sort.ONE, 0), (Sort.DEL, 0)]
-    corpus = gen.random_modal_corpus(rng.randrange(10 ** 9), corpus_size,
+    corpus = gen.random_modal_corpus(rng.randrange(10 ** 9), _CORPUS_SIZE,
                                      depth=3, num_vars=1, sig=sig)
     union_checked = 0
     for k in range(count):
@@ -374,12 +379,12 @@ def suite_bisim_invariance(rng, report, count=50, corpus_size=500, **_):
             if (big.pairs_a, big.pairs_b) != (union.pairs_a, union.pairs_b):
                 report.fail(f"instance {k}: fixpoint differs from the union "
                             "of all bisimulations")
-    report.note(f"model pairs: {count}, corpus: {corpus_size}, "
+    report.note(f"model pairs: {count}, corpus: {_CORPUS_SIZE}, "
                 f"exhaustive union checks: {union_checked}")
     return report
 
 
-def suite_stability(rng, report, count=50, **_):
+def suite_stability(rng, report, count=50):
     sig = catalog.default_signature()
     family = catalog.default_model_family()
     for k in range(count):
@@ -421,13 +426,24 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, **params) -> SuiteReport:
+    """Run one suite.  A parameter given as None takes the suite's
+    default; one the suite does not take, or a count below 1, is rejected."""
     if name not in _SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    suite = _SUITES[name]
+    params = {k: v for k, v in params.items() if v is not None}
+    # every suite's first two parameters are the generator and the report
+    takes = list(inspect.signature(suite).parameters)[2:]
+    unknown = sorted(params.keys() - takes)
+    if unknown:
+        raise PreconditionError(
+            f"suite {name} does not take {', '.join(unknown)}")
+    if params.get("count", 1) < 1:
+        raise PreconditionError(f"count must be at least 1, not {params['count']}")
     rng = random.Random(seed)
     report = SuiteReport(name)
     start = time.monotonic()
-    params = {k: v for k, v in params.items() if v is not None}
-    _SUITES[name](rng, report, **params)
+    suite(rng, report, **params)
     report.elapsed = time.monotonic() - start
     return report

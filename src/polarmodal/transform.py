@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
-    LatticeModel, ModalModel, _Kernels, _batches, _compile_fol, _instance_budget,
+    LatticeModel, ModalModel, _batches, _compile_fol, _each, _instance_budget,
     _truths, _valuations, lattice_extent, truth_set,
 )
 from .syntax import (
@@ -270,10 +270,10 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
     if alpha.sort is not Sort.ONE:
         raise SortError("stability is defined for sort-1 formulas")
     for frame in frames:
+        index = frame._index
         keys, valuations = _valuations(frame, vars_in_use)
         for batch, columns in _batches(keys, valuations):
-            kernels = _Kernels(frame, memo=True)
-            truths = _truths(frame, columns, alpha, len(batch), kernels)
-            if truths != list(map(kernels.b_box, map(kernels.a_dia, truths))):
+            truths = _truths(frame, columns, alpha, len(batch))
+            if truths != _each(index.b.box, _each(index.a.dia, truths)):
                 return False
     return True

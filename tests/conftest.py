@@ -276,6 +276,22 @@ def canonical_relation_oracle(exp: FiniteLatticeExpansion,
     return SortedRelation(name, dist.sorting(), frozenset(tuples))
 
 
+def dump_lattice_expansion(exp: FiniteLatticeExpansion) -> str:
+    """A lattice expansion in the lattice file format, for round trips
+    through `fileio.load_lattice_expansion`."""
+    lat = exp.lattice
+    elems = sorted(lat.carrier)
+    out = ["elems " + " ".join(elems)]
+    out.append("leq: " + " , ".join(f"{x} {y}" for x, y in sorted(lat.leq_pairs)))
+    for name in sorted(exp.operators):
+        dist, table = exp.operators[name]
+        rows = " , ".join(
+            " ".join(args) + " -> " + table[args] for args in sorted(table)
+        )
+        out.append(f"op {name} type {dist} table: {rows}")
+    return "\n".join(out) + "\n"
+
+
 def modal_depth_oracle(theta: ModalFormula) -> int:
     """`syntax.modal_depth` by plain recursion, one visit per tree node."""
     if isinstance(theta, (MVar, MConst)):

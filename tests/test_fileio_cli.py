@@ -14,7 +14,7 @@ from polarmodal.frames import Sort
 from polarmodal.semantics import LatticeModel, ModalModel
 from polarmodal.syntax import MAX_NESTING
 
-from conftest import hash_seed_env
+from conftest import dump_lattice_expansion, hash_seed_env
 
 
 F0_TEXT = """\
@@ -134,12 +134,12 @@ def test_lattice_expansion_roundtrip():
     exp = fileio.load_lattice_expansion(CHAIN3_TEXT)
     assert exp.lattice.bottom == "c0" and exp.lattice.top == "c2"
     assert exp.operators["f"][1][("c1",)] == "c1"
-    again = fileio.load_lattice_expansion(fileio.dump_lattice_expansion(exp))
+    again = fileio.load_lattice_expansion(dump_lattice_expansion(exp))
     assert again.lattice.leq_pairs == exp.lattice.leq_pairs
     assert again.operators["f"] == exp.operators["f"]
     for name in catalog.catalog_names():
         exp = catalog.catalog_expansion(name)
-        round_ = fileio.load_lattice_expansion(fileio.dump_lattice_expansion(exp))
+        round_ = fileio.load_lattice_expansion(dump_lattice_expansion(exp))
         assert set(round_.operators) == set(exp.operators)
 
 
@@ -490,6 +490,18 @@ def test_cli_verify(capsys):
 def test_cli_verify_rejects_small_size_bounds(capsys):
     assert run(capsys, "verify", "galois", "--maxA", "1") == \
         (2, "", "error: sort size bounds must be at least 2, not 1 and 4\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["concepts", "--count", "3", "--maxA", "9"],
+     "suite concepts does not take count, max_a"),
+    (["galois", "--serial-only"], "suite galois does not take serial_only"),
+    (["stability", "--maxB", "3"], "suite stability does not take max_b"),
+    (["thm31", "--count", "-3"], "count must be at least 1, not -3"),
+    (["axioms", "--count", "0"], "count must be at least 1, not 0"),
+])
+def test_cli_verify_rejects_options_the_suite_cannot_use(capsys, argv, error):
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {error}\n")
 
 
 # ---------------------------------------------------------------- fuzz

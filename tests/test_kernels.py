@@ -160,7 +160,7 @@ def test_searches_past_the_first_batch_match_sets():
             SetKernels(frame).frame_valid_modal(axiom, vars_in_use) == (True, None)
 
 
-# ------------------------------------------------- per-search kernel memos
+# ------------------------------------------------- per-column kernel reuse
 
 def _contexts(a, d):
     """Sort-1 formulas that each put the one sort-1 subformula a, or the one
@@ -181,11 +181,11 @@ small_frames = oracle_frames.filter(
 @given(small_frames, st.integers(0, 10 ** 6), st.sampled_from([1, 2, 7]),
        st.permutations(range(10)),
        st.lists(st.sampled_from([MAnd, MOr, MImp]), min_size=9, max_size=9))
-def test_shared_subformulas_under_memoised_kernels_match_sets(
+def test_shared_subformulas_under_kernels_match_sets(
         frame, seed, batch, order, joins):
     """One subformula under many boxes, diamonds and named diamonds: every
-    kernel's memo sees the same masks, and must still answer for its own
-    side and relation."""
+    kernel sees the same column of masks, and must still answer for its
+    own side and relation."""
     a = gen.random_modal_formula(seed, 1, Sort.ONE, 1, SIG)
     d = gen.random_modal_formula(seed + 1, 1, Sort.DEL, 1, SIG)
     contexts = _contexts(a, d)
@@ -248,8 +248,7 @@ def _twin(frame):
 def test_searches_leave_nothing_behind():
     """Two searches and a `truth_set`, back to back on one frame, each give
     what they give on a fresh frame and compute every kernel value afresh;
-    within a batch of a search no value is computed twice, and the next
-    batch computes afresh what it needs."""
+    each batch of a search computes afresh what it needs."""
     frame = random_frame(3, 3, {n: d.sorting() for n, d in ALL_TYPES.items()},
                          0.5, seed=4)
     # same points and relations, other incidence: a memo kept across
@@ -285,9 +284,26 @@ def test_searches_leave_nothing_behind():
                     assert runs[0] == [] and len(runs) > 2 and all(runs[1:])
                 else:
                     assert len(runs) == 1
-                # a single evaluation reads the bare kernels: the sort-d
-                # subformula's [d] P1 is computed once per context
-                assert all(len(set(run)) == len(run) for run in runs) is search
+
+
+def test_each_box_computes_each_distinct_mask_of_its_column_once():
+    """In every batch of a search, a box is computed once per distinct mask
+    of its argument's column: batches whose column repeats a mask share
+    its result, and the others compute every entry."""
+    frame = random_frame(3, 3, {}, 0.5, seed=4)
+    theta = parse_modal("(P0 | ~P0) | [b] Q0")
+    vars_in_use = modal_vars(theta)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        _counting_kernels(mp, calls)
+        assert frame_valid_modal(frame, theta, vars_in_use) == (True, None)
+    runs = _runs(calls)[1:]
+    keys, valuations = semantics._valuations(frame, vars_in_use)
+    columns = [c[(Sort.DEL, 0)] for _, c in semantics._batches(keys, valuations)]
+    assert len(runs) == len(columns) == 7
+    assert any(len(set(c)) < len(c) for c in columns)
+    for run, column in zip(runs, columns):
+        assert sorted(run) == sorted(("box", ("d", m)) for m in set(column))
 
 
 def test_a_frame_is_freed_when_its_last_search_returns():
