@@ -7,14 +7,23 @@ it gives the coarsest stable partition, whose cross-model pairs form the
 largest bisimulation on finite models.  When two points separate, a
 distinguishing formula is synthesised from the refinement witness.
 
+The refinement interns the points of both models as positions once and
+reads each frame through `SortedFrame.edges()`, where I and every
+relation have one row shape, as lists of positions.  A round maps the
+previous classes over those lists, so its inner loops run in C.  Classes
+are numbered in the `repr` order of their signatures: that order picks
+the witnesses of distinguishing formulas, so keeping it keeps every
+formula.  Since a signature leads with the point's previous class, the
+order is found by sorting the previous classes by `str` and calling
+`repr` only within a class that splits; the round that confirms the
+fixpoint numbers nothing.
+
 The refinement of the last ordered model pair is kept, keyed by the
 identity of the two models, so `largest_bisimulation` and every
 `modal_equiv` call on that pair share one run to the fixpoint.  Within
 it, each characteristic formula is built once per (point, depth): equal
-subformulas of a distinguishing formula are one shared object.
-
-Both the forth clauses and the refinement read a frame through
-`SortedFrame.edges()`, where I and every relation have one row shape.
+subformulas of a distinguishing formula are one shared object.  The
+forth clauses of `is_simulation` read the same `edges()` rows.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
@@ -141,10 +151,21 @@ def largest_bisimulation(m: ModalModel, m2: ModalModel) -> SortedPairRelation:
 class _Refinement:
     """Partition refinement over the disjoint union of two models.
 
-    Points are tagged (model_index, point).  Level k classes identify
-    points satisfying the same modal formulas of depth at most k.
-    Refinement runs to its fixpoint; the last level then stands for
-    every deeper one.
+    Points are tagged (model_index, point) and interned once: a point's
+    position is its index in `points`, and its edge rows become lists of
+    positions, its I-neighbours in one list and each relation's tuples
+    as one list per argument place.  A round holds the classes as a list
+    by position and maps it over those lists.  Level k classes identify
+    points satisfying the same modal formulas of depth at most k;
+    `levels` holds them as dicts keyed by tagged points.  Refinement
+    runs to its fixpoint; the last level then stands for every deeper
+    one.
+
+    A signature is (class, I-neighbour classes, ((name, class vectors),
+    ...)), each set filled in the order of the sorted edge tuples, which
+    fixes its `repr`.  Classes are numbered in the `repr` order of the
+    signatures (`_numbering`), because `distinguish` takes the least
+    class vector as its witness.
     """
 
     def __init__(self, m: ModalModel, m2: ModalModel):
@@ -155,8 +176,19 @@ class _Refinement:
             (i, p) for i, mod in enumerate(self.models)
             for p in sorted(mod.frame.points_a | mod.frame.points_b)
         ]
-        self.edges = [mod.frame.edges() for mod in self.models]
+        self._positions = [{}, {}]
+        for n, (i, p) in enumerate(self.points):
+            self._positions[i][p] = n
+        self._near, self._rows = [], []
+        edges = [mod.frame.edges() for mod in self.models]
+        for i, p in self.points:
+            at = self._positions[i].__getitem__
+            (_, _, near), *rows = edges[i][p]
+            self._near.append([at(q) for q, in near])
+            self._rows.append([(name, [list(map(at, col)) for col in zip(*tuples)])
+                               for name, _, tuples in rows])
         self.levels: list[dict] = []
+        self._classes: list[list[int]] = []
         self._characteristic: dict = {}
         self._refine()
 
@@ -172,38 +204,39 @@ class _Refinement:
                 tuple(p in mod.var(s, j) for s, j in self.vars if s is sort))
 
     def _vectors(self, tagged, cls):
-        """Each edge row of a point as (name, {class vector: least tuple})."""
+        """Each edge row of a point as (name, {class vector: least tuple}).
+
+        cls is a level's class list; the tuples hold positions."""
         i, p = tagged
+        n = self._positions[i][p]
+        get = cls.__getitem__
         rows = []
-        for name, _, tuples in self.edges[i][p]:
+        for name, cols in [(None, [self._near[n]])] + self._rows[n]:
             vecs = {}
-            for t in tuples:
-                vecs.setdefault(tuple(cls[(i, w)] for w in t), t)
+            for t in zip(*cols):
+                vecs.setdefault(tuple(map(get, t)), t)
             rows.append((name, vecs))
         return rows
 
-    def _signature(self, tagged, cls):
-        (_, near), *rows = self._vectors(tagged, cls)
-        return (cls[tagged], frozenset(c for c, in near),
-                tuple((name, frozenset(vecs)) for name, vecs in rows))
-
     def _refine(self):
-        keys = {p: self._profile(p) for p in self.points}
-        ids = {k: n for n, k in enumerate(sorted(set(keys.values())))}
-        cls = {p: ids[keys[p]] for p in self.points}
-        self.levels.append(cls)
+        keys = list(map(self._profile, self.points))
+        ids = {k: n for n, k in enumerate(sorted(set(keys)))}
         while True:
-            count = len(ids)
-            prev = self.levels[-1]
-            keys = {p: self._signature(p, prev) for p in self.points}
-            ids = {k: n for n, k in enumerate(sorted(set(keys.values()),
-                                                     key=repr))}
+            cls = list(map(ids.__getitem__, keys))
+            self._classes.append(cls)
+            self.levels.append(dict(zip(self.points, cls)))
+            get = cls.__getitem__
+            keys = [(c, frozenset(map(get, near)),
+                     tuple((name, frozenset(dict.fromkeys(
+                         zip(*[map(get, col) for col in cols]))))
+                           for name, cols in rows))
+                    for c, near, rows in zip(cls, self._near, self._rows)]
+            distinct = set(keys)
             # each level refines the one before, so an equal class count
             # means an equal partition, and every later level equals it too
-            if len(ids) == count:
+            if len(distinct) == len(ids):
                 return
-            cls = {p: ids[keys[p]] for p in self.points}
-            self.levels.append(cls)
+            ids = _numbering(distinct)
 
     def equivalent(self, x, y, k) -> bool:
         k = min(k, len(self.levels) - 1)
@@ -259,17 +292,36 @@ class _Refinement:
                 if in_y and not in_x:
                     return MNot(MVar(s, idx))
             raise PreconditionError("profiles differ without a witness variable")
-        prev = self.levels[j - 1]
+        prev = self._classes[j - 1]
         sort = self.sort_of(x)
         dia = MBdia if sort is Sort.ONE else MDdia
         for (name, vx), (_, vy) in zip(self._vectors(x, prev), self._vectors(y, prev)):
-            for (i, _), own, other, negate in ((x, vx, vy, False), (y, vy, vx, True)):
+            for own, other, negate in ((vx, vy, False), (vy, vx, True)):
                 for vec, tup in sorted(own.items()):
                     if vec not in other:
-                        args = tuple(self.characteristic((i, w), j - 1) for w in tup)
+                        args = tuple(self.characteristic(self.points[w], j - 1)
+                                     for w in tup)
                         phi = dia(*args) if name is None else MApp(name, sort, args)
                         return MNot(phi) if negate else phi
         raise PreconditionError("signatures differ without a modal witness")
+
+
+def _numbering(keys: set) -> dict:
+    """Number distinct keys, each a tuple led by an int c, in `repr` order.
+
+    A key's repr starts with "(" + str(c) + ",", and "," sorts below
+    every digit, so repr order is str(c) order first ("(1, " before
+    "(10, ") and repr order only among the keys of one c.  `repr` is
+    called only where one c leads more than one key.
+    """
+    one = dict(zip(map(itemgetter(0), keys), keys))
+    split = {}
+    for key in keys.difference(one.values()):
+        split.setdefault(key[0], [one[key[0]]]).append(key)
+    order = []
+    for c in sorted(one, key=str):
+        order += sorted(split[c], key=repr) if c in split else (one[c],)
+    return dict(zip(order, range(len(order))))
 
 
 @functools.lru_cache(maxsize=1)

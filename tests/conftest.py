@@ -306,6 +306,47 @@ def modal_depth_oracle(theta: ModalFormula) -> int:
     return 1 + max((modal_depth_oracle(a) for a in theta.args), default=0)
 
 
+def refinement_levels_oracle(m, m2):
+    """The levels of `bisim._Refinement(m, m2)` by dicts keyed by tagged
+    points: every round builds each signature from the point's `edges()`
+    rows, numbers the classes by sorting all signatures by `repr`, and
+    stops at the first round that adds no class."""
+    models = [m, m2]
+    variables = sorted(set(m.valuation) | set(m2.valuation), key=modal_var_key)
+    points = [(i, p) for i, mod in enumerate(models)
+              for p in sorted(mod.frame.points_a | mod.frame.points_b)]
+    edges = [mod.frame.edges() for mod in models]
+
+    def profile(tagged):
+        i, p = tagged
+        sort = models[i].frame.sort_of(p)
+        return (sort.value,
+                tuple(p in models[i].var(s, j) for s, j in variables if s is sort))
+
+    def signature(tagged, cls):
+        i, p = tagged
+        rows = []
+        for name, _, tuples in edges[i][p]:
+            vecs = {}
+            for t in tuples:
+                vecs.setdefault(tuple(cls[(i, w)] for w in t), t)
+            rows.append((name, vecs))
+        (_, near), *rows = rows
+        return (cls[tagged], frozenset(c for c, in near),
+                tuple((name, frozenset(vecs)) for name, vecs in rows))
+
+    keys = {p: profile(p) for p in points}
+    ids = {k: n for n, k in enumerate(sorted(set(keys.values())))}
+    levels = [{p: ids[keys[p]] for p in points}]
+    while True:
+        count = len(ids)
+        keys = {p: signature(p, levels[-1]) for p in points}
+        ids = {k: n for n, k in enumerate(sorted(set(keys.values()), key=repr))}
+        if len(ids) == count:
+            return levels
+        levels.append({p: ids[keys[p]] for p in points})
+
+
 def fol_oracle(frame, predval, assignment, phi):
     """`eval_fol` by recursion over phi with a dict environment, copied at
     every binder: the same checks, instance count and errors, one tree

@@ -24,7 +24,8 @@ from polarmodal.semantics import ModalModel, sat_modal, truth_set
 from polarmodal.syntax import ModalFormula, modal_depth
 
 from conftest import (
-    ALL_TYPES, hash_seed_env, make_rel, modal_depth_oracle, with_relation,
+    ALL_TYPES, hash_seed_env, make_rel, modal_depth_oracle,
+    refinement_levels_oracle, with_relation,
 )
 
 VARS = [(Sort.ONE, 0), (Sort.DEL, 0)]
@@ -424,6 +425,80 @@ def test_modal_depth_of_path_formulas():
     depth = modal_depth(theta)
     assert time.perf_counter() - start < 1.0
     assert not ok and 0 < depth <= bound
+
+
+# ---------------------------------------------------------------- refinement oracle
+
+def _renamed_clone(m, rng, perturb):
+    """m with its points renamed at random plus a clone of one point of
+    each sort (its incidence, the tuples it heads and its valuation), so
+    bisimilar to m; with perturb, one random relation tuple is toggled."""
+    f = m.frame
+    pa, pb = sorted(f.points_a), sorted(f.points_b)
+    name = dict(zip(pa, (f"x{k}" for k in rng.sample(range(len(pa)), len(pa)))))
+    name.update(zip(pb, (f"y{k}" for k in rng.sample(range(len(pb)), len(pb)))))
+    images = {p: [q] for p, q in name.items()}
+    images[rng.choice(pa)].append(f"x{len(pa)}")
+    images[rng.choice(pb)].append(f"y{len(pb)}")
+    frame = SortedFrame(
+        [q for p in pa for q in images[p]], [q for p in pb for q in images[p]],
+        {(x, y) for a, b in f.incidence for x in images[a] for y in images[b]},
+        {r: dataclasses.replace(rel, tuples=frozenset(
+            (head,) + tuple(name[w] for w in t[1:])
+            for t in rel.tuples for head in images[t[0]]))
+         for r, rel in f.relations.items()})
+    if perturb:
+        rel = frame.relations[rng.choice(sorted(frame.relations))]
+        t = tuple(rng.choice(sorted(frame.carrier(s)))
+                  for s in (rel.sorting.output, *rel.sorting.inputs))
+        frame = with_relation(frame, dataclasses.replace(rel, tuples=rel.tuples ^ {t}))
+    return ModalModel(frame, {v: {q for p in s for q in images[p]}
+                              for v, s in m.valuation.items()})
+
+
+def _splits_from_ten(levels):
+    """Whether some class numbered 10 or more splits at the next level."""
+    return any(len({nxt[p] for p in cls if cls[p] == c}) > 1
+               for cls, nxt in zip(levels, levels[1:])
+               for c in set(cls.values()) if c >= 10)
+
+
+def test_refinement_matches_the_dict_oracle():
+    """The interned rounds give the levels, class numbers included, of
+    the dict and `repr` refinement: on models against their renamed
+    clones, perturbed or not, on unrelated pairs, on a relation with
+    empty rows, and on pairs that number and split classes from 10 up,
+    where `repr` order ("(1, " before "(10, " before "(2, ") is not int
+    order."""
+    rng = random.Random(0)
+    pairs = []
+    for seed in range(60):
+        size_a, size_b = rng.randint(2, 8), rng.randint(2, 8)
+        m = gen.random_modal_model(
+            random_frame(size_a, size_b, SIG, rng.choice([0.2, 0.4, 0.6]), seed),
+            VARS, seed)
+        other = _model(seed + 1, rng.randint(2, 8), rng.randint(2, 8))
+        pairs += [(m, _renamed_clone(m, rng, False)),
+                  (m, _renamed_clone(m, rng, True)), (m, other)]
+    frame = with_relation(random_frame(4, 3, SIG, 0.5, 1),
+                          make_rel("k", "1;d1", [("a0", "b0", "a1")]))
+    m = gen.random_modal_model(frame, VARS, 1)
+    pairs.append((m, _renamed_clone(m, rng, False)))
+    pairs.append((_path(5), _path(6)))
+    assert _splits_from_ten(refinement_levels_oracle(_path(5), _path(6)))
+    for m, m2 in pairs:
+        assert bisim._Refinement(m, m2).levels == refinement_levels_oracle(m, m2)
+
+
+def test_numbering_is_repr_order():
+    rng = random.Random(0)
+    for _ in range(300):
+        keys = {(c, frozenset(rng.sample(range(30), rng.randint(0, 3))),
+                 (("f", frozenset(rng.sample(range(12), rng.randint(0, 2)))),))
+                for c in rng.sample(range(120), rng.randint(1, 25))
+                for _ in range(rng.randint(1, 4))}
+        assert bisim._numbering(keys) == \
+            {k: n for n, k in enumerate(sorted(keys, key=repr))}
 
 
 # ---------------------------------------------------------------- pinned
