@@ -366,8 +366,7 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
             points = preds.get(x.name)
             if points is None:
                 def uninterpreted():
-                    raise PreconditionError(
-                        f"predicate {x.name} has no interpretation")
+                    raise _uninterpreted(x.name)
                 return uninterpreted
             i = scope[x.arg.name]
             return lambda: env[i] in points
@@ -408,6 +407,10 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
         env[:arity] = points
         return root()
     return run
+
+
+def _uninterpreted(name: str) -> PreconditionError:
+    return PreconditionError(f"predicate {name} has no interpretation")
 
 
 def sort_reduce(phi: FolFormula) -> FolFormula:

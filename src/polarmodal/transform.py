@@ -16,7 +16,7 @@ from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
     LatticeModel, ModalModel, _batches, _compile_fol, _each, _instance_budget,
-    _truths, _valuations, lattice_extent, truth_set,
+    _truths, _uninterpreted, _valuations, lattice_extent, truth_set,
 )
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
@@ -215,13 +215,7 @@ def stability_transform(phi: FolFormula, free_var: str) -> FolFormula:
     Returns alld v . (I(u,v) -> ex1 z . (I(z,v) & phi[u:=z])) with fresh
     v, z and capture-avoiding substitution.
     """
-    u = FVar(free_var, Sort.ONE)
-    free = fol_free_vars(phi)
-    if free != frozenset({u}):
-        raise PreconditionError(
-            f"formula must have exactly the free sort-1 variable {free_var}, "
-            f"has {sorted(v.name for v in free)}"
-        )
+    u = _one_free_var(phi, free_var)
     used = fol_all_var_names(phi)
     v = _pick_fresh("v", used)
     used.add(v)
@@ -230,6 +224,18 @@ def stability_transform(phi: FolFormula, free_var: str) -> FolFormula:
     zvar = FVar(z, Sort.ONE)
     inner = FExists(zvar, FAnd(FInc(zvar, vvar), fol_subst(phi, u, zvar)))
     return FForall(vvar, FImp(FInc(u, vvar), inner))
+
+
+def _one_free_var(phi: FolFormula, free_var: str) -> FVar:
+    """The sort-1 variable free_var, which must be phi's only free one."""
+    u = FVar(free_var, Sort.ONE)
+    free = fol_free_vars(phi)
+    if free != frozenset({u}):
+        raise PreconditionError(
+            f"formula must have exactly the free sort-1 variable {free_var}, "
+            f"has {sorted(v.name for v in free)}"
+        )
+    return u
 
 
 def _pick_fresh(stem: str, used: set[str]) -> str:
@@ -247,21 +253,53 @@ ModelFamily = Sequence[tuple[SortedFrame, Mapping[str, frozenset]]]
 def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
     """Stability of phi relative to a finite family of models.
 
-    Returns (True, None) or (False, (family_index, point)).  phi and its
-    transform are compiled once per model, and every evaluation in one
-    call draws on one budget of `resource_cap()` quantifier instances.
+    Returns (True, None) or (False, (family_index, point)), the point being
+    the least one where phi and its stability transform differ.  On a
+    finite model the transform holds exactly on [b]<d> of phi's extension,
+    so phi is compiled once per model and evaluated once per point of A,
+    and the transform is never evaluated.  Those evaluations draw on one
+    budget of `resource_cap()` quantifier instances.  A predicate or
+    relation of phi that some model leaves uninterpreted is rejected
+    before anything is evaluated.
     """
     if not model_family:
         raise PreconditionError("model family must be non-empty")
-    closed = stability_transform(phi, free_var)
+    _one_free_var(phi, free_var)
+    _check_interpreted(phi, model_family)
     budget = _instance_budget()
     for idx, (frame, predval) in enumerate(model_family):
-        lhs = _compile_fol(frame, predval, phi, [free_var], budget)
-        rhs = _compile_fol(frame, predval, closed, [free_var], budget)
-        for a in sorted(frame.points_a):
-            if lhs(a) != rhs(a):
-                return False, (idx, a)
+        run = _compile_fol(frame, predval, phi, [free_var], budget)
+        a, b = frame._index.a, frame._index.b
+        ext = sum(bit for bit in a.order() if run(a.name[bit]))
+        differ = ext ^ b.box(a.dia(ext))
+        if differ:
+            return False, (idx, a.least(differ))
     return True, None
+
+
+def _check_interpreted(phi: FolFormula, model_family: ModelFamily):
+    """Raise what `eval_fol` would for the least predicate or relation
+    name of phi that some model of the family does not interpret."""
+    names = set()
+    stack = [phi]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, FPred):
+            names.add((x.name, True))
+        elif isinstance(x, FRelApp):
+            names.add((x.name, False))
+        elif isinstance(x, FNot):
+            stack.append(x.arg)
+        elif isinstance(x, (FAnd, FOr, FImp)):
+            stack += (x.left, x.right)
+        elif isinstance(x, (FForall, FExists)):
+            stack.append(x.body)
+    for name, is_pred in sorted(names):
+        for frame, predval in model_family:
+            if not is_pred:
+                frame.relation(name)  # raises for a name the frame lacks
+            elif name not in predval and name not in ("U1", "Ud"):
+                raise _uninterpreted(name)
 
 
 def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],

@@ -12,12 +12,13 @@ from polarmodal.frames import (
     B_SUFFIX, Concept, FiniteLatticeExpansion, Sort, SortedFrame, SortedRelation,
     SortingType, random_frame,
 )
-from polarmodal.semantics import resource_cap
+from polarmodal.semantics import _compile_fol, _instance_budget, resource_cap
 from polarmodal.syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, LAnd,
     LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox, MDdia,
     MImp, MNot, MOr, MVar, ModalFormula, fol_free_vars, modal_var_key,
 )
+from polarmodal.transform import stability_transform
 
 # one relation of each catalog distribution type
 ALL_TYPES = {"f": catalog.D1_1, "g": catalog.DD_D, "k": catalog.D11_1,
@@ -409,6 +410,24 @@ def fol_oracle(frame, predval, assignment, phi):
             raise SortError(f"assignment of {var.name} has the wrong sort")
         env[var.name] = point
     return ev(phi, env)
+
+
+def stable_fol_oracle(phi, free_var, model_family):
+    """`is_stable_fol` by evaluating phi and its stability transform at
+    every point of every model, both compiled against one budget, and
+    stopping at the first point where they differ.  It reports no
+    uninterpreted name that evaluation does not reach."""
+    if not model_family:
+        raise PreconditionError("model family must be non-empty")
+    closed = stability_transform(phi, free_var)
+    budget = _instance_budget()
+    for idx, (frame, predval) in enumerate(model_family):
+        lhs = _compile_fol(frame, predval, phi, [free_var], budget)
+        rhs = _compile_fol(frame, predval, closed, [free_var], budget)
+        for a in sorted(frame.points_a):
+            if lhs(a) != rhs(a):
+                return False, (idx, a)
+    return True, None
 
 
 def intersection_closure(gens, top):

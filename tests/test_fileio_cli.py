@@ -255,14 +255,27 @@ def test_cli_stable_fol_is_capped(capsys, monkeypatch):
 
 
 def test_cli_stable_fol_shares_one_cap_across_the_family(capsys, monkeypatch):
-    """Each of the 18 evaluations stays under the default cap (at most
-    3 + 3^2 + ... + 3^12 = 797,160 instances), but together they pass it."""
+    """Each evaluation stays under the default cap (at most 3 + 3^2 + ...
+    + 3^12 = 797,160 instances), but together they pass it: the family's
+    A-sizes are 2, 2, 3 and 2, so there are at most 9 evaluations, and the
+    cap trips during the sixth."""
     formula = "all1 w . " * 12 + "(P0(u) | ~P0(u))"
     monkeypatch.setattr(semantics, "DEFAULT_CAP", 2 ** 20)
     code, out, err = run(capsys, "stable", "--fol", formula)
     assert code == 2 and out == ""
     assert err == ("error: resource cap exceeded: "
                    f"quantifier instances exceed cap {2 ** 20}\n")
+
+
+def test_cli_stable_fol_rejects_uninterpreted_names(capsys):
+    # the contradiction never reaches P7, but no family model interprets it
+    code, out, err = run(capsys, "stable", "--fol", "P0(u) & ~P0(u) & P7(u)")
+    assert code == 2 and out == ""
+    assert err == "error: predicate P7 has no interpretation\n"
+    code, out, err = run(capsys, "stable", "--fol", "--sig", "h 1,1->1",
+                         "P0(u) & ~P0(u) & h(u, u, u)")
+    assert code == 2 and out == ""
+    assert err == "error: no relation named 'h' in frame\n"
 
 
 @pytest.mark.parametrize("cap", ["abc", "-5"])

@@ -20,9 +20,10 @@ from polarmodal.transform import (
     std_translate, translate, verify_translation_theorem,
 )
 
-from conftest import stable_by_sets
+from conftest import SetKernels, stable_by_sets, stable_fol_oracle
 
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1})
+SORTINGS = {name: SIG.get(name).sorting() for name in SIG.names()}
 
 
 def asg_of(*texts):
@@ -220,14 +221,115 @@ def test_is_stable_modal_matches_set_oracle():
     assert verdicts == {True, False}
 
 
+def random_family(rng):
+    """One to three random frames of 1-4 points per sort over SIG, each
+    with P0, P1, Q0 and Q1 valued at random.  Density 0 or a low one
+    leaves points without I-neighbours, so some frames are not serial."""
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        frame = random_frame(rng.randint(1, 4), rng.randint(1, 4), SORTINGS,
+                             rng.choice([0.0, 0.2, rng.random()]),
+                             rng.randrange(10 ** 6))
+        predval = {}
+        for stem, carrier in (("P", frame.points_a), ("Q", frame.points_b)):
+            for i in range(2):
+                predval[f"{stem}{i}"] = frozenset(
+                    p for p in sorted(carrier) if rng.random() < 0.5)
+        family.append((frame, predval))
+    return family
+
+
+def random_stability_input(seed):
+    """A sort-1 FOL formula with free u: the bare P0(u) control, the
+    standard translation of a random modal formula or that of a bullet
+    translation, which is always stable."""
+    rng = random.Random(seed)
+    if seed % 10 == 0:
+        return parse_fol("P0(u)", free={"u": Sort.ONE})
+    if seed % 2:
+        alpha = gen.random_modal_formula(rng, rng.randint(0, 3), Sort.ONE, 2, SIG)
+    else:
+        phi = gen.random_lattice_formula(rng, rng.randint(0, 2), 2, SIG)
+        asg = gen.random_assignment(rng, range(2), 1, 2, SIG)
+        alpha = translate("bullet", phi, asg, SIG)
+    return std_translate(alpha, "u")
+
+
+def test_is_stable_fol_matches_oracle():
+    verdicts = set()
+    for seed in range(300):
+        phi = random_stability_input(seed)
+        family = random_family(random.Random(10 ** 6 + seed))
+        answer = is_stable_fol(phi, "u", family)
+        assert answer == stable_fol_oracle(phi, "u", family), seed
+        verdicts.add(answer[0])
+    assert verdicts == {True, False}
+
+
+def test_is_stable_fol_least_cap_sums_the_points(monkeypatch):
+    """On a one-model family the cap counts phi's quantifier instances
+    at each point of A and nothing else.  phi starts with a quantifier,
+    so every point needs at least one instance."""
+    phi = std_translate(parse_modal("<b> (Q0 & <d> P0) | [b] <d> P1"), "u")
+
+    def least_cap(call):
+        for cap in itertools.count(1):
+            monkeypatch.setattr(semantics, "DEFAULT_CAP", cap)
+            try:
+                call()
+            except CapExceeded:
+                continue
+            return cap
+
+    for frame, predval in catalog.default_model_family():
+        per_point = [least_cap(lambda: eval_fol(frame, predval, {"u": a}, phi))
+                     for a in sorted(frame.points_a)]
+        assert least_cap(lambda: is_stable_fol(
+            phi, "u", [(frame, predval)])) == sum(per_point)
+
+
+def test_is_stable_fol_rejects_uninterpreted_names():
+    """Names are checked on every model before any is evaluated: the
+    first model here is unstable for phi, and only the second lacks h."""
+    control, predval = catalog.default_model_family()[1]
+    h = random_frame(2, 1, {"h": SORTINGS["h"]}, 0.5, 0).relation("h")
+    with_h = SortedFrame(control.points_a, control.points_b,
+                         control.incidence, {"h": h})
+    family = [(with_h, predval), catalog.default_model_family()[0]]
+    phi = parse_fol("P0(u) & (h(u, u, u) | ~h(u, u, u))", SIG,
+                    free={"u": Sort.ONE})
+    assert stable_fol_oracle(phi, "u", family) == (False, (0, "a0"))
+    with pytest.raises(PreconditionError,
+                       match="^no relation named 'h' in frame$"):
+        is_stable_fol(phi, "u", family)
+    # the least missing name is reported, P7 before h
+    phi = parse_fol("P7(u) | h(u, u, u)", SIG, free={"u": Sort.ONE})
+    with pytest.raises(PreconditionError,
+                       match="^predicate P7 has no interpretation$"):
+        is_stable_fol(phi, "u", family)
+    # the sorting guards need no interpretation
+    guard = FPred("U1", FVar("u", Sort.ONE))
+    assert is_stable_fol(guard, "u", family) == (True, None)
+
+
 def test_stability_transform_agrees_with_closure(f0):
-    # on any model, the transform of P0(u) holds exactly on closure(V(P0))
-    for frame in (f0, catalog.unstable_control_frame()):
-        for val in ([], ["a0"], ["a0", "a1"]):
-            predval = {"P0": frozenset(val)}
-            closed = stability_transform(
-                parse_fol("P0(u)", free={"u": Sort.ONE}), "u")
-            holds = frozenset(
-                a for a in frame.points_a
-                if eval_fol(frame, predval, {"u": a}, closed))
-            assert holds == frame.closure(Sort.ONE, frozenset(val))
+    """The lemma `is_stable_fol` rests on: on any model, the transform of
+    phi holds exactly on [b]<d> of phi's extension, which is its closure."""
+    bare = parse_fol("P0(u)", free={"u": Sort.ONE})
+    cases = [(bare, [(frame, {"P0": frozenset(val)})
+                     for frame in (f0, catalog.unstable_control_frame())
+                     for val in ([], ["a0"], ["a0", "a1"])])]
+    cases += [(random_stability_input(seed),
+               random_family(random.Random(10 ** 6 + seed)))
+              for seed in range(100)]
+    for phi, family in cases:
+        closed = stability_transform(phi, "u")
+        for frame, predval in family:
+            kernels = SetKernels(frame)
+
+            def extension(psi):
+                return frozenset(a for a in frame.points_a
+                                 if eval_fol(frame, predval, {"u": a}, psi))
+            ext = extension(phi)
+            assert extension(closed) == kernels.box_ba(kernels.dia_ab(ext)) \
+                == frame.closure(Sort.ONE, ext), print_fol(phi)
