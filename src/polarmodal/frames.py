@@ -12,7 +12,9 @@ so the public (size, sorted points) order of point sets is the order of
 masks by (popcount, -mask).  Incidence rows and relation sections are
 ints; the Galois maps, boxes, diamonds, image operators, concept
 enumeration and section stability all work on them, and convert to
-frozensets once, at the public boundary.
+frozensets once, at the public boundary.  Concept enumeration converts
+its masks a plane of at most 8 bits at a time, through tables of point
+names that it builds for the call and drops when it returns.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import lshift
+from operator import add, and_, lshift, rshift
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NormalityError, PreconditionError, SortError
@@ -498,7 +500,46 @@ class _Side:
             closed |= {c & gen for c in closed}
         masks = sorted(closed, reverse=True)
         masks.sort(key=int.bit_count)
-        return [self.points(m) for m in masks]
+        return self._point_sets(masks)
+
+    def _point_sets(self, masks: list[int]) -> list[frozenset[str]]:
+        """`points` of every mask, read a plane of bits at a time.
+
+        The n bits split into k = ceil(n/8) planes of w = ceil(n/k) bits;
+        entry b of a plane's table is the tuple of the names of the bits
+        set in b.  The tables are built for this call only.
+        """
+        name, n = self.name, len(self.name)
+        k = -(-n // 8)
+        w = -(-n // k)
+        lo = (1 << w) - 1
+        tables = []
+        for start in range(0, n, w):
+            t = [()]
+            for i in range(start, min(start + w, n)):
+                p = (name[1 << i],)
+                t += [x + p for x in t]
+            tables.append(t)
+        if k == 1:
+            t0 = tables[0]
+            return [frozenset(t0[m]) for m in masks]
+        t0, *inner, last = tables
+        top = (k - 1) * w
+        if not inner:
+            return [frozenset(t0[m & lo] + last[m >> top]) for m in masks]
+        if len(inner) == 1:
+            t1 = inner[0]
+            return [frozenset(t0[m & lo] + t1[m >> w & lo] + last[m >> top])
+                    for m in masks]
+        # above three planes, fold in one plane at a time; the maps are lazy,
+        # so no tuple of names outlives its mask's frozenset
+        repeat = itertools.repeat
+        parts = map(t0.__getitem__, map(and_, masks, repeat(lo)))
+        for j, t in enumerate(inner, 1):
+            plane = map(and_, map(rshift, masks, repeat(j * w)), repeat(lo))
+            parts = map(add, parts, map(t.__getitem__, plane))
+        tops = map(last.__getitem__, map(rshift, masks, repeat(top)))
+        return list(map(frozenset, map(add, parts, tops)))
 
 
 

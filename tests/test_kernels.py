@@ -71,6 +71,62 @@ def test_closed_set_lists_match_the_frontier_loop(frame):
     assert frame.costable_sets() == oracle.costable_sets()
 
 
+# closed sets are read through tables of 8 bits or fewer per plane: these
+# sizes have one to five planes, and each side of every plane boundary
+PLANE_SIZES = [1, 7, 8, 9, 16, 17, 24, 25, 32, 33]
+
+
+@pytest.mark.parametrize("n", PLANE_SIZES)
+def test_closed_set_lists_across_plane_boundaries_match_sets(n):
+    """No incidence (A is the only stable set), full incidence (the empty
+    set and A), and a random density in between."""
+    for density in (0.0, 1.0, random.Random(n).uniform(0.5, 0.8)):
+        frame = random_frame(n, n, {}, density, seed=n)
+        oracle = SetKernels(frame)
+        assert frame.stable_sets() == oracle.stable_sets(), density
+        assert frame.costable_sets() == oracle.costable_sets(), density
+
+
+def test_point_sets_of_many_masks_match_one_at_a_time():
+    rng = random.Random(0)
+    for n in itertools.chain(range(1, 42), [63, 64, 65, 80]):
+        side = frames._Side(Sort.ONE, frozenset(f"p{i}" for i in range(n)))
+        masks = [0, side.full, *(1 << i for i in range(n)),
+                 *(rng.getrandbits(n) for _ in range(40))]
+        assert side._point_sets(masks) == [side.points(m) for m in masks], n
+
+
+def _held(frame):
+    """What a frame and its index hold: each attribute, and each slot of
+    both sides, as the object and, for a dict, its keys."""
+    index = frame._index
+    held = {("frame", k): v for k, v in vars(frame).items()}
+    held.update((("index", k), v) for k, v in vars(index).items())
+    for side in (index.a, index.b):
+        assert not hasattr(side, "__dict__")
+        held.update(((side.sort.value, slot), getattr(side, slot, None))
+                    for slot in type(side).__slots__)
+    return {k: (v, list(v) if isinstance(v, dict) else None) for k, v in held.items()}
+
+
+@pytest.mark.parametrize("n", [9, 33])
+def test_closed_set_lists_leave_nothing_on_the_frame(n):
+    """Enumeration builds its tables for the call: afterwards the frame,
+    its index, the relation heads and every slot of both sides are the
+    same objects, dicts with the same keys."""
+    frame = random_frame(n, n, {"f": ALL_TYPES["f"].sorting()}, 0.7, seed=n)
+    image_op(frame, "f", [frame.points_a])
+    before = _held(frame)
+    assert list(frame._index._heads) == ["f"]
+    for _ in range(2):
+        frame.stable_sets()
+        frame.costable_sets()
+    after = _held(frame)
+    assert list(after) == list(before)
+    for key, (value, keys) in before.items():
+        assert after[key][0] is value and after[key][1] == keys, key
+
+
 @settings(max_examples=40, deadline=None)
 @given(oracle_frames, st.integers(0, 10 ** 6))
 def test_evaluators_match_sets(frame, seed):
