@@ -7,10 +7,13 @@ it gives the coarsest stable partition, whose cross-model pairs form the
 largest bisimulation on finite models.  When two points separate, a
 distinguishing formula is synthesised from the refinement witness.
 
-The refinement interns the points of both models as positions once and
-reads each frame through `SortedFrame.edges()`, where I and every
-relation have one row shape, as lists of positions.  A round maps the
-previous classes over those lists, so its inner loops run in C.  Classes
+The refinement interns the points of both models as positions once:
+one reader, `_interned`, scans each frame's incidence and relation
+tuples and gives every position its I-neighbours and, per relation, one
+column of positions per argument place.  Positions are given out in
+sorted name order within each model, so every list comes in the order
+of the sorted name tuples.  A round maps the previous classes, one list
+by position, over those lists, so its inner loops run in C.  Classes
 are numbered in the `repr` order of their signatures: that order picks
 the witnesses of distinguishing formulas, so keeping it keeps every
 formula.  Since a signature leads with the point's previous class, the
@@ -21,9 +24,10 @@ fixpoint numbers nothing.
 The refinement of the last ordered model pair is kept, keyed by the
 identity of the two models, so `largest_bisimulation` and every
 `modal_equiv` call on that pair share one run to the fixpoint.  Within
-it, each characteristic formula is built once per (point, depth): equal
-subformulas of a distinguishing formula are one shared object.  The
-forth clauses of `is_simulation` read the same `edges()` rows.
+it, each characteristic formula is built once per (position, depth):
+equal subformulas of a distinguishing formula are one shared object.
+`is_simulation` checks its forth clauses on the same interned view,
+turning positions back into names only for the violation it reports.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class SortedPairRelation:
 
 
 def _check_sorted(f: SortedFrame, g: SortedFrame, rel: SortedPairRelation):
-    for sort, pairs in _pair_sets(rel).items():
+    for sort, pairs in ((Sort.ONE, rel.pairs_a), (Sort.DEL, rel.pairs_b)):
         for w, w2 in sorted(pairs):
             if w not in f.carrier(sort) or w2 not in g.carrier(sort):
                 raise SortError(
@@ -73,10 +77,6 @@ def _check_compatible(f: SortedFrame, g: SortedFrame):
             raise PreconditionError(f"relation {name} has different sortings")
 
 
-def _pair_sets(rel: SortedPairRelation):
-    return {Sort.ONE: rel.pairs_a, Sort.DEL: rel.pairs_b}
-
-
 def is_simulation(f: SortedFrame, g: SortedFrame, rel: SortedPairRelation):
     """Check the forth clauses; returns (True, None) or (False, violation).
 
@@ -86,19 +86,22 @@ def is_simulation(f: SortedFrame, g: SortedFrame, rel: SortedPairRelation):
     """
     _check_sorted(f, g, rel)
     _check_compatible(f, g)
-    pairs = _pair_sets(rel)
-    edges, edges2 = f.edges(), g.edges()
-    for sort, sort_pairs in pairs.items():
+    (at, at2), near, rows = _interned((f, g))
+    names = [*at, *at2]
+    kept = {(at[w], at2[w2]) for w, w2 in rel.pairs_a | rel.pairs_b}
+    for side, sort_pairs in (("A", rel.pairs_a), ("B", rel.pairs_b)):
         for x, x2 in sorted(sort_pairs):
-            for (name, inputs, tuples), (_, _, tuples2) in zip(edges[x], edges2[x2]):
-                for t in tuples:
-                    if not any(all((w, w2) in pairs[s]
-                                   for w, w2, s in zip(t, t2, inputs))
+            n, n2 = at[x], at2[x2]
+            for (name, cols), (_, cols2) in zip([(None, [near[n]])] + rows[n],
+                                                [(None, [near[n2]])] + rows[n2]):
+                tuples2 = list(zip(*cols2))
+                for t in zip(*cols):
+                    if not any(all(map(kept.__contains__, zip(t, t2)))
                                for t2 in tuples2):
                         if name is None:
-                            side = "A" if sort is Sort.ONE else "B"
-                            return False, (f"I-forth-{side}", (x, x2), t[0])
-                        return False, (f"{name}-forth", (x, x2), (x,) + t)
+                            return False, (f"I-forth-{side}", (x, x2), names[t[0]])
+                        return False, (f"{name}-forth", (x, x2),
+                                       (x, *map(names.__getitem__, t)))
     return True, None
 
 
@@ -134,11 +137,12 @@ def largest_bisimulation(m: ModalModel, m2: ModalModel) -> SortedPairRelation:
     union: the cross-model pairs that share a class once refinement has
     reached its fixpoint.
     """
-    cls = _refinement(m, m2).levels[-1]
+    ref = _refinement(m, m2)
+    cls, (at, at2) = ref.classes[-1], ref.positions
 
     def shared(points, points2):
         return frozenset((w, w2) for w in points for w2 in points2
-                         if cls[(0, w)] == cls[(1, w2)])
+                         if cls[at[w]] == cls[at2[w2]])
 
     f, g = m.frame, m2.frame
     return SortedPairRelation(shared(f.points_a, g.points_a),
@@ -148,23 +152,60 @@ def largest_bisimulation(m: ModalModel, m2: ModalModel) -> SortedPairRelation:
 # ----------------------------------------------------------------------
 # Partition refinement and distinguishing formulas
 
+def _interned(frames):
+    """Each frame's points as positions, read once from I and the tuples.
+
+    Returns one name-to-position dict per frame, numbered on from the
+    frame before and in sorted name order within a frame, so sorted
+    position tuples come in the order of sorted name tuples.  Then, by
+    position, the sorted I-neighbours, and one row (name, columns) per
+    relation of the point's output sort in name order, empty rows kept:
+    the sorted argument tuples the point heads, as one column of
+    positions per argument place.
+    """
+    positions, size = [], 0
+    for frame in frames:
+        points = sorted(frame.points_a | frame.points_b)
+        positions.append(dict(zip(points, range(size, size + len(points)))))
+        size += len(points)
+    near = [[] for _ in range(size)]
+    rows = [[] for _ in range(size)]
+    for frame, at in zip(frames, positions):
+        at = at.__getitem__
+        for a, b in _sorted_positions(frame.incidence, 2, at):
+            near[a].append(b)
+            near[b].append(a)
+        for name, rel in sorted(frame.relations.items()):
+            heads = dict.fromkeys(map(at, frame.carrier(rel.sorting.output)), ())
+            tuples = _sorted_positions(rel.tuples, rel.sorting.arity + 1, at)
+            for head, run in itertools.groupby(tuples, itemgetter(0)):
+                heads[head] = list(zip(*run))[1:]
+            for p, cols in heads.items():
+                rows[p].append((name, cols))
+    return positions, near, rows
+
+
+def _sorted_positions(tuples, width, at):
+    """Name tuples of `width` places as sorted position tuples, converted
+    one place at a time."""
+    return sorted(zip(*[map(at, map(itemgetter(j), tuples)) for j in range(width)]))
+
+
 class _Refinement:
     """Partition refinement over the disjoint union of two models.
 
-    Points are tagged (model_index, point) and interned once: a point's
-    position is its index in `points`, and its edge rows become lists of
-    positions, its I-neighbours in one list and each relation's tuples
-    as one list per argument place.  A round holds the classes as a list
-    by position and maps it over those lists.  Level k classes identify
-    points satisfying the same modal formulas of depth at most k;
-    `levels` holds them as dicts keyed by tagged points.  Refinement
-    runs to its fixpoint; the last level then stands for every deeper
-    one.
+    `points` lists the points of both models as (model_index, point),
+    and a point's position is its index there; `positions` maps each
+    model's names to positions, and `sorts` gives each position's sort.
+    The frames are read once, through `_interned`.  Level k classes, one
+    list by position in `classes`, identify points satisfying the same
+    modal formulas of depth at most k.  Refinement runs to its fixpoint;
+    the last level then stands for every deeper one.
 
     A signature is (class, I-neighbour classes, ((name, class vectors),
-    ...)), each set filled in the order of the sorted edge tuples, which
-    fixes its `repr`.  Classes are numbered in the `repr` order of the
-    signatures (`_numbering`), because `distinguish` takes the least
+    ...)), each set filled in the order of the sorted argument tuples,
+    which fixes its `repr`.  Classes are numbered in the `repr` order of
+    the signatures (`_numbering`), because `distinguish` takes the least
     class vector as its witness.
     """
 
@@ -172,43 +213,24 @@ class _Refinement:
         _check_compatible(m.frame, m2.frame)
         self.models = [m, m2]
         self.vars = sorted(set(m.valuation) | set(m2.valuation), key=modal_var_key)
-        self.points = [
-            (i, p) for i, mod in enumerate(self.models)
-            for p in sorted(mod.frame.points_a | mod.frame.points_b)
-        ]
-        self._positions = [{}, {}]
-        for n, (i, p) in enumerate(self.points):
-            self._positions[i][p] = n
-        self._near, self._rows = [], []
-        edges = [mod.frame.edges() for mod in self.models]
-        for i, p in self.points:
-            at = self._positions[i].__getitem__
-            (_, _, near), *rows = edges[i][p]
-            self._near.append([at(q) for q, in near])
-            self._rows.append([(name, [list(map(at, col)) for col in zip(*tuples)])
-                               for name, _, tuples in rows])
-        self.levels: list[dict] = []
-        self._classes: list[list[int]] = []
+        self.positions, self._near, self._rows = _interned([m.frame, m2.frame])
+        self.points = [(i, p) for i, at in enumerate(self.positions) for p in at]
+        self.sorts = [Sort.ONE if p in self.models[i].frame.points_a else Sort.DEL
+                      for i, p in self.points]
+        self.classes: list[list[int]] = []
         self._characteristic: dict = {}
         self._refine()
 
-    def sort_of(self, tagged):
-        i, p = tagged
-        return self.models[i].frame.sort_of(p)
-
-    def _profile(self, tagged):
-        i, p = tagged
-        mod = self.models[i]
-        sort = mod.frame.sort_of(p)
+    def _profile(self, n):
+        i, p = self.points[n]
+        mod, sort = self.models[i], self.sorts[n]
         return (sort.value,
                 tuple(p in mod.var(s, j) for s, j in self.vars if s is sort))
 
-    def _vectors(self, tagged, cls):
-        """Each edge row of a point as (name, {class vector: least tuple}).
+    def _vectors(self, n, cls):
+        """Each row of position n as (name, {class vector: least tuple}).
 
         cls is a level's class list; the tuples hold positions."""
-        i, p = tagged
-        n = self._positions[i][p]
         get = cls.__getitem__
         rows = []
         for name, cols in [(None, [self._near[n]])] + self._rows[n]:
@@ -219,12 +241,11 @@ class _Refinement:
         return rows
 
     def _refine(self):
-        keys = list(map(self._profile, self.points))
+        keys = list(map(self._profile, range(len(self.points))))
         ids = {k: n for n, k in enumerate(sorted(set(keys)))}
         while True:
             cls = list(map(ids.__getitem__, keys))
-            self._classes.append(cls)
-            self.levels.append(dict(zip(self.points, cls)))
+            self.classes.append(cls)
             get = cls.__getitem__
             keys = [(c, frozenset(map(get, near)),
                      tuple((name, frozenset(dict.fromkeys(
@@ -238,13 +259,13 @@ class _Refinement:
                 return
             ids = _numbering(distinct)
 
-    def equivalent(self, x, y, k) -> bool:
-        k = min(k, len(self.levels) - 1)
-        return self.levels[k][x] == self.levels[k][y]
+    def level(self, k) -> list[int]:
+        """The class list at depth k; past the fixpoint, the last one."""
+        return self.classes[min(k, len(self.classes) - 1)]
 
     def first_difference(self, x, y, k) -> int | None:
-        for j in range(min(k, len(self.levels) - 1) + 1):
-            if self.levels[j][x] != self.levels[j][y]:
+        for j, cls in enumerate(self.classes[:k + 1]):
+            if cls[x] != cls[y]:
                 return j
         return None
 
@@ -260,11 +281,11 @@ class _Refinement:
         return phi
 
     def _conjoin(self, x, d: int) -> ModalFormula:
-        sort = self.sort_of(x)
+        sort, cls = self.sorts[x], self.level(d)
         conjuncts = [
             self.distinguish(x, q, d)
-            for q in self.points
-            if self.sort_of(q) is sort and not self.equivalent(x, q, d)
+            for q, (s, c) in enumerate(zip(self.sorts, cls))
+            if s is sort and c != cls[x]
         ]
         if not conjuncts:
             return MConst(sort, True)
@@ -278,10 +299,10 @@ class _Refinement:
         j = self.first_difference(x, y, k)
         if j is None:
             raise PreconditionError("points are equivalent at this depth")
+        sort = self.sorts[x]
         if j == 0:
-            i, p = x
-            i2, p2 = y
-            sort = self.sort_of(x)
+            i, p = self.points[x]
+            i2, p2 = self.points[y]
             for s, idx in self.vars:
                 if s is not sort:
                     continue
@@ -292,15 +313,13 @@ class _Refinement:
                 if in_y and not in_x:
                     return MNot(MVar(s, idx))
             raise PreconditionError("profiles differ without a witness variable")
-        prev = self._classes[j - 1]
-        sort = self.sort_of(x)
+        prev = self.classes[j - 1]
         dia = MBdia if sort is Sort.ONE else MDdia
         for (name, vx), (_, vy) in zip(self._vectors(x, prev), self._vectors(y, prev)):
             for own, other, negate in ((vx, vy, False), (vy, vx, True)):
                 for vec, tup in sorted(own.items()):
                     if vec not in other:
-                        args = tuple(self.characteristic(self.points[w], j - 1)
-                                     for w in tup)
+                        args = tuple(self.characteristic(w, j - 1) for w in tup)
                         phi = dia(*args) if name is None else MApp(name, sort, args)
                         return MNot(phi) if negate else phi
         raise PreconditionError("signatures differ without a modal witness")
@@ -338,15 +357,16 @@ def modal_equiv(m: ModalModel, w: str, m2: ModalModel, w2: str, depth: int):
     """Agreement on all modal formulas of depth <= depth.
 
     Returns (True, None), or (False, theta) with theta satisfied at w
-    and refuted at w2.  Both read the refinement's levels up to depth.
+    and refuted at w2.  Both read the refinement's classes up to depth.
     """
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
     if m.frame.sort_of(w) is not m2.frame.sort_of(w2):
         raise SortError("points must have the same sort")
     ref = _refinement(m, m2)
-    x, y = (0, w), (1, w2)
-    if ref.equivalent(x, y, depth):
+    x, y = ref.positions[0][w], ref.positions[1][w2]
+    cls = ref.level(depth)
+    if cls[x] == cls[y]:
         return True, None
     return False, ref.distinguish(x, y, depth)
 

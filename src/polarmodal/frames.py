@@ -252,30 +252,6 @@ class SortedFrame:
         except KeyError:
             raise PreconditionError(f"no relation named {name!r} in frame")
 
-    def edges(self) -> dict[str, list[tuple]]:
-        """Each point's rows (name, input sorts, sorted argument tuples).
-
-        The incidence row comes first: its name is None and it holds the
-        point's I-neighbours as 1-tuples.  Then comes one row per relation
-        whose output sort is the point's, in name order, empty rows kept.
-        Built afresh on each call; nothing is stored on the frame.
-        """
-        args = {}
-        for name, rel in self.relations.items():
-            for t in rel.tuples:
-                args.setdefault((name, t[0]), []).append(t[1:])
-        rows = {}
-        for sort in Sort:
-            side, other = self._index.side(sort), self._index.side(sort.opposite)
-            own = [rel for _, rel in sorted(self.relations.items())
-                   if rel.sorting.output is sort]
-            for bit, p in side.name.items():
-                nbrs = other.points(side.rows[bit])
-                rows[p] = [(None, (sort.opposite,), sorted((q,) for q in nbrs))]
-                rows[p] += [(rel.name, rel.sorting.inputs,
-                             sorted(args.get((rel.name, p), ()))) for rel in own]
-        return rows
-
     def is_section_stable(self, name: str):
         """Check that every section of the Galois dual relation is closed.
 

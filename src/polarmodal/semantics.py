@@ -330,7 +330,8 @@ def _instance_budget() -> tuple[int, Iterator[bool]]:
 
 def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
                  phi: FolFormula, free: Sequence[str],
-                 budget: tuple[int, Iterator[bool]]) -> Callable[..., bool]:
+                 budget: tuple[int, Iterator[bool]],
+                 missing: dict | None = None) -> Callable[..., bool]:
     """phi as a function of the points assigned to the variables `free`,
     which must include phi's free variables, in that order.
 
@@ -338,8 +339,12 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     list, a binder its own slot even when it shadows another, and every
     node becomes a closure over the slots.  Domains and the sets that
     atoms test are looked up here; an unknown relation or an
-    uninterpreted predicate raises only when evaluation reaches it.
+    uninterpreted predicate raises only when evaluation reaches it.  Its
+    node's closure, which raises, is also recorded in `missing` under
+    (name, is_pred).
     """
+    if missing is None:
+        missing = {}
     cap, ticks = budget
     domains = {None: sorted(frame.points_a | frame.points_b),
                Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}
@@ -358,7 +363,8 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
         if isinstance(x, FRelApp):
             rel = frame.relations.get(x.name)
             if rel is None:
-                return lambda: frame.relation(x.name)
+                fail = missing[(x.name, False)] = lambda: frame.relation(x.name)
+                return fail
             tuples = rel.tuples
             row = itemgetter(*(scope[v.name] for v in (x.head, *x.args)))
             return lambda: row(env) in tuples
@@ -367,6 +373,7 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
             if points is None:
                 def uninterpreted():
                     raise _uninterpreted(x.name)
+                missing[(x.name, True)] = uninterpreted
                 return uninterpreted
             i = scope[x.arg.name]
             return lambda: env[i] in points

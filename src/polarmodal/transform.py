@@ -16,7 +16,7 @@ from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
     LatticeModel, ModalModel, _batches, _compile_fol, _each, _instance_budget,
-    _truths, _uninterpreted, _valuations, lattice_extent, truth_set,
+    _truths, _valuations, lattice_extent, truth_set,
 )
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
@@ -258,48 +258,25 @@ def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
     finite model the transform holds exactly on [b]<d> of phi's extension,
     so phi is compiled once per model and evaluated once per point of A,
     and the transform is never evaluated.  Those evaluations draw on one
-    budget of `resource_cap()` quantifier instances.  A predicate or
-    relation of phi that some model leaves uninterpreted is rejected
-    before anything is evaluated.
+    budget of `resource_cap()` quantifier instances.  phi is compiled for
+    every model first, and the least predicate or relation name that some
+    model leaves uninterpreted is rejected before anything is evaluated.
     """
     if not model_family:
         raise PreconditionError("model family must be non-empty")
     _one_free_var(phi, free_var)
-    _check_interpreted(phi, model_family)
-    budget = _instance_budget()
-    for idx, (frame, predval) in enumerate(model_family):
-        run = _compile_fol(frame, predval, phi, [free_var], budget)
+    budget, missing = _instance_budget(), {}
+    runs = [_compile_fol(frame, predval, phi, [free_var], budget, missing)
+            for frame, predval in model_family]
+    if missing:
+        missing[min(missing)]()  # raises what evaluation would for that name
+    for idx, ((frame, _), run) in enumerate(zip(model_family, runs)):
         a, b = frame._index.a, frame._index.b
         ext = sum(bit for bit in a.order() if run(a.name[bit]))
         differ = ext ^ b.box(a.dia(ext))
         if differ:
             return False, (idx, a.least(differ))
     return True, None
-
-
-def _check_interpreted(phi: FolFormula, model_family: ModelFamily):
-    """Raise what `eval_fol` would for the least predicate or relation
-    name of phi that some model of the family does not interpret."""
-    names = set()
-    stack = [phi]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, FPred):
-            names.add((x.name, True))
-        elif isinstance(x, FRelApp):
-            names.add((x.name, False))
-        elif isinstance(x, FNot):
-            stack.append(x.arg)
-        elif isinstance(x, (FAnd, FOr, FImp)):
-            stack += (x.left, x.right)
-        elif isinstance(x, (FForall, FExists)):
-            stack.append(x.body)
-    for name, is_pred in sorted(names):
-        for frame, predval in model_family:
-            if not is_pred:
-                frame.relation(name)  # raises for a name the frame lacks
-            elif name not in predval and name not in ("U1", "Ud"):
-                raise _uninterpreted(name)
 
 
 def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],

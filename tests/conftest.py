@@ -307,16 +307,33 @@ def modal_depth_oracle(theta: ModalFormula) -> int:
     return 1 + max((modal_depth_oracle(a) for a in theta.args), default=0)
 
 
+def name_rows(frame):
+    """Each point's rows by name, from a scan of I and of every tuple:
+    first (None, its I-neighbours as sorted 1-tuples), then one (name,
+    sorted argument tuples) per relation of its output sort, in name
+    order, empty rows kept."""
+    rows = {}
+    for p in frame.points_a | frame.points_b:
+        sort = frame.sort_of(p)
+        near = sorted((b,) if a == p else (a,) for a, b in frame.incidence
+                      if p in (a, b))
+        rows[p] = [(None, near)] + [
+            (name, sorted(t[1:] for t in rel.tuples if t[0] == p))
+            for name, rel in sorted(frame.relations.items())
+            if rel.sorting.output is sort]
+    return rows
+
+
 def refinement_levels_oracle(m, m2):
     """The levels of `bisim._Refinement(m, m2)` by dicts keyed by tagged
-    points: every round builds each signature from the point's `edges()`
-    rows, numbers the classes by sorting all signatures by `repr`, and
-    stops at the first round that adds no class."""
+    points: every round builds each signature from the point's
+    `name_rows`, numbers the classes by sorting all signatures by `repr`,
+    and stops at the first round that adds no class."""
     models = [m, m2]
     variables = sorted(set(m.valuation) | set(m2.valuation), key=modal_var_key)
     points = [(i, p) for i, mod in enumerate(models)
               for p in sorted(mod.frame.points_a | mod.frame.points_b)]
-    edges = [mod.frame.edges() for mod in models]
+    by_name = [name_rows(mod.frame) for mod in models]
 
     def profile(tagged):
         i, p = tagged
@@ -327,7 +344,7 @@ def refinement_levels_oracle(m, m2):
     def signature(tagged, cls):
         i, p = tagged
         rows = []
-        for name, _, tuples in edges[i][p]:
+        for name, tuples in by_name[i][p]:
             vecs = {}
             for t in tuples:
                 vecs.setdefault(tuple(cls[(i, w)] for w in t), t)

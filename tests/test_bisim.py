@@ -125,21 +125,20 @@ def simulation_by_tuples(f, g, rel):
     return True, None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.floats(0.0, 1.0),
-       st.integers(0, 10 ** 6), st.booleans())
-def test_simulation_matches_tuple_scan(size_a, size_b, density, seed, same):
-    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
-    f = random_frame(size_a, size_b, sorting, density, seed)
-    g = f if same else random_frame(size_a, size_b, sorting, density, seed + 1)
+def _check_against_tuple_scan(f, g, seed, toggled=None):
+    """`is_simulation` agrees with `simulation_by_tuples`, both ways, on
+    the largest bisimulation between f and g, on it with one candidate
+    pair toggled (every pair, or `toggled` pairs picked at random), and
+    on four random relations."""
     big = largest_bisimulation(ModalModel(f, {}), ModalModel(g, {}))
     assert is_simulation(f, g, big) == (True, None)
-    # the largest bisimulation with one pair toggled, and random relations
     cand_a = sorted(itertools.product(f.points_a, g.points_a))
     cand_b = sorted(itertools.product(f.points_b, g.points_b))
+    rng = random.Random(seed)
+    if toggled is not None:
+        cand_a, cand_b = rng.sample(cand_a, toggled), rng.sample(cand_b, toggled)
     rels = [SortedPairRelation(big.pairs_a ^ {p}, big.pairs_b) for p in cand_a]
     rels += [SortedPairRelation(big.pairs_a, big.pairs_b ^ {p}) for p in cand_b]
-    rng = random.Random(seed)
     for _ in range(4):
         rels.append(SortedPairRelation(
             frozenset(p for p in cand_a if rng.random() < 0.5),
@@ -148,6 +147,26 @@ def test_simulation_matches_tuple_scan(size_a, size_b, density, seed, same):
         assert is_simulation(f, g, rel) == simulation_by_tuples(f, g, rel)
         back = rel.inverse()
         assert is_simulation(g, f, back) == simulation_by_tuples(g, f, back)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.floats(0.0, 1.0),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_simulation_matches_tuple_scan(size_a, size_b, density, seed, same):
+    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
+    f = random_frame(size_a, size_b, sorting, density, seed)
+    g = f if same else random_frame(size_a, size_b, sorting, density, seed + 1)
+    _check_against_tuple_scan(f, g, seed)
+
+
+def test_simulation_matches_tuple_scan_past_ten_points():
+    """Frames of 12 and 11 points per sort against a renamed clone, so
+    that name order ("a10" before "a2") is not the order of creation."""
+    m = ModalModel(random_frame(12, 11, SIG, 0.3, 3), {})
+    assert sorted(m.frame.points_a)[:3] == ["a0", "a1", "a10"]
+    for perturb in (False, True):
+        clone = _renamed_clone(m, random.Random(perturb), perturb).frame
+        _check_against_tuple_scan(m.frame, clone, 3, toggled=12)
 
 
 def test_ill_sorted_pairs(f0):
@@ -467,9 +486,9 @@ def test_refinement_matches_the_dict_oracle():
     """The interned rounds give the levels, class numbers included, of
     the dict and `repr` refinement: on models against their renamed
     clones, perturbed or not, on unrelated pairs, on a relation with
-    empty rows, and on pairs that number and split classes from 10 up,
+    empty rows, on pairs that number and split classes from 10 up,
     where `repr` order ("(1, " before "(10, " before "(2, ") is not int
-    order."""
+    order, and on models of more than ten points per sort."""
     rng = random.Random(0)
     pairs = []
     for seed in range(60):
@@ -486,8 +505,15 @@ def test_refinement_matches_the_dict_oracle():
     pairs.append((m, _renamed_clone(m, rng, False)))
     pairs.append((_path(5), _path(6)))
     assert _splits_from_ten(refinement_levels_oracle(_path(5), _path(6)))
+    # 12 and 11 points per sort: name order ("a10" before "a2") is not
+    # the order of creation
+    m = gen.random_modal_model(random_frame(12, 11, SIG, 0.3, 2), VARS, 2)
+    assert sorted(m.frame.points_b)[:3] == ["b0", "b1", "b10"]
+    pairs += [(m, _renamed_clone(m, rng, False)), (m, _renamed_clone(m, rng, True))]
     for m, m2 in pairs:
-        assert bisim._Refinement(m, m2).levels == refinement_levels_oracle(m, m2)
+        ref = bisim._Refinement(m, m2)
+        assert [dict(zip(ref.points, cls)) for cls in ref.classes] == \
+            refinement_levels_oracle(m, m2)
 
 
 def test_numbering_is_repr_order():

@@ -188,25 +188,6 @@ def test_galois_dual(f0):
     assert galois_dual(empty, "E", ("a0",)) == frame.points_b
 
 
-def test_edges_rows(f0):
-    frame = with_relation(f0, make_rel("f", "1;1", [("a0", "a1"), ("a0", "a0")]))
-    frame = with_relation(frame, make_rel("h", "d;1d", [("b0", "a1", "b1")]))
-    frame = with_relation(frame, make_rel("e", "1;d", []))
-    edges = frame.edges()
-    assert set(edges) == frame.points_a | frame.points_b
-    assert edges["a0"] == [(None, (Sort.DEL,), [("b1",)]),
-                           ("e", (Sort.DEL,), []),
-                           ("f", (Sort.ONE,), [("a0",), ("a1",)])]
-    assert edges["a1"][1:] == [("e", (Sort.DEL,), []), ("f", (Sort.ONE,), [])]
-    assert edges["b0"] == [(None, (Sort.ONE,), [("a1",)]),
-                           ("h", (Sort.ONE, Sort.DEL), [("a1", "b1")])]
-    assert edges["b1"] == [(None, (Sort.ONE,), [("a0",)]),
-                           ("h", (Sort.ONE, Sort.DEL), [])]
-    # built afresh: a caller may change its copy without touching the frame
-    edges["a0"][0][2].clear()
-    assert frame.edges()["a0"][0][2] == [("b1",)]
-
-
 def test_image_op(f0):
     frame = with_relation(f0, make_rel("R", "1;1",
                                        [("a0", "a0"), ("a1", "a0")]))
