@@ -27,7 +27,9 @@ identity of the two models, so `largest_bisimulation` and every
 it, each characteristic formula is built once per (position, depth):
 equal subformulas of a distinguishing formula are one shared object.
 `is_simulation` checks its forth clauses on the same interned view,
-turning positions back into names only for the violation it reports.
+turning positions back into names only for the violation it reports;
+`all_bisimulations_union` reads its two frames once and checks every
+candidate relation, both ways, on that one view.
 """
 
 from __future__ import annotations
@@ -87,7 +89,13 @@ def is_simulation(f: SortedFrame, g: SortedFrame, rel: SortedPairRelation):
     _check_sorted(f, g, rel)
     _check_compatible(f, g)
     (at, at2), near, rows = _interned((f, g))
-    names = [*at, *at2]
+    return _forth(at, at2, [*at, *at2], near, rows, rel)
+
+
+def _forth(at, at2, names, near, rows, rel: SortedPairRelation):
+    """`is_simulation` on an interned view of both frames: `at` and `at2`
+    map the names of the simulated and simulating frame to positions,
+    `names` maps positions back, and `near` and `rows` are `_interned`'s."""
     kept = {(at[w], at2[w2]) for w, w2 in rel.pairs_a | rel.pairs_b}
     for side, sort_pairs in (("A", rel.pairs_a), ("B", rel.pairs_b)):
         for x, x2 in sorted(sort_pairs):
@@ -391,6 +399,15 @@ def all_bisimulations_union(m: ModalModel, m2: ModalModel) -> SortedPairRelation
     Exponential in the number of point pairs; an oracle for tiny models.
     """
     f, g = m.frame, m2.frame
+    _check_compatible(f, g)
+    (at, at2), near, rows = _interned((f, g))
+    names = [*at, *at2]
+
+    def bisimulation(rel):
+        return _forth(at, at2, names, near, rows, rel)[0] and \
+            _forth(at2, at, names, near, rows, rel.inverse())[0] and \
+            _valuations_agree(m, m2, rel)
+
     cand_a = sorted((a, a2) for a in f.points_a for a2 in g.points_a)
     cand_b = sorted((b, b2) for b in f.points_b for b2 in g.points_b)
     union_a, union_b = set(), set()
@@ -399,7 +416,7 @@ def all_bisimulations_union(m: ModalModel, m2: ModalModel) -> SortedPairRelation
         for mask_b in itertools.product([False, True], repeat=len(cand_b)):
             pb = frozenset(p for p, keep in zip(cand_b, mask_b) if keep)
             rel = SortedPairRelation(pa, pb)
-            if is_model_bisimulation(m, m2, rel):
+            if bisimulation(rel):
                 union_a |= pa
                 union_b |= pb
     return SortedPairRelation(frozenset(union_a), frozenset(union_b))

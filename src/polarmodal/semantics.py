@@ -6,25 +6,30 @@ formulas by Tarskian evaluation with sorted quantifier ranges.  Frame
 validity enumerates all valuations of the variables in use, capped by a
 configurable resource limit.
 
-A valuation search walks its formula once per batch of valuations.  At
-a box, diamond or named diamond the walk computes the frame kernel once
-per distinct argument in that node's column of masks (`_each`): the
-table that shares the results lives only for that one call, so it never
-outgrows the batch and nothing is stored on the frame.  A column without
-repeats, which includes every single evaluation (`truth_set`,
-`sat_modal`, a batch of one), maps the kernel directly.
+A single evaluation (`truth_set`, `sat_modal`) walks its formula once on
+int masks, one bit per point, through the frame's kernels.  A valuation
+search (`frame_valid_modal`, `transform.is_stable_modal`) is bit-sliced
+(`_Search`): it walks its formula once per batch of up to `_BATCH`
+valuations, and a node's value is one int per point with one bit per
+valuation of the batch, so each connective is one map of ands and ors
+over the points and each box or diamond one and or or over every
+point's I-neighbours.  The variables' bits follow from the order of the
+valuations alone (`_patterns`), not from enumerating them.  Both walks
+evaluate a subformula that the formula shares once, and nothing is kept
+on the frame.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from functools import partial
-from operator import and_, itemgetter, or_
+from functools import lru_cache, reduce
+from math import comb
+from operator import and_, itemgetter, lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, PolarModalError, PreconditionError, SortError
-from .frames import Concept, Sort, SortedFrame
+from .frames import _ONE, Concept, Sort, SortedFrame
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
@@ -68,23 +73,23 @@ class ModalModel:
 
     Instances are immutable after construction: `bisim` keeps the
     refinement of the last model pair keyed by model identity, and the
-    valuation's masks are computed once, here.  Evaluation reads the
-    frame's kernels through the same walk as a valuation search, on a
-    batch of one; it keeps no table of their results.
+    valuation's masks are computed once, here.  Evaluation walks the
+    formula once on those masks through the frame's kernels, and keeps
+    no table of their results.
     """
 
     def __init__(self, frame: SortedFrame,
                  valuation: Mapping[tuple[Sort, int], Iterable[str]]):
         self.frame = frame
         self.valuation = {}
-        # each variable's mask as a batch of one, as `_truths` reads it
+        # each variable's mask, keyed as `_truth` reads it
         self._masks = {}
         for (sort, i), s in valuation.items():
             s = frozenset(s)
             if not s <= frame.carrier(sort):
                 raise SortError(f"valuation of variable {i} ill-sorted for {sort}")
             self.valuation[(sort, i)] = s
-            self._masks[(sort, i)] = [frame._index.side(sort).mask(s)]
+            self._masks[(sort is _ONE, i)] = frame._index.side(sort).mask(s)
 
     def var(self, sort: Sort, i: int) -> frozenset[str]:
         return self.valuation.get((sort, i), frozenset())
@@ -156,67 +161,64 @@ def lattice_consequence(model: LatticeModel, phi: LatticeFormula,
 def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
     """All points of theta's sort where theta holds."""
     side = model.frame._index.side(theta.sort)
-    return side.points(_truths(model.frame, model._masks, theta, 1)[0])
+    return side.points(_truth(model.frame, model._masks, theta, {}))
 
 
-def _each(kernel: Callable, column: list) -> list:
-    """kernel applied to every entry of a column, once per distinct entry."""
-    distinct = set(column)
-    # with nothing to share a table is pure cost, as for every batch of one
-    if len(distinct) == len(column):
-        return list(map(kernel, column))
-    table = dict(zip(distinct, map(kernel, distinct)))
-    return list(map(table.__getitem__, column))
+def _truth(frame: SortedFrame, masks: Mapping[tuple[bool, int], int],
+           theta: ModalFormula, memo: dict[int, int]) -> int:
+    """The mask of `truth_set` under one valuation.
 
-
-def _truths(frame: SortedFrame, columns: Mapping[tuple[Sort, int], list[int]],
-            theta: ModalFormula, n: int) -> list[int]:
-    """The masks of `truth_set` under a batch of n valuations.
-
-    `columns` holds each variable's n masks, one per valuation; a
-    variable it lacks is false everywhere.  Each node is one list
-    operation over the whole batch, so a search walks theta once per
-    batch rather than once per valuation.  Boxes, diamonds and relation
-    images are computed once per distinct argument of the node (`_each`).
+    `masks` holds each variable's mask, keyed by (sort is Sort.ONE,
+    index); a variable it lacks is false everywhere.  `memo` maps the id
+    of every subformula evaluated so far to its mask, so a subformula
+    that theta shares is evaluated once.
     """
+    got = memo.get(id(theta))
+    if got is not None:
+        return got
     index = frame._index
     if isinstance(theta, MVar):
-        column = columns.get((theta.sort, theta.index))
-        return [0] * n if column is None else column
-    if isinstance(theta, MConst):
-        return [index.side(theta.sort).full if theta.truth else 0] * n
-    if isinstance(theta, MNot):
+        got = masks.get((theta.sort is _ONE, theta.index), 0)
+    elif isinstance(theta, MConst):
+        got = index.side(theta.sort).full if theta.truth else 0
+    elif isinstance(theta, MNot):
         # masks lie inside the carrier, so xor with it is complement
-        flip = index.side(theta.sort).full.__xor__
-        return list(map(flip, _truths(frame, columns, theta.arg, n)))
-    if isinstance(theta, MAnd):
-        return list(map(and_, _truths(frame, columns, theta.left, n),
-                        _truths(frame, columns, theta.right, n)))
-    if isinstance(theta, MOr):
-        return list(map(or_, _truths(frame, columns, theta.left, n),
-                        _truths(frame, columns, theta.right, n)))
-    if isinstance(theta, MImp):
-        flip = index.side(theta.sort).full.__xor__
-        return list(map(or_, map(flip, _truths(frame, columns, theta.left, n)),
-                        _truths(frame, columns, theta.right, n)))
-    if isinstance(theta, MBbox):
-        return _each(index.b.box, _truths(frame, columns, theta.arg, n))
-    if isinstance(theta, MDbox):
-        return _each(index.a.box, _truths(frame, columns, theta.arg, n))
-    if isinstance(theta, MBdia):
-        return _each(index.b.dia, _truths(frame, columns, theta.arg, n))
-    if isinstance(theta, MDdia):
-        return _each(index.a.dia, _truths(frame, columns, theta.arg, n))
-    if isinstance(theta, MApp):
-        rel = frame.relation(theta.name)
-        if rel.sorting.output is not theta.sort or \
-                tuple(rel.sorting.inputs) != tuple(a.sort for a in theta.args):
-            raise SortError(
-                f"diamond {theta.name} does not match the frame relation sorting"
-            )
-        args = [_truths(frame, columns, a, n) for a in theta.args]
-        return _each(partial(index.image, rel), list(zip(*args)))
-    raise SortError(f"unknown modal node {theta!r}")
+        got = index.side(theta.sort).full ^ _truth(frame, masks, theta.arg, memo)
+    elif isinstance(theta, (MAnd, MOr, MImp)):
+        left = _truth(frame, masks, theta.left, memo)
+        right = _truth(frame, masks, theta.right, memo)
+        if isinstance(theta, MAnd):
+            got = left & right
+        elif isinstance(theta, MOr):
+            got = left | right
+        else:
+            got = (index.side(theta.sort).full ^ left) | right
+    elif isinstance(theta, MBbox):
+        got = index.b.box(_truth(frame, masks, theta.arg, memo))
+    elif isinstance(theta, MDbox):
+        got = index.a.box(_truth(frame, masks, theta.arg, memo))
+    elif isinstance(theta, MBdia):
+        got = index.b.dia(_truth(frame, masks, theta.arg, memo))
+    elif isinstance(theta, MDdia):
+        got = index.a.dia(_truth(frame, masks, theta.arg, memo))
+    elif isinstance(theta, MApp):
+        rel = _diamond_relation(frame, theta)
+        got = index.image(rel, [_truth(frame, masks, a, memo) for a in theta.args])
+    else:
+        raise SortError(f"unknown modal node {theta!r}")
+    memo[id(theta)] = got
+    return got
+
+
+def _diamond_relation(frame: SortedFrame, theta: MApp):
+    """The frame relation of a named diamond, whose sorting it must match."""
+    rel = frame.relation(theta.name)
+    if rel.sorting.output is not theta.sort or \
+            tuple(rel.sorting.inputs) != tuple(a.sort for a in theta.args):
+        raise SortError(
+            f"diamond {theta.name} does not match the frame relation sorting"
+        )
+    return rel
 
 
 def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
@@ -224,8 +226,7 @@ def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
     if frame.sort_of(point) is not theta.sort:
         raise SortError(f"point {point} has the wrong sort for this formula")
     side = frame._index.side(theta.sort)
-    truths = _truths(frame, model._masks, theta, 1)
-    return bool(side.bit[point] & truths[0])
+    return bool(side.bit[point] & _truth(frame, model._masks, theta, {}))
 
 
 def resource_cap() -> int:
@@ -242,56 +243,265 @@ def resource_cap() -> int:
 
 
 # the most valuations a search evaluates in one walk of its formula
-_BATCH = 1024
+_BATCH = 16384
 
 
-def _valuations(frame: SortedFrame, vars_in_use):
-    """The variables in key order, and an iterator over every valuation of
-    them as a tuple of masks in that order, each variable's masks by size
-    and then by sorted points.  The number of valuations is checked
-    against the cap before the first one."""
-    keys = sorted(vars_in_use, key=modal_var_key)
-    total = 1
-    for sort, _ in keys:
-        total *= 2 ** len(frame.carrier(sort))
-    cap = resource_cap()
-    if total > cap:
-        raise CapExceeded(f"{total} valuations exceed cap {cap}")
-    index = frame._index
-    # descending masks, stably sorted by size: a mask's high bits are its
-    # least points, so each size comes in sorted-points order
-    choices = [sorted(range(index.side(sort).full, -1, -1), key=int.bit_count)
-               for sort, _ in keys]
-    return keys, itertools.product(*choices)
+@lru_cache(maxsize=None)
+def _pattern_bytes(n: int) -> tuple[bytes, ...]:
+    """`_patterns(n)`, each as little-endian bytes, so that a batch reads
+    only the bytes of its own window.  They depend on n alone and are
+    kept: n * 2**n bits per side size searched, at most about 5 MB for
+    every size the default cap allows."""
+    return tuple(p.to_bytes(((1 << n) + 7) >> 3, "little") for p in _patterns(n))
 
 
-def _batches(keys, valuations):
-    """Cut the valuations into batches of 1, 2, 4, ... up to `_BATCH`, each
-    given as its list of mask tuples and as the columns `_truths` reads.
-    Doubling bounds the work before a search stops at its k-th valuation
-    by about 2k valuations, however large the space."""
-    size = 1
-    while batch := list(itertools.islice(valuations, size)):
-        yield batch, dict(zip(keys, map(list, zip(*batch))))
-        size = min(2 * size, _BATCH)
+def _patterns(n: int) -> list[int]:
+    """Each point's truth under every choice of one variable over an
+    n-point side, in bit order: bit c of entry j is set iff choice c holds
+    the point of bit 1 << j.
+
+    The choices come by size, and within a size in the order of
+    `itertools.combinations` of the sorted points.  Among the C(m, k)
+    k-subsets of m points, those holding the first point are the first
+    C(m-1, k-1); for a later point, its pattern among the m-1 other
+    points comes first with k-1 of them and then with k.  So each point's
+    patterns follow from those of a shorter list, by shifts and ors of
+    whole size classes.
+    """
+    out = []
+    for first in range(1, n + 1):
+        # the patterns of the point that is first of the last `first`
+        # points, one per size k = 0..first
+        sizes = [0, *map(comb, itertools.repeat(first - 1), range(first))]
+        q = [(1 << s) - 1 for s in sizes]
+        for m in range(first + 1, n + 1):
+            sizes = [0, *map(comb, itertools.repeat(m - 1), range(m))]
+            q = list(map(or_, [0, *q], map(lshift, [*q, 0], sizes)))
+        offsets = itertools.accumulate(map(comb, itertools.repeat(n), range(n)),
+                                       initial=0)
+        out.append(sum(map(lshift, q, offsets)))
+    return out
+
+
+def _bits(base: bytes, off: int, count: int) -> int:
+    """`count` bits of base, little-endian, from bit `off` on."""
+    part = int.from_bytes(base[off >> 3:(off + count + 7) >> 3], "little")
+    return part >> (off & 7) & ((1 << count) - 1)
+
+
+def _cycle(base: bytes, period: int, off: int, count: int) -> int:
+    """`count` bits, from bit `off` on, of the first `period` bits of base
+    repeated.  Only the bytes that hold them are read."""
+    width = min(period - off, count)
+    out = _bits(base, off, width)
+    rest = count - width
+    if rest:
+        reps, span = _bits(base, 0, min(period, rest)), period
+        while span < rest:
+            reps |= reps << span
+            span *= 2
+        out |= (reps & ((1 << rest) - 1)) << width
+    return out
+
+
+def _windows(patterns: Sequence[bytes], n: int, shift: int, start: int,
+             length: int) -> list[int]:
+    """Bits start .. start + length of each point's pattern over a whole
+    search, for a variable over n points whose choice changes every
+    1 << shift valuations: bit c of a point's entry in `patterns` fills
+    1 << shift bits in a row, and the 2**n choices repeat."""
+    c0 = start >> shift
+    count = ((start + length - 1) >> shift) - c0 + 1
+    bits = [_cycle(p, 1 << n, c0 & ((1 << n) - 1), count) for p in patterns]
+    if not shift:
+        return bits
+    run, ones = 1 << shift, (1 << length) - 1
+    skip = start & (run - 1)
+    if run >= length:
+        # one or two choices; the first holds for the first run - skip bits
+        low = (1 << min(run - skip, length)) - 1
+        return [(low if b & 1 else 0) | (ones ^ low if b & 2 else 0) for b in bits]
+    spread = {48: "0" * run, 49: "1" * run}
+    return [int(format(b, f"0{count}b").translate(spread), 2) >> skip & ones
+            for b in bits]
+
+
+class _Search:
+    """The valuations of a frame's variables, searched bit-sliced.
+
+    Valuation k gives each variable, in key order, one choice of its
+    points: the first variable varies slowest, and each runs through the
+    subsets of its side by size and then by sorted points.  A batch is a
+    run of up to `_BATCH` consecutive valuations, and a node's value under
+    it is a list with one int per point of the node's sort, in bit order,
+    whose bit i is set iff the point satisfies the node under the batch's
+    i-th valuation.  So a batch costs one walk of the formula: each
+    connective is one C-level map over the points, and each box, diamond
+    or named diamond one and or or per I-neighbour or tuple of a point.
+
+    The number of valuations is checked against the cap before anything
+    else.  Built for one search and dropped with it, it stores nothing on
+    the frame.
+    """
+
+    def __init__(self, frame: SortedFrame, vars_in_use):
+        keys = sorted(vars_in_use, key=modal_var_key)
+        index = frame._index
+        sides = [index.side(sort) for sort, _ in keys]
+        sizes = [len(side.bit) for side in sides]
+        self.total = 1 << sum(sizes)
+        cap = resource_cap()
+        if self.total > cap:
+            raise CapExceeded(f"{self.total} valuations exceed cap {cap}")
+        self.frame, self.index = frame, index
+        # a variable's choice changes every 2**shift valuations, where shift
+        # counts the points of the variables after it
+        shifts = [sum(sizes[i + 1:]) for i in range(len(sizes))]
+        # per variable: key, side, size, shift and each point's pattern
+        self.layout = [(key, side, n, shift, _pattern_bytes(n))
+                       for key, side, n, shift in zip(keys, sides, sizes, shifts)]
+        a, b = index.a, index.b
+        # each point's I-neighbours, as positions on the other side
+        self.near_a = [_positions(a.rows[1 << j]) for j in range(len(a.bit))]
+        self.near_b = [_positions(b.rows[1 << j]) for j in range(len(b.bit))]
+        # `_heads` of each relation read so far
+        self.by_head: dict[str, list] = {}
+
+    def batches(self):
+        """Each batch as (start, ones, columns): `ones` has one bit per
+        valuation, and `columns` maps each variable, keyed as `_truth`'s
+        masks, to its value."""
+        for start in range(0, self.total, _BATCH):
+            length = min(_BATCH, self.total - start)
+            columns = {(sort is _ONE, i): _windows(patterns, n, shift, start, length)
+                       for (sort, i), _, n, shift, patterns in self.layout}
+            yield start, (1 << length) - 1, columns
+
+    def valuation(self, k: int) -> dict:
+        """Valuation k, as point sets by variable."""
+        out = {}
+        for key, side, n, shift, patterns in self.layout:
+            c = k >> shift & ((1 << n) - 1)
+            out[key] = side.points(sum(1 << j for j, p in enumerate(patterns)
+                                       if p[c >> 3] >> (c & 7) & 1))
+        return out
+
+    def truths(self, theta: ModalFormula, columns: Mapping, ones: int,
+               memo: dict[int, list[int]]) -> list[int]:
+        """theta's value under the batch of `columns` and `ones`, as
+        `batches` gives them; `memo` maps the id of every subformula
+        evaluated so far under that batch to its value, as in `_truth`."""
+        got = memo.get(id(theta))
+        if got is not None:
+            return got
+        walk = self.truths
+        if isinstance(theta, MVar):
+            got = columns.get((theta.sort is _ONE, theta.index))
+            if got is None:
+                got = [0] * len(self.index.side(theta.sort).bit)
+        elif isinstance(theta, MConst):
+            got = [ones if theta.truth else 0] * len(self.index.side(theta.sort).bit)
+        elif isinstance(theta, MNot):
+            got = list(map(ones.__xor__, walk(theta.arg, columns, ones, memo)))
+        elif isinstance(theta, (MAnd, MOr, MImp)):
+            left = walk(theta.left, columns, ones, memo)
+            right = walk(theta.right, columns, ones, memo)
+            if isinstance(theta, MAnd):
+                got = list(map(and_, left, right))
+            elif isinstance(theta, MOr):
+                got = list(map(or_, left, right))
+            else:
+                got = list(map(or_, map(ones.__xor__, left), right))
+        elif isinstance(theta, (MBbox, MBdia, MDbox, MDdia)):
+            arg = walk(theta.arg, columns, ones, memo)
+            near = self.near_a if theta.sort is _ONE else self.near_b
+            if isinstance(theta, (MBbox, MDbox)):
+                got = _meets(arg, near, ones)
+            else:
+                got = _joins(arg, near)
+        elif isinstance(theta, MApp):
+            rel = _diamond_relation(self.frame, theta)
+            args = [walk(a, columns, ones, memo) for a in theta.args]
+            rows = self._heads(rel)
+            if len(args) == 1:
+                got = _joins(args[0], rows)
+            else:
+                # the OR, over the tuples a point heads, of the AND of its
+                # arguments' values
+                got = []
+                for row in rows:
+                    v = 0
+                    for t in row:
+                        w = ones
+                        for arg, j in zip(args, t):
+                            w &= arg[j]
+                        v |= w
+                    got.append(v)
+        else:
+            raise SortError(f"unknown modal node {theta!r}")
+        memo[id(theta)] = got
+        return got
+
+    def _heads(self, rel) -> list:
+        """For each point of the relation's output sort, in bit order, the
+        argument tuples it heads, as tuples of positions, or as single
+        positions when the relation is unary."""
+        got = self.by_head.get(rel.name)
+        if got is None:
+            index = self.index
+            at = [dict(zip(index.side(s).bit, itertools.count()))
+                  for s in (rel.sorting.output, *rel.sorting.inputs)]
+            got = self.by_head[rel.name] = [[] for _ in at[0]]
+            head, places = at[0], at[1:]
+            for t in rel.tuples:
+                args = tuple(map(dict.__getitem__, places, t[1:]))
+                got[head[t[0]]].append(args if len(args) > 1 else args[0])
+        return got
+
+
+def _meets(values: list[int], groups: list[list[int]], ones: int) -> list[int]:
+    """For each group of positions, the AND of the values there."""
+    out = []
+    for group in groups:
+        v = ones
+        for j in group:
+            v &= values[j]
+        out.append(v)
+    return out
+
+
+def _joins(values: list[int], groups: list) -> list[int]:
+    """For each group of positions, the OR of the values there."""
+    out = []
+    for group in groups:
+        v = 0
+        for j in group:
+            v |= values[j]
+        out.append(v)
+    return out
+
+
+def _positions(m: int) -> list[int]:
+    """The positions of the bits set in m."""
+    return [j for j in range(m.bit_length()) if m >> j & 1]
 
 
 def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
     """Validity on one frame: theta holds at all points under all valuations.
 
     Returns (True, None) or (False, (valuation, point)) for the first
-    valuation, in `_valuations` order, that misses a point.
+    valuation, in `_Search` order, that misses a point, and the least
+    point, by name, that it misses.
     """
-    index = frame._index
-    side = index.side(theta.sort)
-    keys, valuations = _valuations(frame, vars_in_use)
-    for batch, columns in _batches(keys, valuations):
-        truths = _truths(frame, columns, theta, len(batch))
-        if truths.count(side.full) < len(batch):
-            k = next(k for k, m in enumerate(truths) if m != side.full)
-            valuation = {var: index.side(var[0]).points(m)
-                         for var, m in zip(keys, batch[k])}
-            return False, (valuation, side.least(side.full & ~truths[k]))
+    side = frame._index.side(theta.sort)
+    search = _Search(frame, vars_in_use)
+    for start, ones, columns in search.batches():
+        truths = search.truths(theta, columns, ones, {})
+        fail = ones & ~reduce(and_, truths, ones)
+        if fail:
+            k = (fail & -fail).bit_length() - 1
+            missed = sum(1 << j for j, t in enumerate(truths) if not t >> k & 1)
+            return False, (search.valuation(start + k), side.least(missed))
     return True, None
 
 
@@ -407,7 +617,13 @@ def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
             return quantify
         raise SortError(f"unknown FOL node {x!r}")
 
-    root = comp(phi, {name: k for k, name in enumerate(free)})
+    try:
+        root = comp(phi, {name: k for k, name in enumerate(free)})
+    finally:
+        # comp reaches itself through its closure cell, and with it the
+        # frame; emptying the cell breaks that cycle, so a dropped frame is
+        # freed at once rather than by the cycle collector
+        del comp
     arity = len(free)
 
     def run(*points):

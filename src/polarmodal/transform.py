@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
-    LatticeModel, ModalModel, _batches, _compile_fol, _each, _instance_budget,
-    _truths, _valuations, lattice_extent, truth_set,
+    LatticeModel, ModalModel, _Search, _compile_fol, _instance_budget,
+    lattice_extent, truth_set,
 )
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
@@ -284,11 +284,12 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
     """True iff alpha and [b]<d> alpha agree under every valuation."""
     if alpha.sort is not Sort.ONE:
         raise SortError("stability is defined for sort-1 formulas")
+    closed = MBbox(MDdia(alpha))
     for frame in frames:
-        index = frame._index
-        keys, valuations = _valuations(frame, vars_in_use)
-        for batch, columns in _batches(keys, valuations):
-            truths = _truths(frame, columns, alpha, len(batch))
-            if truths != _each(index.b.box, _each(index.a.dia, truths)):
+        search = _Search(frame, vars_in_use)
+        for _, ones, columns in search.batches():
+            memo = {}
+            truths = search.truths(alpha, columns, ones, memo)
+            if truths != search.truths(closed, columns, ones, memo):
                 return False
     return True

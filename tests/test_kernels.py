@@ -9,17 +9,17 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import frames, gen, semantics, transform
+from polarmodal import frames, gen, semantics
 from polarmodal.frames import Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
-    ModalModel, frame_valid_modal, lattice_extent, sat_modal, truth_set,
-    b_axioms, d_axioms, k_axioms,
+    ModalModel, eval_fol, frame_valid_modal, lattice_extent, sat_modal,
+    truth_set, b_axioms, d_axioms, k_axioms,
 )
 from polarmodal.syntax import (
-    MAnd, MBbox, MBdia, MDbox, MDdia, MImp, MNot, MOr, Signature, mapp,
-    modal_vars, parse_modal,
+    MAnd, MBbox, MBdia, MDbox, MDdia, MImp, MNot, MOr, ModalFormula, Signature,
+    mapp, modal_vars, parse_fol, parse_modal,
 )
-from polarmodal.transform import is_stable_modal
+from polarmodal.transform import is_stable_fol, is_stable_modal
 
 from conftest import ALL_TYPES, SetKernels, image_op, oracle_frames, stable_by_sets
 
@@ -186,19 +186,79 @@ FULL_6 = SortedFrame([f"a{i}" for i in range(6)], [f"b{i}" for i in range(6)],
 P01 = [(Sort.ONE, 0), (Sort.ONE, 1)]
 
 
-def test_batches_double_up_to_the_cap():
-    """A search stops early at small cost: batches grow 1, 2, 4, ... and
-    only then run `_BATCH` valuations at a time."""
-    keys, valuations = semantics._valuations(FULL_6, P01)
-    sizes = [len(batch) for batch, _ in semantics._batches(keys, valuations)]
-    assert sizes == [2 ** i for i in range(11)] + [1024, 1024, 1]
-    assert semantics._BATCH == 1024 and sum(sizes) == 64 * 64
+def test_batches_are_windows_of_the_batch_size():
+    """A search walks its formula once per `_BATCH` valuations, the last
+    batch taking what is left.  A walk costs about the same for one
+    valuation or thousands, so every search of up to 16,384 valuations,
+    which includes every K axiom on 7+7 points, is one walk."""
+    assert semantics._BATCH == 16384
+    for sizes, vars_in_use, batches in (((6, 6), P01, [4096]),
+                                        ((7, 7), P01, [16384]),
+                                        ((15, 1), P01[:1], [16384, 16384]),
+                                        ((6, 6), P01[:1], [64]),
+                                        ((6, 6), [], [1])):
+        frame = random_frame(*sizes, {}, 0.5, seed=1)
+        search = semantics._Search(frame, vars_in_use)
+        assert [(start, ones.bit_length()) for start, ones, _ in search.batches()] \
+            == list(zip(itertools.accumulate(batches[:-1], initial=0), batches))
+
+
+def test_patterns_match_transposed_masks():
+    """Bit c of a point's pattern says whether the c-th choice of a
+    variable over n points holds it: the masks sorted by size, and within
+    a size by sorted points."""
+    for n in range(11):
+        masks = sorted(range((1 << n) - 1, -1, -1), key=int.bit_count)
+        assert semantics._patterns(n) == [
+            sum(1 << c for c, m in enumerate(masks) if m >> j & 1)
+            for j in range(n)], n
+
+
+# sides of one to three points, and variables of both sorts
+LAYOUTS = [
+    ((1, 1), [(Sort.ONE, 0)]),
+    ((3, 2), [(Sort.DEL, 0)]),
+    ((2, 3), [(Sort.ONE, 0), (Sort.DEL, 0)]),
+    ((3, 1), [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0)]),
+    ((2, 2), [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]),
+    ((1, 3), [(Sort.ONE, 0), (Sort.DEL, 0), (Sort.DEL, 1), (Sort.DEL, 2)]),
+]
+
+
+@pytest.mark.parametrize("sizes, vars_in_use", LAYOUTS)
+@pytest.mark.parametrize("batch", [1, 3, 5, 7, 16, 24, 100, 4096])
+def test_batch_columns_transpose_the_valuations(sizes, vars_in_use, batch):
+    """Each batch's columns, read by point, are the valuations' masks read
+    by valuation, in the order of the product of every variable's sorted
+    masks, the first variable slowest.  Batches of odd sizes cut across
+    every variable's strides and periods."""
+    frame = random_frame(*sizes, {}, 0.5, seed=sum(sizes))
+    keys = sorted(vars_in_use, key=lambda v: (v[0].value, v[1]))
+    sides = [frame._index.side(sort) for sort, _ in keys]
+    choices = [sorted(range(side.full, -1, -1), key=int.bit_count) for side in sides]
+    valuations = list(itertools.product(*choices))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_BATCH", batch)
+        search = semantics._Search(frame, vars_in_use)
+        starts = []
+        for start, ones, columns in search.batches():
+            starts.append(start)
+            window = valuations[start:start + ones.bit_length()]
+            assert ones == (1 << len(window)) - 1
+            for i, ((sort, index), side) in enumerate(zip(keys, sides)):
+                assert columns[(sort is Sort.ONE, index)] == [
+                    sum(1 << k for k, v in enumerate(window) if v[i] >> j & 1)
+                    for j in range(len(side.bit))]
+    assert starts == list(range(0, len(valuations), batch))
+    for k in (0, 1, len(valuations) // 3, len(valuations) - 1):
+        assert search.valuation(k) == {
+            var: side.points(m) for var, side, m in zip(keys, sides, valuations[k])}
 
 
 def test_searches_past_the_first_batch_match_sets():
-    """On 6+6 points two variables have 4,096 valuations, fourteen batches.
+    """On 6+6 points two variables have 4,096 valuations, one batch.
     P0 = A is the last of P0's 64 masks, so the first counterexample below
-    is valuation 4,033, in the thirteenth."""
+    is valuation 4,033."""
     oracle = SetKernels(FULL_6)
     theta = parse_modal("~([b] [d] P0 & P1)")
     found = frame_valid_modal(FULL_6, theta, P01)
@@ -261,50 +321,28 @@ def test_shared_subformulas_under_kernels_match_sets(
                 stable_by_sets(alpha, [frame], vars_in_use)
 
 
-def _counting_kernels(mp, calls):
-    """Count every box, diamond and relation image computed, by kernel,
-    side or relation, and argument, and mark the start of every batch a
-    search evaluates with None."""
-    def counted(kernel, key):
-        def run(self, *args):
-            calls.append((kernel.__name__, key(self, *args)))
-            return kernel(self, *args)
-        return run
-    for name in ("box", "dia"):
-        mp.setattr(frames._Side, name, counted(
-            getattr(frames._Side, name), lambda side, m: (side.sort.value, m)))
-    mp.setattr(frames._BitIndex, "image", counted(
-        frames._BitIndex.image, lambda index, rel, masks: (rel.name, tuple(masks))))
-    batches = semantics._batches
-
-    def marked(keys, valuations):
-        for batch in batches(keys, valuations):
-            calls.append(None)
-            yield batch
-    for module in (semantics, transform):
-        mp.setattr(module, "_batches", marked)
-
-
-def _runs(calls):
-    """The kernel calls between batch marks."""
-    runs = [[]]
-    for call in calls:
-        if call is None:
-            runs.append([])
-        else:
-            runs[-1].append(call)
-    return runs
-
-
 def _twin(frame):
     return SortedFrame(frame.points_a, frame.points_b, frame.incidence,
                        frame.relations)
 
 
+def _distinct(theta):
+    """The ids of theta's distinct subformula objects."""
+    seen, todo = set(), [theta]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            todo.extend(v for v in vars(x).values() if isinstance(v, ModalFormula))
+            todo.extend(v for v in getattr(x, "args", ()))
+    return seen
+
+
 def test_searches_leave_nothing_behind():
     """Two searches and a `truth_set`, back to back on one frame, each give
-    what they give on a fresh frame and compute every kernel value afresh;
-    each batch of a search computes afresh what it needs."""
+    what they give on a fresh frame.  Every batch of a search evaluates
+    each distinct subformula once, afresh, and the searches leave the
+    frame, its index and both sides as they found them."""
     frame = random_frame(3, 3, {n: d.sorting() for n, d in ALL_TYPES.items()},
                          0.5, seed=4)
     # same points and relations, other incidence: a memo kept across
@@ -317,49 +355,47 @@ def test_searches_leave_nothing_behind():
     alpha = parse_modal("[b] <d> (P0 & f(P0) | <b> Q0)", SIG)
     valuation = {(Sort.ONE, 0): ["a0", "a2"], (Sort.DEL, 0): ["b1"],
                  (Sort.ONE, 1): ["a1"]}
-    # each query, and whether it is a search
+    # each query; the formula whose subformulas each batch evaluates, with
+    # how many nodes the search adds to it ([b] <d> alpha); and the least
+    # number of batches: 64 valuations of alpha, 8 at a time
     queries = [
-        (lambda f: frame_valid_modal(f, theta, modal_vars(theta)), True),
-        (lambda f: is_stable_modal(alpha, [f], modal_vars(alpha)), True),
-        (lambda f: truth_set(ModalModel(f, valuation), theta), False),
+        (lambda f: frame_valid_modal(f, theta, modal_vars(theta)), theta, 0, 1),
+        (lambda f: is_stable_modal(alpha, [f], modal_vars(alpha)), alpha, 2, 8),
+        (lambda f: truth_set(ModalModel(f, valuation), theta), None, 0, 0),
     ]
+    truths = semantics._Search.truths
+    # each batch's memo, and every subformula the walk evaluated under it
+    walked = []
+
+    def counted(search, phi, columns, ones, memo):
+        if id(phi) not in memo:
+            if not walked or walked[-1][0] is not memo:
+                walked.append((memo, []))
+            walked[-1][1].append(id(phi))
+        return truths(search, phi, columns, ones, memo)
+
     with pytest.MonkeyPatch.context() as mp:
-        calls = []
-        _counting_kernels(mp, calls)
-        for query, search in queries + queries:
+        mp.setattr(semantics, "_BATCH", 8)
+        mp.setattr(semantics._Search, "truths", counted)
+        for query, root, added, batches in queries + queries:
             for f in (frame, other):
-                del calls[:]
+                before = _held(f)
+                del walked[:]
                 found = query(f)
-                used = list(calls)
-                del calls[:]
-                assert query(_twin(f)) == found
-                assert sorted(calls, key=repr) == sorted(used, key=repr)
-                runs = _runs(used)
-                if search:
-                    # every batch reads its kernels afresh
-                    assert runs[0] == [] and len(runs) > 2 and all(runs[1:])
+                if root is not None:
+                    after = _held(f)
+                    assert list(after) == list(before)
+                    for key, (value, keys) in before.items():
+                        assert after[key][0] is value and after[key][1] == keys, key
+                    # one memo per batch, each subformula evaluated once in it
+                    memos = [memo for memo, _ in walked]
+                    assert len(set(map(id, memos))) == len(memos) >= batches
+                    for _, ids in walked:
+                        assert len(set(ids)) == len(ids) == len(_distinct(root)) + added
+                        assert set(ids) >= _distinct(root)
                 else:
-                    assert len(runs) == 1
-
-
-def test_each_box_computes_each_distinct_mask_of_its_column_once():
-    """In every batch of a search, a box is computed once per distinct mask
-    of its argument's column: batches whose column repeats a mask share
-    its result, and the others compute every entry."""
-    frame = random_frame(3, 3, {}, 0.5, seed=4)
-    theta = parse_modal("(P0 | ~P0) | [b] Q0")
-    vars_in_use = modal_vars(theta)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = []
-        _counting_kernels(mp, calls)
-        assert frame_valid_modal(frame, theta, vars_in_use) == (True, None)
-    runs = _runs(calls)[1:]
-    keys, valuations = semantics._valuations(frame, vars_in_use)
-    columns = [c[(Sort.DEL, 0)] for _, c in semantics._batches(keys, valuations)]
-    assert len(runs) == len(columns) == 7
-    assert any(len(set(c)) < len(c) for c in columns)
-    for run, column in zip(runs, columns):
-        assert sorted(run) == sorted(("box", ("d", m)) for m in set(column))
+                    assert walked == []
+                assert query(_twin(f)) == found
 
 
 def test_a_frame_is_freed_when_its_last_search_returns():
@@ -378,6 +414,28 @@ def test_a_frame_is_freed_when_its_last_search_returns():
         truth_set(model, theta)
         sat_modal(model, "a0", theta)
         del frame, model
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_frame_is_freed_when_its_last_fol_evaluation_returns():
+    """FOL compilation leaves no reference cycle through its frame either:
+    with the cycle collector off, dropping the last reference to a frame
+    that `eval_fol` and `is_stable_fol` have read frees it at once."""
+    frame = random_frame(3, 3, {n: d.sorting() for n, d in ALL_TYPES.items()},
+                         0.5, seed=4)
+    predval = {"P0": ["a0"], "Q0": ["b1"]}
+    sentence = parse_fol("all1 u . (P0(u) | exd v . (I(u, v) & Q0(v)))")
+    phi = parse_fol("ex1 w . (P0(w) & exd v . (I(u, v) & I(w, v)))",
+                    free={"u": Sort.ONE})
+    gone = weakref.ref(frame)
+    gc.disable()
+    try:
+        assert eval_fol(frame, predval, {}, sentence) in (True, False)
+        assert eval_fol(frame, predval, {"u": "a1"}, phi) in (True, False)
+        assert is_stable_fol(phi, "u", [(frame, predval)])[0] in (True, False)
+        del frame
         assert gone() is None
     finally:
         gc.enable()
