@@ -17,6 +17,12 @@ point's I-neighbours.  The variables' bits follow from the order of the
 valuations alone (`_patterns`), not from enumerating them.  Both walks
 evaluate a subformula that the formula shares once, and nothing is kept
 on the frame.
+
+A FOL formula is compiled once, for any model (`_Fol`): its closures
+read variables and model data from slots of an environment list, which
+one bind per model fills.  `eval_fol` keeps the last formula object it
+compiled, so evaluating one formula at every point compiles it once;
+`transform.is_stable_fol` compiles once per call.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    fol_free_vars, modal_var_key,
+    modal_var_key,
 )
 
 # read by `resource_cap`, which rejects a setting that is not a positive integer
@@ -513,127 +519,211 @@ def eval_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     """Tarskian evaluation; quantifiers of sort None range over A | B.
 
     `predval` interprets the unary predicates P_i / Q_i; the guards U1/Ud
-    default to the carriers when not given.  Every point a quantifier
-    tries counts against the cap; passing it raises CapExceeded.
+    default to the carriers when not given.  A free variable of sort None
+    may take any point of A | B.  Every point a quantifier tries counts
+    against the cap; passing it raises CapExceeded.  The last formula
+    object evaluated stays compiled, so evaluating one formula at every
+    point compiles it once.
     """
-    free = fol_free_vars(phi)
-    for var in free:
+    global _last_fol
+    last = _last_fol
+    if last[0] is phi:
+        fol = last[1]
+    else:
+        fol = _compile_fol(phi)
+        _last_fol = (phi, fol)
+    for var in fol.free:
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
     budget = _instance_budget()
-    for var in free:
-        if var.sort is not None and \
-                assignment[var.name] not in frame.carrier(var.sort):
+    for var in fol.free:
+        point = assignment[var.name]
+        if var.sort is None:
+            if point not in frame.points_a and point not in frame.points_b:
+                raise SortError(
+                    f"assignment of {var.name} is not a point of the frame")
+        elif point not in frame.carrier(var.sort):
             raise SortError(f"assignment of {var.name} has the wrong sort")
-    names = sorted({var.name for var in free})
-    run = _compile_fol(frame, predval, phi, names, budget)
-    return run(*(assignment[name] for name in names))
+    env = fol.bind(frame, predval, budget)
+    for name, slot in fol.slots.items():
+        env[slot] = assignment[name]
+    return fol.root(env)
 
 
 def _instance_budget() -> tuple[int, Iterator[bool]]:
     """One budget of quantifier instances: the cap, and an iterator that
     yields True once per instance the cap allows and then runs dry.  Every
-    formula compiled against one budget draws on it."""
+    environment bound to one budget draws on it."""
     cap = resource_cap()
     return cap, itertools.repeat(True, cap)
 
 
-def _compile_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
-                 phi: FolFormula, free: Sequence[str],
-                 budget: tuple[int, Iterator[bool]],
-                 missing: dict | None = None) -> Callable[..., bool]:
-    """phi as a function of the points assigned to the variables `free`,
-    which must include phi's free variables, in that order.
+# the slots that start every environment: the budget's iterator, and the
+# text CapExceeded carries when it runs dry
+_TICKS, _CAP = 0, 1
 
-    phi is walked once.  Each variable, free or bound, gets a slot in one
-    list, a binder its own slot even when it shadows another, and every
-    node becomes a closure over the slots.  Domains and the sets that
-    atoms test are looked up here; an unknown relation or an
-    uninterpreted predicate raises only when evaluation reaches it.  Its
-    node's closure, which raises, is also recorded in `missing` under
-    (name, is_pred).
+
+class _Fol:
+    """A FOL formula compiled once, for any model.
+
+    `root` maps an environment, a list of slots, to the formula's truth.
+    After `_TICKS` and `_CAP`, each variable has a slot, a binder its own
+    even when it shadows another, and so has each piece of model data the
+    formula reads: the domain of each quantified sort, each predicate's
+    points, the incidence and each relation's tuples.  `bind` makes an
+    environment with a model's data in place; the caller then fills the
+    free variables' slots, `slots` by name.  Nothing here refers to a
+    model or changes when the formula is evaluated.
     """
-    if missing is None:
-        missing = {}
-    cap, ticks = budget
-    domains = {None: sorted(frame.points_a | frame.points_b),
-               Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}
-    preds = {"U1": frame.points_a, "Ud": frame.points_b}
-    preds.update((name, frozenset(s)) for name, s in predval.items())
-    incidence = frame.incidence
-    env = [None] * len(free)
 
-    def comp(x, scope):
+    __slots__ = ("root", "free", "slots", "size", "domains", "preds",
+                 "relations", "incidence")
+
+    def __init__(self, phi: FolFormula):
+        self.free: set[FVar] = set()
+        self.slots: dict[str, int] = {}
+        self.size = 2
+        self.domains: dict[Sort | None, int] = {}
+        self.preds: dict[str, int] = {}
+        self.relations: dict[str, int] = {}
+        self.incidence: int | None = None
+        self.root = self._node(phi, {})
+        self.free = frozenset(self.free)
+
+    def _new(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def _slot(self, table: dict, key) -> int:
+        """The slot of `key` in one of the tables, new on first use."""
+        slot = table.get(key)
+        if slot is None:
+            slot = table[key] = self._new()
+        return slot
+
+    def _var(self, v: FVar, scope: dict) -> int:
+        """The slot an occurrence of v reads.  `scope` maps a bound name to
+        its binder's slot and sort.  Slots go by name, so a binder captures
+        every occurrence of its name below it; v is free, as
+        `fol_free_vars` has it, unless the binder has v's sort too."""
+        bound = scope.get(v.name)
+        if bound is not None and bound[1] is v.sort:
+            return bound[0]
+        self.free.add(v)
+        slot = self._slot(self.slots, v.name)
+        return slot if bound is None else bound[0]
+
+    def _node(self, x: FolFormula, scope: dict) -> Callable[[list], bool]:
         if isinstance(x, FEq):
-            i, j = scope[x.left.name], scope[x.right.name]
-            return lambda: env[i] == env[j]
+            i, j = self._var(x.left, scope), self._var(x.right, scope)
+            return lambda env: env[i] == env[j]
         if isinstance(x, FInc):
-            i, j = scope[x.u.name], scope[x.v.name]
-            return lambda: (env[i], env[j]) in incidence
+            i, j = self._var(x.u, scope), self._var(x.v, scope)
+            if self.incidence is None:
+                self.incidence = self._new()
+            s = self.incidence
+            return lambda env: (env[i], env[j]) in env[s]
         if isinstance(x, FRelApp):
-            rel = frame.relations.get(x.name)
-            if rel is None:
-                fail = missing[(x.name, False)] = lambda: frame.relation(x.name)
-                return fail
-            tuples = rel.tuples
-            row = itemgetter(*(scope[v.name] for v in (x.head, *x.args)))
-            return lambda: row(env) in tuples
+            row = itemgetter(*(self._var(v, scope) for v in (x.head, *x.args)))
+            s = self._slot(self.relations, x.name)
+            return lambda env: row(env) in env[s]
         if isinstance(x, FPred):
-            points = preds.get(x.name)
-            if points is None:
-                def uninterpreted():
-                    raise _uninterpreted(x.name)
-                missing[(x.name, True)] = uninterpreted
-                return uninterpreted
-            i = scope[x.arg.name]
-            return lambda: env[i] in points
+            i, s = self._var(x.arg, scope), self._slot(self.preds, x.name)
+            return lambda env: env[i] in env[s]
         if isinstance(x, FNot):
-            arg = comp(x.arg, scope)
-            return lambda: not arg()
+            arg = self._node(x.arg, scope)
+            return lambda env: not arg(env)
         if isinstance(x, (FAnd, FOr, FImp)):
-            left, right = comp(x.left, scope), comp(x.right, scope)
+            left, right = self._node(x.left, scope), self._node(x.right, scope)
             if isinstance(x, FAnd):
-                return lambda: left() and right()
+                return lambda env: left(env) and right(env)
             if isinstance(x, FOr):
-                return lambda: left() or right()
-            return lambda: not left() or right()
+                return lambda env: left(env) or right(env)
+            return lambda env: not left(env) or right(env)
         if isinstance(x, (FForall, FExists)):
-            k = len(env)
-            env.append(None)
-            body = comp(x.body, {**scope, x.var.name: k})
-            domain = domains[x.var.sort]
-            exceeded = f"quantifier instances exceed cap {cap}"
+            k = self._new()
+            body = self._node(x.body, {**scope, x.var.name: (k, x.var.sort)})
+            d = self._slot(self.domains, x.var.sort)
             # the body value that settles the quantifier early
             stop = isinstance(x, FExists)
 
-            def quantify():
-                for p in domain:
+            def quantify(env):
+                ticks = env[_TICKS]
+                for p in env[d]:
                     if not next(ticks, False):
-                        raise CapExceeded(exceeded)
+                        raise CapExceeded(env[_CAP])
                     env[k] = p
-                    if body() is stop:
+                    if body(env) is stop:
                         return stop
                 return not stop
             return quantify
         raise SortError(f"unknown FOL node {x!r}")
 
-    try:
-        root = comp(phi, {name: k for k, name in enumerate(free)})
-    finally:
-        # comp reaches itself through its closure cell, and with it the
-        # frame; emptying the cell breaks that cycle, so a dropped frame is
-        # freed at once rather than by the cycle collector
-        del comp
-    arity = len(free)
+    def bind(self, frame: SortedFrame, predval: Mapping[str, Iterable[str]],
+             budget: tuple[int, Iterator[bool]]) -> list:
+        """A fresh environment for evaluating on the model (frame, predval)
+        against `budget`.  A name the model does not interpret gets an
+        `_Uninterpreted`, so it raises only when evaluation reaches it."""
+        cap, ticks = budget
+        env = [None] * self.size
+        env[_TICKS] = ticks
+        env[_CAP] = f"quantifier instances exceed cap {cap}"
+        a, b = frame.points_a, frame.points_b
+        for sort, slot in self.domains.items():
+            env[slot] = sorted(a | b if sort is None else frame.carrier(sort))
+        guards = {"U1": a, "Ud": b}
+        for name, slot in self.preds.items():
+            if name in predval:
+                env[slot] = frozenset(predval[name])
+            elif name in guards:
+                env[slot] = guards[name]
+            else:
+                env[slot] = _Uninterpreted(
+                    (name, True), f"predicate {name} has no interpretation")
+        if self.incidence is not None:
+            env[self.incidence] = frame.incidence
+        for name, slot in self.relations.items():
+            try:
+                env[slot] = frame.relation(name).tuples
+            except PreconditionError as exc:
+                env[slot] = _Uninterpreted((name, False), str(exc))
+        return env
 
-    def run(*points):
-        env[:arity] = points
-        return root()
-    return run
+    def bind_family(self, models: Sequence[tuple[SortedFrame, Mapping]],
+                    budget: tuple[int, Iterator[bool]]) -> list[list]:
+        """One environment per model (frame, predval), all against
+        `budget`.  The least name that some model leaves uninterpreted,
+        by (name, is a predicate), raises here, before any evaluation."""
+        envs = [self.bind(frame, predval, budget) for frame, predval in models]
+        missing = {x.key: x.message for env in envs for x in env
+                   if isinstance(x, _Uninterpreted)}
+        if missing:
+            raise PreconditionError(missing[min(missing)])
+        return envs
 
 
-def _uninterpreted(name: str) -> PreconditionError:
-    return PreconditionError(f"predicate {name} has no interpretation")
+class _Uninterpreted:
+    """What a predicate or relation name binds to on a model that does not
+    interpret it: a membership test raises the error evaluation gives for
+    that name."""
+
+    __slots__ = ("key", "message")
+
+    def __init__(self, key: tuple[str, bool], message: str):
+        self.key, self.message = key, message
+
+    def __contains__(self, point) -> bool:
+        raise PreconditionError(self.message)
+
+
+def _compile_fol(phi: FolFormula) -> _Fol:
+    """phi compiled in one walk, which also collects its free variables."""
+    return _Fol(phi)
+
+
+# the formula `eval_fol` evaluated last and its compilation, rebound as
+# one tuple; the formula is held, so its identity cannot be reused
+_last_fol: tuple[FolFormula | None, _Fol | None] = (None, None)
 
 
 def sort_reduce(phi: FolFormula) -> FolFormula:

@@ -215,7 +215,7 @@ def stability_transform(phi: FolFormula, free_var: str) -> FolFormula:
     Returns alld v . (I(u,v) -> ex1 z . (I(z,v) & phi[u:=z])) with fresh
     v, z and capture-avoiding substitution.
     """
-    u = _one_free_var(phi, free_var)
+    u = _one_free_var(fol_free_vars(phi), free_var)
     used = fol_all_var_names(phi)
     v = _pick_fresh("v", used)
     used.add(v)
@@ -226,10 +226,10 @@ def stability_transform(phi: FolFormula, free_var: str) -> FolFormula:
     return FForall(vvar, FImp(FInc(u, vvar), inner))
 
 
-def _one_free_var(phi: FolFormula, free_var: str) -> FVar:
-    """The sort-1 variable free_var, which must be phi's only free one."""
+def _one_free_var(free: frozenset[FVar], free_var: str) -> FVar:
+    """The sort-1 variable free_var, which must be the only one in `free`,
+    a formula's free variables."""
     u = FVar(free_var, Sort.ONE)
-    free = fol_free_vars(phi)
     if free != frozenset({u}):
         raise PreconditionError(
             f"formula must have exactly the free sort-1 variable {free_var}, "
@@ -256,23 +256,26 @@ def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
     Returns (True, None) or (False, (family_index, point)), the point being
     the least one where phi and its stability transform differ.  On a
     finite model the transform holds exactly on [b]<d> of phi's extension,
-    so phi is compiled once per model and evaluated once per point of A,
-    and the transform is never evaluated.  Those evaluations draw on one
-    budget of `resource_cap()` quantifier instances.  phi is compiled for
-    every model first, and the least predicate or relation name that some
-    model leaves uninterpreted is rejected before anything is evaluated.
+    so phi is evaluated once per point of A, and the transform is never
+    evaluated.  phi is compiled once per call and bound to each model;
+    the evaluations draw on one budget of `resource_cap()` quantifier
+    instances.  The least predicate or relation name that some model
+    leaves uninterpreted is rejected before anything is evaluated.
     """
     if not model_family:
         raise PreconditionError("model family must be non-empty")
-    _one_free_var(phi, free_var)
-    budget, missing = _instance_budget(), {}
-    runs = [_compile_fol(frame, predval, phi, [free_var], budget, missing)
-            for frame, predval in model_family]
-    if missing:
-        missing[min(missing)]()  # raises what evaluation would for that name
-    for idx, ((frame, _), run) in enumerate(zip(model_family, runs)):
+    fol = _compile_fol(phi)
+    _one_free_var(fol.free, free_var)
+    envs = fol.bind_family(model_family, _instance_budget())
+    at, root = fol.slots[free_var], fol.root
+    for idx, ((frame, _), env) in enumerate(zip(model_family, envs)):
         a, b = frame._index.a, frame._index.b
-        ext = sum(bit for bit in a.order() if run(a.name[bit]))
+        ext = 0
+        # bits from high to low: the points in name order
+        for bit, point in reversed(a.name.items()):
+            env[at] = point
+            if root(env):
+                ext |= bit
         differ = ext ^ b.box(a.dia(ext))
         if differ:
             return False, (idx, a.least(differ))

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import strategies as st
 
 import polarmodal
-from polarmodal import catalog
+from polarmodal import catalog, semantics, transform
 from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import (
     B_SUFFIX, Concept, FiniteLatticeExpansion, Sort, SortedFrame, SortedRelation,
     SortingType, random_frame,
 )
-from polarmodal.semantics import _compile_fol, _instance_budget, resource_cap
+from polarmodal.semantics import resource_cap
 from polarmodal.syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, LAnd,
     LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox, MDdia,
@@ -37,6 +37,21 @@ oracle_frames = st.builds(
 def f0():
     """The 2+2 reference frame: I = {(a0,b1), (a1,b0)}."""
     return SortedFrame(["a0", "a1"], ["b0", "b1"], [("a0", "b1"), ("a1", "b0")])
+
+
+@pytest.fixture
+def fol_compiles(monkeypatch):
+    """The formulas the FOL compiler is called on from now on, one entry
+    per call, from `semantics` and `transform` alike."""
+    calls = []
+    compile_fol = semantics._compile_fol
+
+    def counting(phi, *rest):
+        calls.append(phi)
+        return compile_fol(phi, *rest)
+    monkeypatch.setattr(semantics, "_compile_fol", counting)
+    monkeypatch.setattr(transform, "_compile_fol", counting)
+    return calls
 
 
 def image_op(frame, name, args):
@@ -365,24 +380,24 @@ def refinement_levels_oracle(m, m2):
         levels.append({p: ids[keys[p]] for p in points})
 
 
-def fol_oracle(frame, predval, assignment, phi):
+def fol_oracle(frame, predval, assignment, phi, tried=None):
     """`eval_fol` by recursion over phi with a dict environment, copied at
     every binder: the same checks, instance count and errors, one tree
-    walk per visit."""
+    walk per visit.  Calls that share `tried`, a one-item list, share
+    one count of instances against the cap."""
     predval = {k: frozenset(v) for k, v in predval.items()}
     for var in fol_free_vars(phi):
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
     cap = resource_cap()
-    tried = 0
+    tried = [0] if tried is None else tried
     domains = {None: sorted(frame.points_a | frame.points_b),
                Sort.ONE: sorted(frame.points_a), Sort.DEL: sorted(frame.points_b)}
 
     def instances(x, env):
-        nonlocal tried
         for p in domains[x.var.sort]:
-            tried += 1
-            if tried > cap:
+            tried[0] += 1
+            if tried[0] > cap:
                 raise CapExceeded(f"quantifier instances exceed cap {cap}")
             yield ev(x.body, {**env, x.var.name: p})
 
@@ -423,26 +438,30 @@ def fol_oracle(frame, predval, assignment, phi):
     env = {}
     for var in fol_free_vars(phi):
         point = assignment[var.name]
-        if var.sort is not None and point not in frame.carrier(var.sort):
+        if var.sort is None:
+            if point not in frame.points_a | frame.points_b:
+                raise SortError(
+                    f"assignment of {var.name} is not a point of the frame")
+        elif point not in frame.carrier(var.sort):
             raise SortError(f"assignment of {var.name} has the wrong sort")
         env[var.name] = point
     return ev(phi, env)
 
 
 def stable_fol_oracle(phi, free_var, model_family):
-    """`is_stable_fol` by evaluating phi and its stability transform at
-    every point of every model, both compiled against one budget, and
-    stopping at the first point where they differ.  It reports no
+    """`is_stable_fol` by evaluating phi and its stability transform with
+    `fol_oracle` at every point of every model, on one instance count,
+    and stopping at the first point where they differ.  It reports no
     uninterpreted name that evaluation does not reach."""
     if not model_family:
         raise PreconditionError("model family must be non-empty")
     closed = stability_transform(phi, free_var)
-    budget = _instance_budget()
+    tried = [0]
     for idx, (frame, predval) in enumerate(model_family):
-        lhs = _compile_fol(frame, predval, phi, [free_var], budget)
-        rhs = _compile_fol(frame, predval, closed, [free_var], budget)
         for a in sorted(frame.points_a):
-            if lhs(a) != rhs(a):
+            at = {free_var: a}
+            if fol_oracle(frame, predval, at, phi, tried) != \
+                    fol_oracle(frame, predval, at, closed, tried):
                 return False, (idx, a)
     return True, None
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,13 @@ def test_eval_fol(f0):
         eval_fol(f0, predval, {}, phi)  # u unassigned
     with pytest.raises(SortError):
         eval_fol(f0, predval, {"u": "b0"}, phi)
+    # an unsorted free variable, as sort reduction leaves it, takes any
+    # point of A | B, and nothing else
+    unsorted = sort_reduce(parse_fol("u = u", free={"u": Sort.ONE}))
+    for evaluate in (eval_fol, fol_oracle):
+        assert evaluate(f0, {}, {"u": "b0"}, unsorted)
+        with pytest.raises(SortError, match="^assignment of u is not a point"):
+            evaluate(f0, {}, {"u": "nonexistent"}, unsorted)
 
 
 def test_eval_fol_counts_quantifier_instances(f0, monkeypatch):
@@ -363,6 +372,75 @@ def test_eval_fol_raises_on_uninterpreted_names_only_when_reached(f0):
         phi = parse_fol(text, SIG)
         assert outcome(eval_fol, f0, predval, {}, phi) == expect, text
         assert outcome(fol_oracle, f0, predval, {}, phi) == expect, text
+
+
+def test_eval_fol_compiles_a_formula_once_for_every_point(fol_compiles):
+    frame = random_frame(5, 4, {"f": D1_1.sorting()}, 0.5, seed=3)
+    predval = random_predval(frame, 3)
+    phi = std_translate(parse_modal("[b] <d> (P0 | f(P1))", SIG), "u")
+    for a in sorted(frame.points_a):
+        assert eval_fol(frame, predval, {"u": a}, phi) == \
+            fol_oracle(frame, predval, {"u": a}, phi)
+    assert fol_compiles == [phi]
+    # the formula is kept by identity: an equal copy is compiled afresh
+    copy = std_translate(parse_modal("[b] <d> (P0 | f(P1))", SIG), "u")
+    assert copy == phi and copy is not phi
+    eval_fol(frame, predval, {"u": "a0"}, copy)
+    assert len(fol_compiles) == 2
+
+
+def test_eval_fol_keeps_no_model_between_calls(f0):
+    """One formula object on a model that interprets f and P1, then on
+    one that interprets neither, and back: every answer and every lazy
+    error is the oracle's, so no slot of one binding reaches the next."""
+    full = with_relation(f0, make_rel("f", "1;1", [("a1", "a0")]))
+    models = [(full, {"P0": {"a0"}, "P1": {"a1"}}), (f0, {"P0": {"a1"}})]
+    texts = ["ex1 x . P0(x) & (f(u, x) | P1(x))",
+             "all1 x . P0(x) | f(x, u)",
+             "ex1 x . ~P0(x) | P1(x)"]
+    for phi in [parse_fol(t, SIG, free={"u": Sort.ONE}) for t in texts]:
+        for frame, predval in models + models:
+            for a in sorted(frame.points_a):
+                asg = {"u": a}
+                assert outcome(eval_fol, frame, predval, asg, phi) == \
+                    outcome(fol_oracle, frame, predval, asg, phi)
+    # formulas X, Y, X: the compiled X is not disturbed by Y's
+    x, y = (parse_fol(t, SIG, free={"u": Sort.ONE}) for t in texts[:2])
+    frame, predval = models[0]
+    for phi in (x, y, x):
+        for a in sorted(frame.points_a):
+            assert eval_fol(frame, predval, {"u": a}, phi) == \
+                fol_oracle(frame, predval, {"u": a}, phi)
+
+
+def test_eval_fol_from_many_threads():
+    """Threads evaluating two formulas in turn share the compiled one
+    `eval_fol` keeps; every answer stays the single-threaded one."""
+    frame = random_frame(4, 4, {}, 0.5, seed=2)
+    predval = random_predval(frame, 2)
+    phis = [std_translate(parse_modal(t), "u")
+            for t in ("[b] <d> P0", "<b> (Q0 & [d] P1)")]
+    expect = {(i, a): fol_oracle(frame, predval, {"u": a}, phi)
+              for i, phi in enumerate(phis) for a in frame.points_a}
+    wrong = []
+
+    def work():
+        for _ in range(50):
+            for (i, a), value in expect.items():
+                if eval_fol(frame, predval, {"u": a}, phis[i]) != value:
+                    wrong.append((i, a))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # ------------------------------------------------------------ depth limit

@@ -176,6 +176,17 @@ def test_is_stable_fol_control():
         is_stable_fol(bare, "u", [])
 
 
+def test_is_stable_fol_compiles_once_per_call(fol_compiles):
+    family = catalog.default_model_family()
+    assert len(family) == 4
+    phi = std_translate(parse_modal("[b] <d> P0"), "u")
+    assert is_stable_fol(phi, "u", family) == (True, None)
+    assert fol_compiles == [phi]
+    bare = parse_fol("P0(u)", free={"u": Sort.ONE})
+    assert is_stable_fol(bare, "u", family)[0] is False
+    assert fol_compiles == [phi, bare]
+
+
 def test_is_stable_fol_draws_on_one_budget(monkeypatch):
     """Two copies of a model need exactly twice the quantifier instances
     of one: the cap bounds the whole search, not each model or point."""
