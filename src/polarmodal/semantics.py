@@ -14,9 +14,10 @@ valuations, and a node's value is one int per point with one bit per
 valuation of the batch, so each connective is one map of ands and ors
 over the points and each box or diamond one and or or over every
 point's I-neighbours.  The variables' bits follow from the order of the
-valuations alone (`_patterns`), not from enumerating them.  Both walks
-evaluate a subformula that the formula shares once, and nothing is kept
-on the frame.
+valuations alone (`_patterns`), not from enumerating them: a search has
+2**m valuations and `_BATCH` is a power of two, so every batch is aligned
+(`_windows`).  Both walks evaluate a subformula that the formula shares
+once, and nothing is kept on the frame.
 
 A FOL formula is compiled once, for any model (`_Fol`): its closures
 read variables and model data from slots of an environment list, which
@@ -31,7 +32,7 @@ import itertools
 import os
 from functools import lru_cache, reduce
 from math import comb
-from operator import and_, itemgetter, lshift, or_
+from operator import and_, attrgetter, itemgetter, lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, PolarModalError, PreconditionError, SortError
@@ -248,7 +249,7 @@ def resource_cap() -> int:
     return cap
 
 
-# the most valuations a search evaluates in one walk of its formula
+# the most valuations one walk evaluates; must be a power of two (`_windows`)
 _BATCH = 16384
 
 
@@ -295,41 +296,25 @@ def _bits(base: bytes, off: int, count: int) -> int:
     return part >> (off & 7) & ((1 << count) - 1)
 
 
-def _cycle(base: bytes, period: int, off: int, count: int) -> int:
-    """`count` bits, from bit `off` on, of the first `period` bits of base
-    repeated.  Only the bytes that hold them are read."""
-    width = min(period - off, count)
-    out = _bits(base, off, width)
-    rest = count - width
-    if rest:
-        reps, span = _bits(base, 0, min(period, rest)), period
-        while span < rest:
-            reps |= reps << span
-            span *= 2
-        out |= (reps & ((1 << rest) - 1)) << width
-    return out
-
-
 def _windows(patterns: Sequence[bytes], n: int, shift: int, start: int,
              length: int) -> list[int]:
     """Bits start .. start + length of each point's pattern over a whole
     search, for a variable over n points whose choice changes every
     1 << shift valuations: bit c of a point's entry in `patterns` fills
-    1 << shift bits in a row, and the 2**n choices repeat."""
-    c0 = start >> shift
-    count = ((start + length - 1) >> shift) - c0 + 1
-    bits = [_cycle(p, 1 << n, c0 & ((1 << n) - 1), count) for p in patterns]
+    1 << shift bits in a row, and the 2**n choices repeat.  `length` is a
+    power of two and `start` a multiple of it, so the window is part of
+    one choice, `count` choices from c0 that do not wrap, or whole periods."""
+    count, c0 = length >> shift, start >> shift & ((1 << n) - 1)
+    if not count:
+        return [(1 << length) - 1 if _bits(p, c0, 1) else 0 for p in patterns]
+    bits, span = [_bits(p, c0, min(count, 1 << n)) for p in patterns], 1 << n
+    while span < count:
+        bits = [b | b << span for b in bits]
+        span *= 2
     if not shift:
         return bits
-    run, ones = 1 << shift, (1 << length) - 1
-    skip = start & (run - 1)
-    if run >= length:
-        # one or two choices; the first holds for the first run - skip bits
-        low = (1 << min(run - skip, length)) - 1
-        return [(low if b & 1 else 0) | (ones ^ low if b & 2 else 0) for b in bits]
-    spread = {48: "0" * run, 49: "1" * run}
-    return [int(format(b, f"0{count}b").translate(spread), 2) >> skip & ones
-            for b in bits]
+    spread = {48: "0" * (1 << shift), 49: "1" * (1 << shift)}
+    return [int(format(b, f"0{count}b").translate(spread), 2) for b in bits]
 
 
 class _Search:
@@ -337,11 +322,12 @@ class _Search:
 
     Valuation k gives each variable, in key order, one choice of its
     points: the first variable varies slowest, and each runs through the
-    subsets of its side by size and then by sorted points.  A batch is a
-    run of up to `_BATCH` consecutive valuations, and a node's value under
-    it is a list with one int per point of the node's sort, in bit order,
-    whose bit i is set iff the point satisfies the node under the batch's
-    i-th valuation.  So a batch costs one walk of the formula: each
+    subsets of its side by size and then by sorted points.  A batch is
+    `min(_BATCH, total)` consecutive valuations, a power of two starting
+    at a multiple of itself, and a node's value under it is a list with
+    one int per point of the node's sort, in bit order, whose bit i is
+    set iff the point satisfies the node under the batch's i-th
+    valuation.  So a batch costs one walk of the formula: each
     connective is one C-level map over the points, and each box, diamond
     or named diamond one and or or per I-neighbour or tuple of a point.
 
@@ -377,20 +363,18 @@ class _Search:
         """Each batch as (start, ones, columns): `ones` has one bit per
         valuation, and `columns` maps each variable, keyed as `_truth`'s
         masks, to its value."""
-        for start in range(0, self.total, _BATCH):
-            length = min(_BATCH, self.total - start)
+        length = min(_BATCH, self.total)
+        ones = (1 << length) - 1
+        for start in range(0, self.total, length):
             columns = {(sort is _ONE, i): _windows(patterns, n, shift, start, length)
                        for (sort, i), _, n, shift, patterns in self.layout}
-            yield start, (1 << length) - 1, columns
+            yield start, ones, columns
 
     def valuation(self, k: int) -> dict:
         """Valuation k, as point sets by variable."""
-        out = {}
-        for key, side, n, shift, patterns in self.layout:
-            c = k >> shift & ((1 << n) - 1)
-            out[key] = side.points(sum(1 << j for j, p in enumerate(patterns)
-                                       if p[c >> 3] >> (c & 7) & 1))
-        return out
+        return {key: side.points(sum(b << j for j, b in enumerate(
+                    _windows(patterns, n, shift, k, 1))))
+                for key, side, n, shift, patterns in self.layout}
 
     def truths(self, theta: ModalFormula, columns: Mapping, ones: int,
                memo: dict[int, list[int]]) -> list[int]:
@@ -526,17 +510,17 @@ def eval_fol(frame: SortedFrame, predval: Mapping[str, Iterable[str]],
     point compiles it once.
     """
     global _last_fol
-    last = _last_fol
-    if last[0] is phi:
-        fol = last[1]
-    else:
+    last, fol = _last_fol
+    if last is not phi:
         fol = _compile_fol(phi)
         _last_fol = (phi, fol)
-    for var in fol.free:
+    # by name, so an error names the least offending variable
+    free = sorted(fol.free, key=attrgetter("name"))
+    for var in free:
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
     budget = _instance_budget()
-    for var in fol.free:
+    for var in free:
         point = assignment[var.name]
         if var.sort is None:
             if point not in frame.points_a and point not in frame.points_b:
@@ -570,10 +554,11 @@ class _Fol:
     After `_TICKS` and `_CAP`, each variable has a slot, a binder its own
     even when it shadows another, and so has each piece of model data the
     formula reads: the domain of each quantified sort, each predicate's
-    points, the incidence and each relation's tuples.  `bind` makes an
-    environment with a model's data in place; the caller then fills the
-    free variables' slots, `slots` by name.  Nothing here refers to a
-    model or changes when the formula is evaluated.
+    points, the incidence and each relation's tuples, keyed by name and
+    the sorts of an atom's variables.  `bind` makes an environment with a
+    model's data in place; the caller then fills the free variables'
+    slots, `slots` by name.  Nothing here refers to a model or changes
+    when the formula is evaluated.
     """
 
     __slots__ = ("root", "free", "slots", "size", "domains", "preds",
@@ -585,7 +570,7 @@ class _Fol:
         self.size = 2
         self.domains: dict[Sort | None, int] = {}
         self.preds: dict[str, int] = {}
-        self.relations: dict[str, int] = {}
+        self.relations: dict[tuple[str, tuple], int] = {}
         self.incidence: int | None = None
         self.root = self._node(phi, {})
         self.free = frozenset(self.free)
@@ -624,8 +609,9 @@ class _Fol:
             s = self.incidence
             return lambda env: (env[i], env[j]) in env[s]
         if isinstance(x, FRelApp):
-            row = itemgetter(*(self._var(v, scope) for v in (x.head, *x.args)))
-            s = self._slot(self.relations, x.name)
+            atom = (x.head, *x.args)
+            row = itemgetter(*(self._var(v, scope) for v in atom))
+            s = self._slot(self.relations, (x.name, tuple(v.sort for v in atom)))
             return lambda env: row(env) in env[s]
         if isinstance(x, FPred):
             i, s = self._var(x.arg, scope), self._slot(self.preds, x.name)
@@ -662,8 +648,10 @@ class _Fol:
     def bind(self, frame: SortedFrame, predval: Mapping[str, Iterable[str]],
              budget: tuple[int, Iterator[bool]]) -> list:
         """A fresh environment for evaluating on the model (frame, predval)
-        against `budget`.  A name the model does not interpret gets an
-        `_Uninterpreted`, so it raises only when evaluation reaches it."""
+        against `budget`.  A name the model does not interpret, or a
+        relation atom whose arity or sorted variables do not fit the frame
+        relation, gets an `_Uninterpreted`, so it raises only when
+        evaluation reaches it."""
         cap, ticks = budget
         env = [None] * self.size
         env[_TICKS] = ticks
@@ -679,14 +667,23 @@ class _Fol:
                 env[slot] = guards[name]
             else:
                 env[slot] = _Uninterpreted(
-                    (name, True), f"predicate {name} has no interpretation")
+                    (name, True), PreconditionError,
+                    f"predicate {name} has no interpretation")
         if self.incidence is not None:
             env[self.incidence] = frame.incidence
-        for name, slot in self.relations.items():
+        for (name, sorts), slot in self.relations.items():
             try:
-                env[slot] = frame.relation(name).tuples
+                rel = frame.relation(name)
             except PreconditionError as exc:
-                env[slot] = _Uninterpreted((name, False), str(exc))
+                env[slot] = _Uninterpreted((name, False), PreconditionError, str(exc))
+                continue
+            want = (rel.sorting.output, *rel.sorting.inputs)
+            if len(sorts) == len(want) and all(
+                    s is None or s is w for s, w in zip(sorts, want)):
+                env[slot] = rel.tuples
+            else:
+                env[slot] = _Uninterpreted((name, False), SortError, f"atom {name} "
+                                           "does not match the frame relation sorting")
         return env
 
     def bind_family(self, models: Sequence[tuple[SortedFrame, Mapping]],
@@ -695,25 +692,26 @@ class _Fol:
         `budget`.  The least name that some model leaves uninterpreted,
         by (name, is a predicate), raises here, before any evaluation."""
         envs = [self.bind(frame, predval, budget) for frame, predval in models]
-        missing = {x.key: x.message for env in envs for x in env
+        missing = {x.key: x for env in envs for x in env
                    if isinstance(x, _Uninterpreted)}
         if missing:
-            raise PreconditionError(missing[min(missing)])
+            first = missing[min(missing)]
+            raise first.error(first.message)
         return envs
 
 
 class _Uninterpreted:
     """What a predicate or relation name binds to on a model that does not
-    interpret it: a membership test raises the error evaluation gives for
-    that name."""
+    interpret it, or not at the atom's sorting: a membership test raises
+    the `error` that evaluation gives for that name."""
 
-    __slots__ = ("key", "message")
+    __slots__ = ("key", "error", "message")
 
-    def __init__(self, key: tuple[str, bool], message: str):
-        self.key, self.message = key, message
+    def __init__(self, key: tuple[str, bool], error: type, message: str):
+        self.key, self.error, self.message = key, error, message
 
     def __contains__(self, point) -> bool:
-        raise PreconditionError(self.message)
+        raise self.error(self.message)
 
 
 def _compile_fol(phi: FolFormula) -> _Fol:

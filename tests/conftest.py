@@ -386,7 +386,8 @@ def fol_oracle(frame, predval, assignment, phi, tried=None):
     walk per visit.  Calls that share `tried`, a one-item list, share
     one count of instances against the cap."""
     predval = {k: frozenset(v) for k, v in predval.items()}
-    for var in fol_free_vars(phi):
+    free = sorted(fol_free_vars(phi), key=lambda v: v.name)
+    for var in free:
         if var.name not in assignment:
             raise PreconditionError(f"free variable {var.name} is unassigned")
     cap = resource_cap()
@@ -417,8 +418,13 @@ def fol_oracle(frame, predval, assignment, phi, tried=None):
             return (env[x.u.name], env[x.v.name]) in frame.incidence
         if isinstance(x, FRelApp):
             rel = frame.relation(x.name)
-            tup = (env[x.head.name],) + tuple(env[a.name] for a in x.args)
-            return tup in rel.tuples
+            atom = (x.head, *x.args)
+            want = (rel.sorting.output, *rel.sorting.inputs)
+            if len(atom) != len(want) or \
+                    any(v.sort not in (None, w) for v, w in zip(atom, want)):
+                raise SortError(
+                    f"atom {x.name} does not match the frame relation sorting")
+            return tuple(env[v.name] for v in atom) in rel.tuples
         if isinstance(x, FPred):
             return env[x.arg.name] in pred_set(x.name)
         if isinstance(x, FNot):
@@ -436,7 +442,7 @@ def fol_oracle(frame, predval, assignment, phi, tried=None):
         raise SortError(f"unknown FOL node {x!r}")
 
     env = {}
-    for var in fol_free_vars(phi):
+    for var in free:
         point = assignment[var.name]
         if var.sort is None:
             if point not in frame.points_a | frame.points_b:

@@ -278,6 +278,15 @@ def test_cli_stable_fol_rejects_uninterpreted_names(capsys):
     assert err == "error: no relation named 'h' in frame\n"
 
 
+def test_cli_stable_fol_rejects_atoms_of_another_sorting(capsys):
+    # the signature makes f d;d, but every family model has f of sorting 1;1
+    formula = ("alld v1 . I(u, v1) -> ex1 u1 . I(u1, v1) & P0(u1) & "
+               "(exd v . exd w . f(v, w))")
+    code, out, err = run(capsys, "stable", "--fol", "--sig", "f d->d", formula)
+    assert code == 2 and out == ""
+    assert err == "error: atom f does not match the frame relation sorting\n"
+
+
 @pytest.mark.parametrize("cap", ["abc", "-5"])
 def test_cli_rejects_a_malformed_cap(cap):
     env = {**hash_seed_env("0"), "POLARMODAL_CAP": cap}
@@ -498,6 +507,19 @@ def test_cli_verify(capsys):
     # determinism modulo the timing line
     code, out2, _ = run(capsys, "verify", "galois", "--count", "5")
     assert out.splitlines()[:-1] == out2.splitlines()[:-1]
+
+
+def test_cli_verify_axioms_serial_only(capsys):
+    """`--serial-only` skips the non-serial frames, so no D axiom is
+    refuted; the default run checks them too and refutes D on them."""
+    code, out, _ = run(capsys, "verify", "axioms", "--serial-only")
+    assert code == 0
+    assert "D refutations on non-serial frames: 0" in out
+    assert "result: PASS checked=270 failures=0" in out
+    code, out, _ = run(capsys, "verify", "axioms")
+    assert code == 0
+    assert "D refutations on non-serial frames: 94" in out
+    assert "result: PASS checked=606 failures=0" in out
 
 
 def test_cli_verify_rejects_small_size_bounds(capsys):

@@ -161,7 +161,7 @@ def test_frame_validity_counterexamples_match_sets(frame, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(oracle_frames.filter(lambda f: len(f.points_a) <= 3 and len(f.points_b) <= 3),
-       st.integers(0, 10 ** 6), st.sampled_from([1, 2, 7]))
+       st.integers(0, 10 ** 6), st.sampled_from([1, 2, 8]))
 def test_valuation_batches_of_any_size_match_sets(frame, seed, batch):
     """Searches cut into small batches find what one set-based walk per
     valuation finds, whichever batch the first counterexample falls in."""
@@ -190,8 +190,10 @@ def test_batches_are_windows_of_the_batch_size():
     """A search walks its formula once per `_BATCH` valuations, the last
     batch taking what is left.  A walk costs about the same for one
     valuation or thousands, so every search of up to 16,384 valuations,
-    which includes every K axiom on 7+7 points, is one walk."""
+    which includes every K axiom on 7+7 points, is one walk.  `_BATCH` is
+    a power of two, so the batches are equal and aligned."""
     assert semantics._BATCH == 16384
+    assert semantics._BATCH.bit_count() == 1
     for sizes, vars_in_use, batches in (((6, 6), P01, [4096]),
                                         ((7, 7), P01, [16384]),
                                         ((15, 1), P01[:1], [16384, 16384]),
@@ -226,12 +228,13 @@ LAYOUTS = [
 
 
 @pytest.mark.parametrize("sizes, vars_in_use", LAYOUTS)
-@pytest.mark.parametrize("batch", [1, 3, 5, 7, 16, 24, 100, 4096])
+@pytest.mark.parametrize("batch", [1, 2, 4, 8, 16, 32, 128, 4096])
 def test_batch_columns_transpose_the_valuations(sizes, vars_in_use, batch):
     """Each batch's columns, read by point, are the valuations' masks read
     by valuation, in the order of the product of every variable's sorted
-    masks, the first variable slowest.  Batches of odd sizes cut across
-    every variable's strides and periods."""
+    masks, the first variable slowest.  Across the layouts these batch
+    sizes reach each of `_windows`' three cases: a window inside one
+    choice, consecutive choices within a period, and whole periods."""
     frame = random_frame(*sizes, {}, 0.5, seed=sum(sizes))
     keys = sorted(vars_in_use, key=lambda v: (v[0].value, v[1]))
     sides = [frame._index.side(sort) for sort, _ in keys]
@@ -276,6 +279,23 @@ def test_searches_past_the_first_batch_match_sets():
             SetKernels(frame).frame_valid_modal(axiom, vars_in_use) == (True, None)
 
 
+def test_a_counterexample_in_the_last_batch(monkeypatch):
+    """On 10+10 points two variables have 2**20 valuations, 64 batches.
+    P0 = A is the last of P0's 1,024 masks, so the first counterexample
+    is valuation 1,047,553, in the last batch."""
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 2 ** 20)
+    points_a = [f"a{i}" for i in range(10)]
+    points_b = [f"b{i}" for i in range(10)]
+    full = SortedFrame(points_a, points_b, itertools.product(points_a, points_b))
+    search = semantics._Search(full, P01)
+    assert [start for start, _, _ in search.batches()] == \
+        list(range(0, 2 ** 20, 16384))
+    found = (False, ({(Sort.ONE, 0): full.points_a,
+                      (Sort.ONE, 1): frozenset({"a0"})}, "a0"))
+    assert frame_valid_modal(full, parse_modal("~([b] [d] P0 & P1)"), P01) == found
+    assert search.valuation(1_047_553) == found[1][0]
+
+
 # ------------------------------------------------- per-column kernel reuse
 
 def _contexts(a, d):
@@ -294,7 +314,7 @@ small_frames = oracle_frames.filter(
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_frames, st.integers(0, 10 ** 6), st.sampled_from([1, 2, 7]),
+@given(small_frames, st.integers(0, 10 ** 6), st.sampled_from([1, 2, 8]),
        st.permutations(range(10)),
        st.lists(st.sampled_from([MAnd, MOr, MImp]), min_size=9, max_size=9))
 def test_shared_subformulas_under_kernels_match_sets(

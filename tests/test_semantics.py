@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarmodal import gen, semantics
-from polarmodal.catalog import D1_1
+from polarmodal.catalog import D1_1, DD_D
 from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import Concept, Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
@@ -235,6 +235,20 @@ def test_eval_fol(f0):
             evaluate(f0, {}, {"u": "nonexistent"}, unsorted)
 
 
+def test_eval_fol_errors_name_the_least_variable(f0):
+    """Of several offending free variables, the least by name is named,
+    whatever the string hash seed."""
+    phi = parse_fol("u = z & w = w",
+                    free={"u": Sort.ONE, "z": Sort.ONE, "w": Sort.DEL})
+    for evaluate in (eval_fol, fol_oracle):
+        assert outcome(evaluate, f0, {}, {}, phi) == \
+            (PreconditionError, "free variable u is unassigned")
+        assert outcome(evaluate, f0, {}, {"u": "b0", "w": "a0", "z": "b1"}, phi) \
+            == (SortError, "assignment of u has the wrong sort")
+        assert outcome(evaluate, f0, {}, {"u": "a0", "w": "a0", "z": "b1"}, phi) \
+            == (SortError, "assignment of w has the wrong sort")
+
+
 def test_eval_fol_counts_quantifier_instances(f0, monkeypatch):
     # two points for x, then two for y under each: 2 + 4 instances
     phi = parse_fol("all1 x . all1 y . P0(x) | ~P0(x)")
@@ -292,7 +306,7 @@ def outcome(evaluate, *args):
     """The value of `evaluate(*args)`, or the type and text of its error."""
     try:
         return evaluate(*args)
-    except (CapExceeded, PreconditionError) as exc:
+    except (CapExceeded, PreconditionError, SortError) as exc:
         return type(exc), str(exc)
 
 
@@ -372,6 +386,60 @@ def test_eval_fol_raises_on_uninterpreted_names_only_when_reached(f0):
         phi = parse_fol(text, SIG)
         assert outcome(eval_fol, f0, predval, {}, phi) == expect, text
         assert outcome(fol_oracle, f0, predval, {}, phi) == expect, text
+
+
+def test_eval_fol_rejects_atoms_of_another_sorting_when_reached(f0):
+    """A relation atom whose arity, or the sort of one of whose sorted
+    variables, disagrees with the frame relation raises SortError when
+    evaluation reaches it.  Unsorted variables, as `sort_reduce` leaves
+    them, have their arity checked only."""
+    predval = {"P0": {"a0"}}
+    binary = with_relation(f0, make_rel("f", "d;1d", [("b0", "a0", "b1")]))
+    unary = with_relation(f0, make_rel("f", "1;1", [("a1", "a0")]))
+    mismatch = SortError, "atom f does not match the frame relation sorting"
+    dd = Signature.of({"f": DD_D})
+    for frame, sig, text, expect in [
+            (binary, SIG, "ex1 x . ex1 y . f(x, y)", mismatch),
+            (binary, SIG, "all1 x . all1 y . ~f(x, y)", mismatch),
+            (binary, SIG, "ex1 x . P0(x) | f(x, x)", True),  # a0 is a witness
+            (unary, dd, "exd v . exd w . f(v, w)", mismatch),
+            (unary, dd, "alld v . ~f(v, v)", mismatch),
+            (unary, dd, "ex1 x . P0(x) | (exd v . f(v, v))", True),
+            (unary, SIG, "ex1 x . ex1 y . f(x, y)", True)]:
+        phi = parse_fol(text, sig)
+        assert outcome(eval_fol, frame, predval, {}, phi) == expect, text
+        assert outcome(fol_oracle, frame, predval, {}, phi) == expect, text
+    for frame, sig, text, expect in [
+            (binary, SIG, "ex1 x . ex1 y . f(x, y)", mismatch),
+            (unary, dd, "exd v . exd w . f(v, w)", False),
+            (unary, SIG, "ex1 x . ex1 y . f(x, y)", True)]:
+        phi = sort_reduce(parse_fol(text, sig))
+        assert outcome(eval_fol, frame, predval, {}, phi) == expect, text
+        assert outcome(fol_oracle, frame, predval, {}, phi) == expect, text
+
+
+def test_is_stable_fol_rejects_atoms_of_another_sorting_first(f0):
+    """`is_stable_fol` rejects a mismatched atom on any family model before
+    it evaluates anything, and still reports the least name first."""
+    predval = {"P0": {"a0"}}
+    unary = with_relation(f0, make_rel("f", "1;1", [("a1", "a0")]))
+    binary = with_relation(f0, make_rel("f", "d;1d", [("b0", "a0", "b1")]))
+    family = [(unary, predval), (binary, predval)]
+    sig = Signature.of({"f": D1_1, "h": D1_1})
+    for text, error, message in [
+            # the contradiction never reaches f, P7 or h
+            ("P0(u) & ~P0(u) & f(u, u)", SortError,
+             "atom f does not match the frame relation sorting"),
+            ("P0(u) & ~P0(u) & f(u, u) & P7(u)", PreconditionError,
+             "predicate P7 has no interpretation"),
+            ("P0(u) & ~P0(u) & h(u, u) & f(u, u)", SortError,
+             "atom f does not match the frame relation sorting")]:
+        phi = parse_fol(text, sig, free={"u": Sort.ONE})
+        with pytest.raises(error) as caught:
+            is_stable_fol(phi, "u", family)
+        assert str(caught.value) == message, text
+    phi = parse_fol("P0(u) & ~P0(u) & f(u, u)", SIG, free={"u": Sort.ONE})
+    assert is_stable_fol(phi, "u", family[:1]) == (True, None)
 
 
 def test_eval_fol_compiles_a_formula_once_for_every_point(fol_compiles):
