@@ -26,7 +26,7 @@ from enum import Enum
 from operator import add, and_, lshift, rshift
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NormalityError, PreconditionError, SortError
+from .errors import CapExceeded, NormalityError, PreconditionError, SortError
 
 class Sort(Enum):
     ONE = "1"
@@ -468,12 +468,16 @@ class _Side:
 
         They are the carrier and every intersection of the Galois images of
         the other side's single points; each image is intersected once with
-        every set found so far.
+        every set found so far.  Over `resource_cap()` sets raise CapExceeded.
         """
+        from .semantics import resource_cap  # semantics imports this module
+        cap = resource_cap()
         closed = {self.full}
         for row in set(self.co_rows.values()):
             gen = self.full & ~row
             closed |= {c & gen for c in closed}
+            if len(closed) > cap:
+                raise CapExceeded(f"closed sets exceed cap {cap}")
         masks = sorted(closed, reverse=True)
         masks.sort(key=int.bit_count)
         return self._point_sets(masks)

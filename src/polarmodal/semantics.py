@@ -13,10 +13,10 @@ search (`frame_valid_modal`, `transform.is_stable_modal`) is bit-sliced
 valuations, and a node's value is one int per point with one bit per
 valuation of the batch, so each connective is one map of ands and ors
 over the points and each box or diamond one and or or over every
-point's I-neighbours.  The variables' bits follow from the order of the
-valuations alone (`_patterns`), not from enumerating them: a search has
-2**m valuations and `_BATCH` is a power of two, so every batch is aligned
-(`_windows`).  Both walks evaluate a subformula that the formula shares
+point's I-neighbours.  Valuations are counted in binary, one bit of the
+count per point of each variable, so a variable's column in a batch is
+a fixed periodic mask or a constant per point (`_periodic`), not an
+enumeration.  Both walks evaluate a subformula that the formula shares
 once, and nothing is kept on the frame.
 
 A FOL formula is compiled once, for any model (`_Fol`): its closures
@@ -31,8 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache, reduce
-from math import comb
-from operator import and_, attrgetter, itemgetter, lshift, or_
+from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, PolarModalError, PreconditionError, SortError
@@ -41,7 +40,7 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    modal_var_key,
+    modal_var_key, modal_vars,
 )
 
 # read by `resource_cap`, which rejects a setting that is not a positive integer
@@ -249,87 +248,32 @@ def resource_cap() -> int:
     return cap
 
 
-# the most valuations one walk evaluates; must be a power of two (`_windows`)
+# the most valuations one walk evaluates; a power of two, so batches align
 _BATCH = 16384
 
 
 @lru_cache(maxsize=None)
-def _pattern_bytes(n: int) -> tuple[bytes, ...]:
-    """`_patterns(n)`, each as little-endian bytes, so that a batch reads
-    only the bytes of its own window.  They depend on n alone and are
-    kept: n * 2**n bits per side size searched, at most about 5 MB for
-    every size the default cap allows."""
-    return tuple(p.to_bytes(((1 << n) + 7) >> 3, "little") for p in _patterns(n))
-
-
-def _patterns(n: int) -> list[int]:
-    """Each point's truth under every choice of one variable over an
-    n-point side, in bit order: bit c of entry j is set iff choice c holds
-    the point of bit 1 << j.
-
-    The choices come by size, and within a size in the order of
-    `itertools.combinations` of the sorted points.  Among the C(m, k)
-    k-subsets of m points, those holding the first point are the first
-    C(m-1, k-1); for a later point, its pattern among the m-1 other
-    points comes first with k-1 of them and then with k.  So each point's
-    patterns follow from those of a shorter list, by shifts and ors of
-    whole size classes.
-    """
-    out = []
-    for first in range(1, n + 1):
-        # the patterns of the point that is first of the last `first`
-        # points, one per size k = 0..first
-        sizes = [0, *map(comb, itertools.repeat(first - 1), range(first))]
-        q = [(1 << s) - 1 for s in sizes]
-        for m in range(first + 1, n + 1):
-            sizes = [0, *map(comb, itertools.repeat(m - 1), range(m))]
-            q = list(map(or_, [0, *q], map(lshift, [*q, 0], sizes)))
-        offsets = itertools.accumulate(map(comb, itertools.repeat(n), range(n)),
-                                       initial=0)
-        out.append(sum(map(lshift, q, offsets)))
-    return out
-
-
-def _bits(base: bytes, off: int, count: int) -> int:
-    """`count` bits of base, little-endian, from bit `off` on."""
-    part = int.from_bytes(base[off >> 3:(off + count + 7) >> 3], "little")
-    return part >> (off & 7) & ((1 << count) - 1)
-
-
-def _windows(patterns: Sequence[bytes], n: int, shift: int, start: int,
-             length: int) -> list[int]:
-    """Bits start .. start + length of each point's pattern over a whole
-    search, for a variable over n points whose choice changes every
-    1 << shift valuations: bit c of a point's entry in `patterns` fills
-    1 << shift bits in a row, and the 2**n choices repeat.  `length` is a
-    power of two and `start` a multiple of it, so the window is part of
-    one choice, `count` choices from c0 that do not wrap, or whole periods."""
-    count, c0 = length >> shift, start >> shift & ((1 << n) - 1)
-    if not count:
-        return [(1 << length) - 1 if _bits(p, c0, 1) else 0 for p in patterns]
-    bits, span = [_bits(p, c0, min(count, 1 << n)) for p in patterns], 1 << n
-    while span < count:
-        bits = [b | b << span for b in bits]
-        span *= 2
-    if not shift:
-        return bits
-    spread = {48: "0" * (1 << shift), 49: "1" * (1 << shift)}
-    return [int(format(b, f"0{count}b").translate(spread), 2) for b in bits]
+def _periodic(l: int) -> tuple[int, ...]:
+    """The columns of index bits 0 .. l-1 over a batch of 2**l valuations:
+    bit i of entry g is set iff bit g of i is, so entry g repeats 2**g
+    zeros then 2**g ones.  Kept: at most 15 tuples, about 60 KB."""
+    ones = (1 << (1 << l)) - 1
+    return tuple(ones // ((1 << (1 << g)) + 1) << (1 << g) for g in range(l))
 
 
 class _Search:
     """The valuations of a frame's variables, searched bit-sliced.
 
-    Valuation k gives each variable, in key order, one choice of its
-    points: the first variable varies slowest, and each runs through the
-    subsets of its side by size and then by sorted points.  A batch is
-    `min(_BATCH, total)` consecutive valuations, a power of two starting
-    at a multiple of itself, and a node's value under it is a list with
-    one int per point of the node's sort, in bit order, whose bit i is
-    set iff the point satisfies the node under the batch's i-th
-    valuation.  So a batch costs one walk of the formula: each
-    connective is one C-level map over the points, and each box, diamond
-    or named diamond one and or or per I-neighbour or tuple of a point.
+    Valuations are counted in binary: valuation k gives each variable, in
+    key order, the points of bits shift .. shift + n - 1 of k, n the size
+    of its side and shift the points of the variables after it.  A batch
+    is `min(_BATCH, total)` consecutive valuations, a power of two
+    starting at a multiple of itself, and a node's value under it is a
+    list with one int per point of the node's sort, in bit order, whose
+    bit i is set iff the point satisfies the node under the batch's i-th
+    valuation.  So a batch costs one walk of the formula: each connective
+    is one C-level map over the points, and each box, diamond or named
+    diamond one and or or per I-neighbour or tuple of a point.
 
     The number of valuations is checked against the cap before anything
     else.  Built for one search and dropped with it, it stores nothing on
@@ -346,12 +290,9 @@ class _Search:
         if self.total > cap:
             raise CapExceeded(f"{self.total} valuations exceed cap {cap}")
         self.frame, self.index = frame, index
-        # a variable's choice changes every 2**shift valuations, where shift
-        # counts the points of the variables after it
         shifts = [sum(sizes[i + 1:]) for i in range(len(sizes))]
-        # per variable: key, side, size, shift and each point's pattern
-        self.layout = [(key, side, n, shift, _pattern_bytes(n))
-                       for key, side, n, shift in zip(keys, sides, sizes, shifts)]
+        # per variable: key, side, size and shift
+        self.layout = list(zip(keys, sides, sizes, shifts))
         a, b = index.a, index.b
         # each point's I-neighbours, as positions on the other side
         self.near_a = [_positions(a.rows[1 << j]) for j in range(len(a.bit))]
@@ -362,19 +303,34 @@ class _Search:
     def batches(self):
         """Each batch as (start, ones, columns): `ones` has one bit per
         valuation, and `columns` maps each variable, keyed as `_truth`'s
-        masks, to its value."""
-        length = min(_BATCH, self.total)
-        ones = (1 << length) - 1
-        for start in range(0, self.total, length):
-            columns = {(sort is _ONE, i): _windows(patterns, n, shift, start, length)
-                       for (sort, i), _, n, shift, patterns in self.layout}
+        masks, to its value.  Index bit g of the batch's i-th valuation is
+        bit g of i below the batch length 2**l, and bit g of start above."""
+        l = min(_BATCH, self.total).bit_length() - 1
+        ones, periodic = (1 << (1 << l)) - 1, _periodic(l)
+        for start in range(0, self.total, 1 << l):
+            columns = {(sort is _ONE, i): [periodic[g] if g < l else
+                                           ones if start >> g & 1 else 0
+                                           for g in range(shift, shift + n)]
+                       for (sort, i), _, n, shift in self.layout}
             yield start, ones, columns
 
     def valuation(self, k: int) -> dict:
         """Valuation k, as point sets by variable."""
-        return {key: side.points(sum(b << j for j, b in enumerate(
-                    _windows(patterns, n, shift, k, 1))))
-                for key, side, n, shift, patterns in self.layout}
+        return {key: side.points(k >> shift & side.full)
+                for key, side, _, shift in self.layout}
+
+    def walk(self, theta: ModalFormula, columns: Mapping, ones: int,
+             memo: dict[int, list[int]]) -> list[int]:
+        """`truths`, where a variable of theta that the search lacks raises
+        PreconditionError naming the least such variable."""
+        try:
+            return self.truths(theta, columns, ones, memo)
+        except KeyError:
+            lacked = modal_vars(theta).difference(key for key, *_ in self.layout)
+            if not lacked:
+                raise
+        least = MVar(*min(lacked, key=modal_var_key))
+        raise PreconditionError(f"{least.name} is not among the variables in use")
 
     def truths(self, theta: ModalFormula, columns: Mapping, ones: int,
                memo: dict[int, list[int]]) -> list[int]:
@@ -386,9 +342,7 @@ class _Search:
             return got
         walk = self.truths
         if isinstance(theta, MVar):
-            got = columns.get((theta.sort is _ONE, theta.index))
-            if got is None:
-                got = [0] * len(self.index.side(theta.sort).bit)
+            got = columns[(theta.sort is _ONE, theta.index)]
         elif isinstance(theta, MConst):
             got = [ones if theta.truth else 0] * len(self.index.side(theta.sort).bit)
         elif isinstance(theta, MNot):
@@ -480,13 +434,14 @@ def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
     """Validity on one frame: theta holds at all points under all valuations.
 
     Returns (True, None) or (False, (valuation, point)) for the first
-    valuation, in `_Search` order, that misses a point, and the least
-    point, by name, that it misses.
+    valuation, in `_Search`'s binary-counting order, that misses a point,
+    and the least point, by name, that it misses.  A variable of theta
+    missing from vars_in_use raises PreconditionError.
     """
     side = frame._index.side(theta.sort)
     search = _Search(frame, vars_in_use)
     for start, ones, columns in search.batches():
-        truths = search.truths(theta, columns, ones, {})
+        truths = search.walk(theta, columns, ones, {})
         fail = ones & ~reduce(and_, truths, ones)
         if fail:
             k = (fail & -fail).bit_length() - 1

@@ -292,7 +292,7 @@ def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
         search = _Search(frame, vars_in_use)
         for _, ones, columns in search.batches():
             memo = {}
-            truths = search.truths(alpha, columns, ones, memo)
+            truths = search.walk(alpha, columns, ones, memo)
             if truths != search.truths(closed, columns, ones, memo):
                 return False
     return True

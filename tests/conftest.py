@@ -228,12 +228,18 @@ class SetKernels:
         return concept(intent=closed)
 
     def frame_valid_modal(self, theta, vars_in_use):
-        """The first valuation, in powerset order per variable taken in key
-        order, and the least point at which theta fails."""
+        """The first valuation, counting k = 0, 1, ... in binary, and the
+        least point at which theta fails.  Valuation k gives each variable,
+        in key order, the subset of bits shift .. shift + n - 1 of k, where
+        shift counts the points of the variables after it and bit j stands
+        for the j-th point in reverse name order."""
         keys = sorted(vars_in_use, key=modal_var_key)
-        subsets = [list(powerset(self.frame.carrier(sort))) for sort, _ in keys]
-        for choice in itertools.product(*subsets):
-            valuation = dict(zip(keys, choice))
+        names = [sorted(self.frame.carrier(sort), reverse=True) for sort, _ in keys]
+        shifts = [sum(map(len, names[i + 1:])) for i in range(len(names))]
+        for k in range(1 << sum(map(len, names))):
+            valuation = {key: frozenset(p for j, p in enumerate(points)
+                                        if k >> shift + j & 1)
+                         for key, points, shift in zip(keys, names, shifts)}
             missing = self.frame.carrier(theta.sort) - self.truth_set(valuation, theta)
             if missing:
                 return False, (valuation, sorted(missing)[0])

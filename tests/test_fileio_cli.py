@@ -481,6 +481,15 @@ def test_cli_concepts(tmp_path, capsys):
     assert code == 0 and "# 4 concepts" in out
 
 
+def test_cli_concepts_is_capped(tmp_path, capsys, monkeypatch):
+    frame = tmp_path / "frame.txt"
+    frame.write_text(F0_TEXT)
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 3)
+    code, out, err = run(capsys, "concepts", str(frame))
+    assert code == 2 and out == ""
+    assert err == "error: resource cap exceeded: closed sets exceed cap 3\n"
+
+
 def test_cli_gen_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "frame", "--seed", "3")
     assert code == 0

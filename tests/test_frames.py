@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import catalog
-from polarmodal.errors import NormalityError, PreconditionError, SortError
+from polarmodal import catalog, semantics
+from polarmodal.errors import CapExceeded, NormalityError, PreconditionError, SortError
 from polarmodal.frames import (
     Concept, DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
     SortedFrame, canonical_frame, random_frame,
@@ -149,6 +149,20 @@ def test_concepts_empty_incidence():
     frame = SortedFrame(["a0", "a1"], ["b0"], [])
     assert frame.stable_sets() == [frame.points_a]
     assert len(frame.all_concepts().carrier) == 1
+
+
+def test_closed_set_enumeration_is_capped(monkeypatch):
+    """On the diagonal frame every subset of either side is closed, 16 on
+    4+4 points: a cap of 16 lets them through, and a cap of 15 stops the
+    enumeration with CapExceeded."""
+    points_a, points_b = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]
+    frame = SortedFrame(points_a, points_b, zip(points_a, points_b))
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 16)
+    assert len(frame.stable_sets()) == len(frame.costable_sets()) == 16
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 15)
+    for enumerate_sets in (frame.stable_sets, frame.costable_sets):
+        with pytest.raises(CapExceeded, match="^closed sets exceed cap 15$"):
+            enumerate_sets()
 
 
 def test_concepts_f0(f0):

@@ -205,15 +205,13 @@ def test_batches_are_windows_of_the_batch_size():
             == list(zip(itertools.accumulate(batches[:-1], initial=0), batches))
 
 
-def test_patterns_match_transposed_masks():
-    """Bit c of a point's pattern says whether the c-th choice of a
-    variable over n points holds it: the masks sorted by size, and within
-    a size by sorted points."""
-    for n in range(11):
-        masks = sorted(range((1 << n) - 1, -1, -1), key=int.bit_count)
-        assert semantics._patterns(n) == [
-            sum(1 << c for c, m in enumerate(masks) if m >> j & 1)
-            for j in range(n)], n
+def test_periodic_masks_match_index_bits():
+    """Entry g of `_periodic(l)` is the column of index bit g over a batch
+    of 2**l valuations: bit i is set iff bit g of i is."""
+    for l in range(15):
+        assert semantics._periodic(l) == tuple(
+            sum(1 << i for i in range(1 << l) if i >> g & 1)
+            for g in range(l)), l
 
 
 # sides of one to three points, and variables of both sorts
@@ -231,14 +229,12 @@ LAYOUTS = [
 @pytest.mark.parametrize("batch", [1, 2, 4, 8, 16, 32, 128, 4096])
 def test_batch_columns_transpose_the_valuations(sizes, vars_in_use, batch):
     """Each batch's columns, read by point, are the valuations' masks read
-    by valuation, in the order of the product of every variable's sorted
-    masks, the first variable slowest.  Across the layouts these batch
-    sizes reach each of `_windows`' three cases: a window inside one
-    choice, consecutive choices within a period, and whole periods."""
+    by valuation, in the order of the product of every variable's masks
+    counted in binary, the first variable slowest."""
     frame = random_frame(*sizes, {}, 0.5, seed=sum(sizes))
     keys = sorted(vars_in_use, key=lambda v: (v[0].value, v[1]))
     sides = [frame._index.side(sort) for sort, _ in keys]
-    choices = [sorted(range(side.full, -1, -1), key=int.bit_count) for side in sides]
+    choices = [range(side.full + 1) for side in sides]
     valuations = list(itertools.product(*choices))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "_BATCH", batch)
@@ -253,21 +249,24 @@ def test_batch_columns_transpose_the_valuations(sizes, vars_in_use, batch):
                     sum(1 << k for k, v in enumerate(window) if v[i] >> j & 1)
                     for j in range(len(side.bit))]
     assert starts == list(range(0, len(valuations), batch))
-    for k in (0, 1, len(valuations) // 3, len(valuations) - 1):
+    checked = range(len(valuations)) if len(valuations) <= 256 else \
+        (0, 1, len(valuations) // 3, len(valuations) - 1)
+    for k in checked:
         assert search.valuation(k) == {
             var: side.points(m) for var, side, m in zip(keys, sides, valuations[k])}
 
 
 def test_searches_past_the_first_batch_match_sets():
-    """On 6+6 points two variables have 4,096 valuations, one batch.
-    P0 = A is the last of P0's 64 masks, so the first counterexample below
-    is valuation 4,033."""
+    """On 6+6 points two variables have 4,096 valuations, which are one
+    batch.  P0 = A is the last of P0's 64 masks, and P1 = {a5} the first
+    non-empty mask of P1, so the first counterexample below is valuation
+    63 * 64 + 1 = 4,033."""
     oracle = SetKernels(FULL_6)
     theta = parse_modal("~([b] [d] P0 & P1)")
     found = frame_valid_modal(FULL_6, theta, P01)
     assert found == oracle.frame_valid_modal(theta, P01)
     assert found == (False, ({(Sort.ONE, 0): FULL_6.points_a,
-                              (Sort.ONE, 1): frozenset({"a0"})}, "a0"))
+                              (Sort.ONE, 1): frozenset({"a5"})}, "a5"))
     # unstable exactly when P0 = A and P1 is neither empty nor A
     alpha = parse_modal("[b] [d] P0 & P1")
     assert is_stable_modal(alpha, [FULL_6], P01) is False
@@ -281,8 +280,9 @@ def test_searches_past_the_first_batch_match_sets():
 
 def test_a_counterexample_in_the_last_batch(monkeypatch):
     """On 10+10 points two variables have 2**20 valuations, 64 batches.
-    P0 = A is the last of P0's 1,024 masks, so the first counterexample
-    is valuation 1,047,553, in the last batch."""
+    P0 = A is the last of P0's 1,024 masks, and P1 = {a9} the first
+    non-empty mask of P1, so the first counterexample is valuation
+    1023 * 1024 + 1 = 1,047,553, in the last batch."""
     monkeypatch.setattr(semantics, "DEFAULT_CAP", 2 ** 20)
     points_a = [f"a{i}" for i in range(10)]
     points_b = [f"b{i}" for i in range(10)]
@@ -291,9 +291,22 @@ def test_a_counterexample_in_the_last_batch(monkeypatch):
     assert [start for start, _, _ in search.batches()] == \
         list(range(0, 2 ** 20, 16384))
     found = (False, ({(Sort.ONE, 0): full.points_a,
-                      (Sort.ONE, 1): frozenset({"a0"})}, "a0"))
+                      (Sort.ONE, 1): frozenset({"a9"})}, "a9"))
     assert frame_valid_modal(full, parse_modal("~([b] [d] P0 & P1)"), P01) == found
     assert search.valuation(1_047_553) == found[1][0]
+
+
+def test_stability_past_the_first_batch(monkeypatch):
+    """At the real `_BATCH`, stability on 10+10 points with P0 and P1 runs
+    through 64 batches: [b] [d] P0 & P1 is unstable exactly when P0 = A,
+    in the last batch, and the stable formula reads every batch."""
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 2 ** 20)
+    points_a = [f"a{i}" for i in range(10)]
+    points_b = [f"b{i}" for i in range(10)]
+    full = SortedFrame(points_a, points_b, itertools.product(points_a, points_b))
+    assert len(list(semantics._Search(full, P01).batches())) == 64
+    assert is_stable_modal(parse_modal("[b] [d] P0 & P1"), [full], P01) is False
+    assert is_stable_modal(parse_modal("[b] [d] P0 & [b] <d> P1"), [full], P01)
 
 
 # ------------------------------------------------- per-column kernel reuse

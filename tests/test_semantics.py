@@ -197,6 +197,28 @@ def test_frame_valid_modal_cap(f0, monkeypatch):
         frame_valid_modal(f0, tautology, [(Sort.ONE, 0), (Sort.DEL, 0)])
 
 
+def test_searches_reject_a_variable_missing_from_vars_in_use():
+    """A variable of the formula that vars_in_use lacks raises, naming the
+    least such variable by sort and index, not the first the walk meets;
+    extra variables are allowed."""
+    frame = random_frame(2, 2, {}, 0.5, seed=1)
+    cases = [("~P0", [], "P0"),
+             ("P0 -> P0 & ~P1", [(Sort.ONE, 0)], "P1"),
+             ("P2 & [b] Q1 & [b] Q0 & P1", [(Sort.ONE, 1)], "P2"),
+             ("P2 & [b] Q1 & [b] Q0 & P1", [(Sort.ONE, 1), (Sort.ONE, 2)], "Q0")]
+    for text, vars_in_use, least in cases:
+        theta = parse_modal(text)
+        for search in (lambda: frame_valid_modal(frame, theta, vars_in_use),
+                       lambda: is_stable_modal(theta, [frame], vars_in_use)):
+            with pytest.raises(PreconditionError,
+                               match=f"^{least} is not among the variables in use$"):
+                search()
+    theta = parse_modal("P0 -> P0")
+    assert frame_valid_modal(frame, theta, [(Sort.ONE, 0), (Sort.DEL, 3)]) == (True, None)
+    assert is_stable_modal(parse_modal("[b] <d> P0"), [frame],
+                           [(Sort.ONE, 0), (Sort.ONE, 1)])
+
+
 def test_frame_validity(f0):
     for name, axiom, vars_ in k_axioms() + b_axioms() + d_axioms():
         ok, witness = frame_valid_modal(f0, axiom, vars_)
