@@ -108,17 +108,17 @@ def cmd_stable(args) -> int:
     return 0 if ok else 1
 
 
-def _load_pairs(text: str, f1, f2) -> SortedPairRelation:
+def _load_pairs(text: str, f1) -> SortedPairRelation:
     pairs_a, pairs_b = set(), set()
     for lineno, line in fileio._lines(text):
         tokens = line.split()
         if len(tokens) != 2:
             raise PolarModalError(f"pair line {lineno}: expected two points")
         w, w2 = tokens
-        if w in f1.points_a:
-            pairs_a.add((w, w2))
-        else:
-            pairs_b.add((w, w2))
+        if w not in f1.points_a and w not in f1.points_b:
+            raise PolarModalError(
+                f"pair line {lineno}: point {w!r} is not in the first model")
+        (pairs_a if w in f1.points_a else pairs_b).add((w, w2))
     return SortedPairRelation(frozenset(pairs_a), frozenset(pairs_b))
 
 
@@ -126,7 +126,7 @@ def cmd_bisim(args) -> int:
     m1 = fileio.load_modal_model(_read(args.model1))
     m2 = fileio.load_modal_model(_read(args.model2))
     if args.pairs:
-        rel = _load_pairs(_read(args.pairs), m1.frame, m2.frame)
+        rel = _load_pairs(_read(args.pairs), m1.frame)
         for direction, f, g, r in (("forth", m1.frame, m2.frame, rel),
                                    ("back", m2.frame, m1.frame, rel.inverse())):
             ok, violation = is_simulation(f, g, r)

@@ -124,6 +124,11 @@ class Concept:
     extent: frozenset[str]
     intent: frozenset[str]
 
+    def __repr__(self):
+        # sorted points: elements ordered by repr must not follow the hash seed
+        return (f"Concept(extent=frozenset({sorted(self.extent)}), "
+                f"intent=frozenset({sorted(self.intent)}))")
+
 
 class SortedFrame:
     """Finite two-sorted frame (A, I, B, relations).
@@ -536,9 +541,10 @@ def _union(rows: dict[int, int], m: int) -> int:
 class FiniteLattice:
     """A finite bounded lattice given by its order relation.
 
-    Each element's downset and upset are indexed once; meets and joins are
-    read off that index on demand, and construction verifies that every
-    pair has them.  An order error names the least elements by repr.
+    Each element's downset and upset are indexed once, and each element by
+    them, so a meet is the element whose downset is the intersection of two
+    (a join dually), and construction verifies that every pair has them.
+    An order error names the least elements by repr.
     """
 
     def __init__(self, carrier: Iterable, leq: Iterable[tuple]):
@@ -559,12 +565,13 @@ class FiniteLattice:
         self._up = {x: frozenset(s) for x, s in up.items()}
         elems = sorted(self.carrier, key=repr)
         self._validate_order(elems)
-        for i, x in enumerate(elems):
-            for y in elems[i + 1:]:
-                if self.meet(x, y) is None or self.join(x, y) is None:
-                    raise PreconditionError(f"no meet/join for {x},{y}: not a lattice")
-        self.bottom = next(x for x in elems if self._up[x] == self.carrier)
-        self.top = next(x for x in elems if self._down[x] == self.carrier)
+        # antisymmetry makes both keys unique
+        self._by_down = {d: x for x, d in self._down.items()}
+        self._by_up = {u: x for x, u in self._up.items()}
+        for x, y in itertools.combinations(elems, 2):
+            if self.meet(x, y) is None or self.join(x, y) is None:
+                raise PreconditionError(f"no meet/join for {x},{y}: not a lattice")
+        self.bottom, self.top = self._by_up[self.carrier], self._by_down[self.carrier]
 
     def _validate_order(self, elems):
         for x in elems:
@@ -587,10 +594,10 @@ class FiniteLattice:
         return x in self._down[y]
 
     def meet(self, x, y):
-        return _greatest(self._down[x] & self._down[y], self._down)
+        return self._by_down.get(self._down[x] & self._down[y])
 
     def join(self, x, y):
-        return _greatest(self._up[x] & self._up[y], self._up)
+        return self._by_up.get(self._up[x] & self._up[y])
 
     def join_all(self, xs: Iterable):
         out = self.bottom
@@ -622,13 +629,6 @@ class FiniteLattice:
             for x in self.carrier
             for y in self.carrier
         )
-
-
-def _greatest(common: frozenset, index: dict):
-    """The z in `common` whose downset (or upset) in `index` is `common`,
-    or None.  Each such set lies inside `common`, so only the largest can."""
-    z = max(common, key=lambda w: len(index[w]), default=None)
-    return z if common and index[z] == common else None
 
 
 @dataclass
@@ -671,11 +671,9 @@ class FiniteLatticeExpansion:
         for j, s in enumerate(dist.inputs):
             zero = lat.sorted_bottom(s)
             for rest in itertools.product(elems, repeat=dist.arity - 1):
-                def at(w):
-                    return table[rest[:j] + (w,) + rest[j:]]
-
+                at = {w: table[rest[:j] + (w,) + rest[j:]] for w in elems}
                 # empty join of the j-th sorted coordinate
-                if at(zero) != lat.sorted_bottom(dist.output):
+                if at[zero] != lat.sorted_bottom(dist.output):
                     raise NormalityError(
                         f"operator {name} does not preserve the sorted bottom "
                         f"in coordinate {j}",
@@ -684,8 +682,8 @@ class FiniteLatticeExpansion:
                     )
                 for x in elems:
                     for y in elems:
-                        lhs = at(lat.sorted_join(s, x, y))
-                        rhs = lat.sorted_join(dist.output, at(x), at(y))
+                        lhs = at[lat.sorted_join(s, x, y)]
+                        rhs = lat.sorted_join(dist.output, at[x], at[y])
                         if lhs != rhs:
                             raise NormalityError(
                                 f"operator {name} fails join distribution "
@@ -709,33 +707,23 @@ def canonical_frame(exp: FiniteLatticeExpansion) -> SortedFrame:
     """
     lat = exp.lattice
     elems = sorted(lat.carrier, key=str)
-    for x in elems:
-        if not isinstance(x, str):
-            raise PreconditionError("canonical_frame needs string-named elements")
-    a_points = list(elems)
-    b_points = [x + B_SUFFIX for x in elems]
-    incidence = [
-        (x, y + B_SUFFIX) for x in elems for y in elems if not lat.leq(x, y)
-    ]
+    if not all(isinstance(x, str) for x in elems):
+        raise PreconditionError("canonical_frame needs string-named elements")
+    incidence = [(x, y + B_SUFFIX) for x in elems for y in elems if not lat.leq(x, y)]
+
+    def point(elem, sort):
+        return elem if sort is Sort.ONE else elem + B_SUFFIX
+
     relations = {}
     for name, (dist, table) in exp.operators.items():
-        sorting = dist.sorting()
-
-        def point(elem, sort):
-            return elem if sort is Sort.ONE else elem + B_SUFFIX
-
+        # the heads of a tuple: u <= phi(w) for output 1, phi(w) <= u for d
+        heads = lat.downset if dist.output is Sort.ONE else lat.upset
         tuples = set()
         for args in itertools.product(elems, repeat=dist.arity):
-            val = table[args]
-            for u in elems:
-                holds = lat.leq(u, val) if dist.output is Sort.ONE else lat.leq(val, u)
-                if holds:
-                    head = point(u, dist.output)
-                    tuples.add(
-                        (head,) + tuple(point(w, s) for w, s in zip(args, dist.inputs))
-                    )
-        relations[name] = SortedRelation(name, sorting, frozenset(tuples))
-    return SortedFrame(a_points, b_points, incidence, relations)
+            tail = tuple(point(w, s) for w, s in zip(args, dist.inputs))
+            tuples.update((point(u, dist.output),) + tail for u in heads(table[args]))
+        relations[name] = SortedRelation(name, dist.sorting(), frozenset(tuples))
+    return SortedFrame(elems, [x + B_SUFFIX for x in elems], incidence, relations)
 
 
 # ----------------------------------------------------------------------

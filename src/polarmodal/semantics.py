@@ -106,46 +106,43 @@ class ModalModel:
 
 def lattice_extent(model: LatticeModel, phi: LatticeFormula) -> Concept:
     """Interpret phi as a formal concept; intent is always extent's image."""
-    index = model.frame._index
-    ext, intent = _concept(model.frame, model._masks, phi)
-    return Concept(index.a.points(ext), index.b.points(intent))
+    a = model.frame._index.a
+    ext = _extent(model.frame, model._masks, phi)
+    return Concept(a.points(ext), model.frame._index.b.points(a.polar(ext)))
 
 
-def _concept(frame: SortedFrame, masks: Mapping[int, int],
-             phi: LatticeFormula) -> tuple[int, int]:
-    """Extent and intent masks of phi.  Operator arguments are concept
-    extents or intents, so closed: `closed_op` would find nothing to reject."""
+def _extent(frame: SortedFrame, masks: Mapping[int, int],
+            phi: LatticeFormula) -> int:
+    """The extent mask of phi; its intent is the extent's Galois image.
+    Operator arguments are concept extents or intents, so closed:
+    `closed_op` would find nothing to reject."""
     index = frame._index
     a, b = index.a, index.b
     if isinstance(phi, LVar):
         ext = masks.get(phi.index)
         if ext is None:
             raise PreconditionError(f"p{phi.index} has no valuation")
-        return ext, a.polar(ext)
+        return ext
     if isinstance(phi, LTop):
-        return a.full, a.polar(a.full)
+        return a.full
     if isinstance(phi, LBot):
-        return b.polar(b.full), b.full
+        return b.polar(b.full)
     if isinstance(phi, LAnd):
-        ext = _concept(frame, masks, phi.left)[0] & _concept(frame, masks, phi.right)[0]
-        return ext, a.polar(ext)
+        return _extent(frame, masks, phi.left) & _extent(frame, masks, phi.right)
     if isinstance(phi, LOr):
-        intent = _concept(frame, masks, phi.left)[1] & \
-            _concept(frame, masks, phi.right)[1]
-        return b.polar(intent), intent
+        return b.polar(a.polar(_extent(frame, masks, phi.left))
+                       & a.polar(_extent(frame, masks, phi.right)))
     if isinstance(phi, LApp):
         rel = frame.relation(phi.name)
         parts = []
         for arg, s in zip(phi.args, rel.sorting.inputs):
-            ext, intent = _concept(frame, masks, arg)
-            parts.append(ext if s is Sort.ONE else intent)
+            ext = _extent(frame, masks, arg)
+            parts.append(ext if s is Sort.ONE else a.polar(ext))
         if len(phi.args) != rel.sorting.arity:
             raise SortError(f"{phi.name} arity mismatch with frame relation")
         out = index.side(rel.sorting.output)
         closed = out.close(index.image(rel, parts))
-        if out is a:
-            return closed, a.polar(closed)
-        return b.polar(closed), closed
+        return closed if out is a else b.polar(closed)
     raise SortError(f"unknown lattice node {phi!r}")
 
 

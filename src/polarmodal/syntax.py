@@ -406,8 +406,8 @@ def fol_all_var_names(phi: FolFormula) -> set[str]:
 def fol_subst(phi: FolFormula, old: FVar, new: FVar) -> FolFormula:
     """Substitute free occurrences of `old` by `new`, capture-avoiding.
 
-    `new` must not be bound anywhere it would capture; callers pick fresh
-    names via `fol_all_var_names`.
+    A binder named like `new`, of either sort, with `old` free below it
+    raises SortError; callers pick fresh names via `fol_all_var_names`.
     """
 
     def sub(v: FVar) -> FVar:
@@ -432,7 +432,7 @@ def fol_subst(phi: FolFormula, old: FVar, new: FVar) -> FolFormula:
     if isinstance(phi, (FForall, FExists)):
         if phi.var == old:
             return phi
-        if phi.var == new:
+        if phi.var.name == new.name and old in fol_free_vars(phi.body):
             raise SortError(f"substitution would capture {new.name}")
         cls = type(phi)
         return cls(phi.var, fol_subst(phi.body, old, new))

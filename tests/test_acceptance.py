@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from polarmodal.frames import SortedFrame
 from polarmodal.suites import SUITE_NAMES, run_suite
 
 REPORTS = Path(__file__).parent / "data" / "suite_reports.txt"
@@ -46,6 +47,18 @@ def test_criterion_03_canonical_closed_operators(prop21_report):
 
 def test_criterion_04_join_distribution(prop21_report):
     _check(prop21_report)
+
+
+def test_prop21_reports_an_operator_that_is_not_normal(monkeypatch):
+    # every closed operator constant at its output carrier: the top for
+    # output 1 and the bottom for output d, neither of them the sorted bottom
+    def carrier(frame, name, args):
+        return frame.carrier(frame.relation(name).sorting.output)
+
+    monkeypatch.setattr(SortedFrame, "closed_op", carrier)
+    bad = run_suite("prop21")
+    assert not bad.ok
+    assert all("does not preserve the sorted bottom" in f for f in bad.failures)
 
 
 def test_criterion_05_translation_equalities():

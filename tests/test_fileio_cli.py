@@ -387,6 +387,13 @@ def test_cli_bisim(model_file, capsys, tmp_path):
     assert code == 1 and "violation" in out
 
 
+def test_cli_bisim_rejects_pairs_of_unknown_points(model_file, capsys, tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("a0 a0\nzz a0\n")
+    assert run(capsys, "bisim", model_file, model_file, "--pairs", str(pairs)) \
+        == (2, "", "error: pair line 2: point 'zz' is not in the first model\n")
+
+
 def test_cli_bisim_reports_the_least_violation(tmp_path, capsys):
     # every pair but (a0, c0) and (b0, d0) fails, in a different clause
     # for each sort

@@ -3,20 +3,24 @@
 import collections
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import catalog, semantics
+from polarmodal import catalog, fileio, semantics
 from polarmodal.errors import CapExceeded, NormalityError, PreconditionError, SortError
 from polarmodal.frames import (
     Concept, DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
     SortedFrame, canonical_frame, random_frame,
 )
 
+from polarmodal.suites import _SUITE_SORTINGS, _complex_algebra
+
 from conftest import (
     ALL_TYPES, SetKernels, canonical_relation_oracle, galois_dual, image_op,
-    make_rel, oracle_frames, with_relation,
+    hash_seed_env, make_rel, oracle_frames, with_relation,
 )
 
 
@@ -505,6 +509,52 @@ def test_canonical_section_stability():
         for op in frame.relations:
             ok, witness = frame.is_section_stable(op)
             assert ok, (name, op, witness)
+
+
+# ---------------------------------------------------------------- complex algebra
+
+def test_section_stable_frames_have_normal_complex_algebras():
+    """Prop 2.1 beyond the catalog: a frame whose relations are all
+    section-stable has a normal complex algebra."""
+    rng = random.Random(5)
+    outcomes = collections.Counter()
+    for _ in range(200):
+        frame = random_frame(rng.randint(1, 4), rng.randint(1, 4),
+                             _SUITE_SORTINGS, rng.random(),
+                             rng.randrange(10 ** 9))
+        stable = all(frame.is_section_stable(name)[0] for name in frame.relations)
+        try:
+            algebra = _complex_algebra(frame)
+        except NormalityError:
+            assert not stable, fileio.dump_frame(frame)
+            outcomes["not normal"] += 1
+            continue
+        assert algebra.lattice.carrier == frame.all_concepts().carrier
+        outcomes["stable" if stable else "normal"] += 1
+    # both verdicts occur
+    assert outcomes["stable"] and outcomes["not normal"], outcomes
+
+
+def test_concept_repr_lists_points_sorted():
+    concept = Concept(frozenset({"a1", "a0"}), frozenset())
+    assert repr(concept) == \
+        "Concept(extent=frozenset(['a0', 'a1']), intent=frozenset([]))"
+    # normality witnesses are concepts ordered by repr: the same one under
+    # every string hash seed (frozenset order gave two for this frame)
+    code = ("from polarmodal.frames import random_frame\n"
+            "from polarmodal.suites import _SUITE_SORTINGS, _complex_algebra\n"
+            "from polarmodal.errors import NormalityError\n"
+            "try:\n"
+            "    _complex_algebra(random_frame(4, 3, _SUITE_SORTINGS, 0.5, 23))\n"
+            "except NormalityError as exc:\n"
+            "    print(exc, exc.witness)\n")
+    outs = {subprocess.run([sys.executable, "-c", code], env=hash_seed_env(seed),
+                           capture_output=True, text=True, check=True).stdout
+            for seed in ("0", "1")}
+    assert outs == {
+        "operator h does not preserve the sorted bottom in coordinate 0 "
+        "(Concept(extent=frozenset(['a0']), intent=frozenset(['b0', 'b1', 'b2'])), "
+        "Concept(extent=frozenset(['a0', 'a1']), intent=frozenset(['b1'])))\n"}
 
 
 # ---------------------------------------------------------------- random

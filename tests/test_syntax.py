@@ -188,6 +188,20 @@ def test_fol_helpers():
         fol_subst(phi, u, FVar("v", Sort.DEL))  # would be captured
 
 
+def test_fol_subst_captures_only_where_old_is_free():
+    u, z = FVar("u", Sort.ONE), FVar("z", Sort.ONE)
+    free = {"u": Sort.ONE}
+    # a binder named z with no u below it captures nothing
+    apart = parse_fol("(ex1 z . P0(z)) & P0(u)", free=free)
+    assert print_fol(fol_subst(apart, u, z)) == "(ex1 z . P0(z)) & P0(z)"
+    # a binder named z of the other sort would capture the new z
+    with pytest.raises(SortError, match="capture z"):
+        fol_subst(parse_fol("exd z . I(u, z)", free=free), u, z)
+    # a binder of u shadows it: its body is left as it is
+    shadow = parse_fol("P0(u) & (ex1 u . P1(u))", free=free)
+    assert print_fol(fol_subst(shadow, u, z)) == "P0(z) & (ex1 u . P1(u))"
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
 def test_fol_roundtrip(seed, depth):

@@ -152,6 +152,12 @@ def test_stability_transform_shape():
     # bound names are picked fresh against the input
     reuse = parse_fol("alld v . I(u, v)", free={"u": Sort.ONE})
     assert "v1" in print_fol(stability_transform(reuse, "u"))
+    # past a taken suffix too: v and v1, z and z1 are all bound in phi
+    taken = parse_fol("alld v . alld v1 . ex1 z . ex1 z1 . "
+                      "I(u, v) & I(z, v1) & P0(z1)", free={"u": Sort.ONE})
+    assert print_fol(stability_transform(taken, "u")) == (
+        "alld v2 . I(u, v2) -> ex1 z2 . I(z2, v2) & (alld v . alld v1 . "
+        "ex1 z . ex1 z1 . I(z2, v) & I(z, v1) & P0(z1))")
 
 
 def test_stability_transform_preconditions():
