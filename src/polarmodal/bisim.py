@@ -227,6 +227,7 @@ class _Refinement:
                       for i, p in self.points]
         self.classes: list[list[int]] = []
         self._characteristic: dict = {}
+        self._profiles = list(map(self._profile, range(len(self.points))))
         self._refine()
 
     def _profile(self, n):
@@ -249,7 +250,7 @@ class _Refinement:
         return rows
 
     def _refine(self):
-        keys = list(map(self._profile, range(len(self.points))))
+        keys = self._profiles
         ids = {k: n for n, k in enumerate(sorted(set(keys)))}
         while True:
             cls = list(map(ids.__getitem__, keys))
@@ -309,17 +310,11 @@ class _Refinement:
             raise PreconditionError("points are equivalent at this depth")
         sort = self.sorts[x]
         if j == 0:
-            i, p = self.points[x]
-            i2, p2 = self.points[y]
-            for s, idx in self.vars:
-                if s is not sort:
-                    continue
-                in_x = p in self.models[i].var(s, idx)
-                in_y = p2 in self.models[i2].var(s, idx)
-                if in_x and not in_y:
-                    return MVar(s, idx)
-                if in_y and not in_x:
-                    return MNot(MVar(s, idx))
+            own = [(s, idx) for s, idx in self.vars if s is sort]
+            for (s, idx), in_x, in_y in zip(own, self._profiles[x][1],
+                                            self._profiles[y][1]):
+                if in_x != in_y:
+                    return MVar(s, idx) if in_x else MNot(MVar(s, idx))
             raise PreconditionError("profiles differ without a witness variable")
         prev = self.classes[j - 1]
         dia = MBdia if sort is Sort.ONE else MDdia

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, fileio, gen, suites
-from .errors import CapExceeded, PolarModalError
+from .errors import CapExceeded, PolarModalError, PreconditionError
 from .frames import Sort, canonical_frame, random_frame
 from .semantics import lattice_extent, resource_cap, sat_modal, truth_set
 from .bisim import SortedPairRelation, is_simulation, largest_bisimulation
@@ -171,6 +171,8 @@ def cmd_gen(args) -> int:
         print(fileio.dump_frame(frame), end="")
         return 0
     if args.kind == "model":
+        if args.vars < 0:
+            raise PreconditionError(f"--vars must be at least 0, not {args.vars}")
         frame = random_frame(args.size_a, args.size_b, sortings,
                              args.density, args.seed)
         vars_ = [(Sort.ONE, i) for i in range(args.vars)] + \

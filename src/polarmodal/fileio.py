@@ -30,7 +30,9 @@ from .frames import (
     SortedFrame, SortedRelation, SortingType,
 )
 from .semantics import LatticeModel, ModalModel
-from .syntax import EMPTY_SIGNATURE, Signature, modal_var_key, parse_modal
+from .syntax import (
+    _VAR_RE, _VAR_SORTS, EMPTY_SIGNATURE, MVar, Signature, modal_var_key, parse_modal,
+)
 
 
 def _lines(text: str):
@@ -134,14 +136,14 @@ def _parse_valuations(val_lines):
         if len(tokens) < 2 or tokens[1] != ":":
             raise ParseError("expected 'val VAR : points'", lineno)
         var, points = tokens[0], frozenset(tokens[2:])
-        kind, digits = var[:1], var[1:]
-        if not digits.isdigit() or kind not in ("P", "Q", "p"):
+        m = _VAR_RE.match(var)
+        if m is None:
             raise ParseError(f"bad valuation variable {var!r}", lineno)
-        index = int(digits)
+        kind, digits = m.groups()
         if kind == "p":
-            table, key = lattice, index
+            table, key = lattice, int(digits)
         else:
-            table, key = modal, (Sort.ONE if kind == "P" else Sort.DEL, index)
+            table, key = modal, (_VAR_SORTS[kind], int(digits))
         if key in table:
             raise ParseError(f"variable {var!r} is valued twice", lineno)
         table[key] = points
@@ -181,8 +183,8 @@ def dump_frame(frame: SortedFrame) -> str:
 def dump_modal_model(model: ModalModel) -> str:
     out = [dump_frame(model.frame).rstrip("\n")]
     for (sort, i) in sorted(model.valuation, key=modal_var_key):
-        name = ("P" if sort is Sort.ONE else "Q") + str(i)
-        out.append(f"val {name} : " + " ".join(sorted(model.valuation[(sort, i)])))
+        out.append(f"val {MVar(sort, i).name} : "
+                   + " ".join(sorted(model.valuation[(sort, i)])))
     return "\n".join(out) + "\n"
 
 
@@ -296,9 +298,10 @@ def load_assignment(text: str, sig: Signature = EMPTY_SIGNATURE):
             raise ParseError("expected 'pN := formula'", lineno)
         var, _, body = line.partition(":=")
         var = var.strip()
-        if not (var.startswith("p") and var[1:].isdigit()):
+        m = _VAR_RE.match(var)
+        if m is None or m.group(1) != "p":
             raise ParseError(f"bad assignment variable {var!r}", lineno)
-        index = int(var[1:])
+        index = int(m.group(2))
         if index in asg:
             raise ParseError(f"variable {var!r} is assigned twice", lineno)
         body_start = raw_lines[lineno - 1].index(":=") + 2

@@ -24,8 +24,17 @@ def _rng(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
+def _check_sizes(depth: int, num_vars: int = 1):
+    if depth < 0:
+        raise PreconditionError(f"formula depth must be at least 0, not {depth}")
+    if num_vars < 1:
+        raise PreconditionError(
+            f"formulas need at least 1 variable, not {num_vars}")
+
+
 def random_lattice_formula(seed, depth: int, num_vars: int = 3,
                            sig: Signature = EMPTY_SIGNATURE) -> LatticeFormula:
+    _check_sizes(depth, num_vars)
     rng = _rng(seed)
 
     def go(d):
@@ -48,6 +57,7 @@ def random_lattice_formula(seed, depth: int, num_vars: int = 3,
 
 def random_modal_formula(seed, depth: int, sort: Sort, num_vars: int = 2,
                          sig: Signature = EMPTY_SIGNATURE) -> ModalFormula:
+    _check_sizes(depth, num_vars)
     rng = _rng(seed)
 
     def go(d, s):
@@ -89,6 +99,7 @@ def random_fol_sentence(seed, depth: int,
                         sig: Signature = EMPTY_SIGNATURE) -> FolFormula:
     """A closed sorted FOL sentence with at least one quantifier, over the
     predicates P0, P1, Q0 and Q1."""
+    _check_sizes(depth)
     rng = _rng(seed)
     counter = [0]
 
@@ -186,6 +197,7 @@ def random_modal_corpus(seed, count: int, depth: int, num_vars: int = 2,
     """Fixed-size corpus with both sorts represented."""
     if count < 1:
         raise PreconditionError("corpus size must be at least 1")
+    _check_sizes(depth, num_vars)
     rng = _rng(seed)
     corpus = []
     for k in range(count):

@@ -40,7 +40,7 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    modal_var_key, modal_vars,
+    _atom_vars, _with_vars, modal_var_key, modal_vars,
 )
 
 # read by `resource_cap`, which rejects a setting that is not a positive integer
@@ -551,23 +551,6 @@ class _Fol:
         return slot if bound is None else bound[0]
 
     def _node(self, x: FolFormula, scope: dict) -> Callable[[list], bool]:
-        if isinstance(x, FEq):
-            i, j = self._var(x.left, scope), self._var(x.right, scope)
-            return lambda env: env[i] == env[j]
-        if isinstance(x, FInc):
-            i, j = self._var(x.u, scope), self._var(x.v, scope)
-            if self.incidence is None:
-                self.incidence = self._new()
-            s = self.incidence
-            return lambda env: (env[i], env[j]) in env[s]
-        if isinstance(x, FRelApp):
-            atom = (x.head, *x.args)
-            row = itemgetter(*(self._var(v, scope) for v in atom))
-            s = self._slot(self.relations, (x.name, tuple(v.sort for v in atom)))
-            return lambda env: row(env) in env[s]
-        if isinstance(x, FPred):
-            i, s = self._var(x.arg, scope), self._slot(self.preds, x.name)
-            return lambda env: env[i] in env[s]
         if isinstance(x, FNot):
             arg = self._node(x.arg, scope)
             return lambda env: not arg(env)
@@ -595,7 +578,23 @@ class _Fol:
                         return stop
                 return not stop
             return quantify
-        raise SortError(f"unknown FOL node {x!r}")
+        vs = _atom_vars(x)
+        if vs is None:
+            raise SortError(f"unknown FOL node {x!r}")
+        if isinstance(x, FRelApp):
+            row = itemgetter(*[self._var(v, scope) for v in vs])
+            s = self._slot(self.relations, (x.name, tuple(v.sort for v in vs)))
+            return lambda env: row(env) in env[s]
+        if isinstance(x, FPred):
+            i, s = self._var(vs[0], scope), self._slot(self.preds, x.name)
+            return lambda env: env[i] in env[s]
+        i, j = self._var(vs[0], scope), self._var(vs[1], scope)
+        if isinstance(x, FEq):
+            return lambda env: env[i] == env[j]
+        if self.incidence is None:
+            self.incidence = self._new()
+        s = self.incidence
+        return lambda env: (env[i], env[j]) in env[s]
 
     def bind(self, frame: SortedFrame, predval: Mapping[str, Iterable[str]],
              budget: tuple[int, Iterator[bool]]) -> list:
@@ -689,22 +688,13 @@ def sort_reduce(phi: FolFormula) -> FolFormula:
         return FPred("U1" if v.sort is Sort.ONE else "Ud", strip(v))
 
     def go(x):
-        if isinstance(x, FEq):
-            return FEq(strip(x.left), strip(x.right))
-        if isinstance(x, FInc):
-            return FInc(strip(x.u), strip(x.v))
-        if isinstance(x, FRelApp):
-            return FRelApp(x.name, strip(x.head), tuple(strip(a) for a in x.args))
-        if isinstance(x, FPred):
-            return FPred(x.name, strip(x.arg))
+        vs = _atom_vars(x)
+        if vs is not None:
+            return _with_vars(x, map(strip, vs))
         if isinstance(x, FNot):
             return FNot(go(x.arg))
-        if isinstance(x, FAnd):
-            return FAnd(go(x.left), go(x.right))
-        if isinstance(x, FOr):
-            return FOr(go(x.left), go(x.right))
-        if isinstance(x, FImp):
-            return FImp(go(x.left), go(x.right))
+        if isinstance(x, (FAnd, FOr, FImp)):
+            return type(x)(go(x.left), go(x.right))
         if isinstance(x, FForall):
             return FForall(strip(x.var), FImp(guard(x.var), go(x.body)))
         if isinstance(x, FExists):

@@ -29,8 +29,8 @@ from .bisim import (
     largest_bisimulation, modal_equiv,
 )
 from .syntax import (
-    FPred, FVar, LVar, MBbox, Signature, modal_vars, print_fol, print_lattice,
-    print_modal,
+    FPred, FVar, LVar, MBbox, MVar, Signature, modal_vars, print_fol,
+    print_lattice, print_modal,
 )
 from .transform import (
     is_stable_fol, is_stable_modal, std_translate, translate,
@@ -238,8 +238,7 @@ def suite_cor31(rng, report, count=50):
 
 
 def _predval_of(model):
-    return {("P" if s is Sort.ONE else "Q") + str(i): model.var(s, i)
-            for (s, i) in model.valuation}
+    return {MVar(s, i).name: model.var(s, i) for (s, i) in model.valuation}
 
 
 def suite_prop41(rng, report, count=200, max_a=4, max_b=4):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, SortError
 from .frames import DistributionType, Sort
@@ -367,15 +368,30 @@ class FExists(FolFormula):
     body: FolFormula
 
 
+_ATOM_VARS = {FEq: attrgetter("left", "right"), FInc: attrgetter("u", "v"),
+              FRelApp: lambda x: (x.head, *x.args), FPred: lambda x: (x.arg,)}
+
+
+def _atom_vars(x: FolFormula) -> tuple[FVar, ...] | None:
+    """An atom's variables in order, head first; None for a compound formula."""
+    get = _ATOM_VARS.get(type(x))
+    return None if get is None else get(x)
+
+
+def _with_vars(x: FolFormula, vs) -> FolFormula:
+    """Atom x over the variables vs, listed as `_atom_vars` lists x's."""
+    if isinstance(x, FRelApp):
+        head, *args = vs
+        return FRelApp(x.name, head, tuple(args))
+    if isinstance(x, FPred):
+        return FPred(x.name, *vs)
+    return type(x)(*vs)
+
+
 def fol_free_vars(phi: FolFormula) -> frozenset[FVar]:
-    if isinstance(phi, FEq):
-        return frozenset({phi.left, phi.right})
-    if isinstance(phi, FInc):
-        return frozenset({phi.u, phi.v})
-    if isinstance(phi, FRelApp):
-        return frozenset({phi.head, *phi.args})
-    if isinstance(phi, FPred):
-        return frozenset({phi.arg})
+    vs = _atom_vars(phi)
+    if vs is not None:
+        return frozenset(vs)
     if isinstance(phi, FNot):
         return fol_free_vars(phi.arg)
     if isinstance(phi, (FAnd, FOr, FImp)):
@@ -386,14 +402,9 @@ def fol_free_vars(phi: FolFormula) -> frozenset[FVar]:
 
 
 def fol_all_var_names(phi: FolFormula) -> set[str]:
-    if isinstance(phi, FEq):
-        return {phi.left.name, phi.right.name}
-    if isinstance(phi, FInc):
-        return {phi.u.name, phi.v.name}
-    if isinstance(phi, FRelApp):
-        return {phi.head.name, *(a.name for a in phi.args)}
-    if isinstance(phi, FPred):
-        return {phi.arg.name}
+    vs = _atom_vars(phi)
+    if vs is not None:
+        return {v.name for v in vs}
     if isinstance(phi, FNot):
         return fol_all_var_names(phi.arg)
     if isinstance(phi, (FAnd, FOr, FImp)):
@@ -409,33 +420,20 @@ def fol_subst(phi: FolFormula, old: FVar, new: FVar) -> FolFormula:
     A binder named like `new`, of either sort, with `old` free below it
     raises SortError; callers pick fresh names via `fol_all_var_names`.
     """
-
-    def sub(v: FVar) -> FVar:
-        return new if v == old else v
-
-    if isinstance(phi, FEq):
-        return FEq(sub(phi.left), sub(phi.right))
-    if isinstance(phi, FInc):
-        return FInc(sub(phi.u), sub(phi.v))
-    if isinstance(phi, FRelApp):
-        return FRelApp(phi.name, sub(phi.head), tuple(sub(a) for a in phi.args))
-    if isinstance(phi, FPred):
-        return FPred(phi.name, sub(phi.arg))
+    vs = _atom_vars(phi)
+    if vs is not None:
+        return _with_vars(phi, [new if v == old else v for v in vs])
     if isinstance(phi, FNot):
         return FNot(fol_subst(phi.arg, old, new))
-    if isinstance(phi, FAnd):
-        return FAnd(fol_subst(phi.left, old, new), fol_subst(phi.right, old, new))
-    if isinstance(phi, FOr):
-        return FOr(fol_subst(phi.left, old, new), fol_subst(phi.right, old, new))
-    if isinstance(phi, FImp):
-        return FImp(fol_subst(phi.left, old, new), fol_subst(phi.right, old, new))
+    if isinstance(phi, (FAnd, FOr, FImp)):
+        return type(phi)(fol_subst(phi.left, old, new),
+                         fol_subst(phi.right, old, new))
     if isinstance(phi, (FForall, FExists)):
         if phi.var == old:
             return phi
         if phi.var.name == new.name and old in fol_free_vars(phi.body):
             raise SortError(f"substitution would capture {new.name}")
-        cls = type(phi)
-        return cls(phi.var, fol_subst(phi.body, old, new))
+        return type(phi)(phi.var, fol_subst(phi.body, old, new))
     raise SortError(f"unknown FOL node {phi!r}")
 
 
@@ -606,7 +604,9 @@ def _print_binary(x, level, spec, go):
     return f"({text})" if level > rank else text
 
 
-_VAR_RE = re.compile(r"^([pPQ])(\d+)$")
+# a lattice (p), sort-1 (P) or sort-d (Q) variable; P0 and P00 are the same
+_VAR_RE = re.compile(r"^([pPQ])([0-9]+)$")
+_VAR_SORTS = {"P": Sort.ONE, "Q": Sort.DEL}
 
 
 # ---------------------------------------------------------------- lattice
@@ -694,10 +694,8 @@ def _modal_operand(p, sig):
     if tok in _MODAL_CONSTS:
         return _MODAL_CONSTS[tok]
     m = _VAR_RE.match(tok)
-    if m and m.group(1) == "P":
-        return MVar(Sort.ONE, int(m.group(2)))
-    if m and m.group(1) == "Q":
-        return MVar(Sort.DEL, int(m.group(2)))
+    if m and m.group(1) in _VAR_SORTS:
+        return MVar(_VAR_SORTS[m.group(1)], int(m.group(2)))
     if tok in sig:
         args = p.args(_Parser.nested, _Parser.binary, _MODAL_BY_TOKEN,
                       _modal_operand, sig)
@@ -738,6 +736,11 @@ _BINDERS = {"all1": (FForall, Sort.ONE), "alld": (FForall, Sort.DEL),
 _FOL_NAME_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
+def _is_fol_name(name: str) -> bool:
+    """Whether `name` can name a FOL variable: a binder keyword cannot."""
+    return _FOL_NAME_RE.fullmatch(name) is not None and name not in _BINDERS
+
+
 def parse_fol(text: str, sig: Signature = EMPTY_SIGNATURE,
               free: dict[str, Sort] | None = None) -> FolFormula:
     """Parse a sorted FOL formula.
@@ -765,7 +768,7 @@ def _fol_operand(p, sig, env):
     if tok in _BINDERS:
         cls, sort = _BINDERS[tok]
         name, line, col = p.next()
-        if not _FOL_NAME_RE.match(name):
+        if not _is_fol_name(name):
             raise ParseError(f"bad variable name {name!r}", line, col)
         p.expect(".")
         inner = {**env, name: sort}
@@ -788,12 +791,12 @@ def _fol_operand(p, sig, env):
         if uvar.sort is not Sort.ONE or vvar.sort is not Sort.DEL:
             raise ParseError("I expects a sort-1 and a sort-d variable", line, col)
         return FInc(uvar, vvar)
-    if m and m.group(1) in ("P", "Q"):
+    if m and m.group(1) in _VAR_SORTS:
         p.expect("(")
         u, ul, uc = p.next()
         p.expect(")")
         var = _fol_var(env, u, ul, uc)
-        want = Sort.ONE if m.group(1) == "P" else Sort.DEL
+        want = _VAR_SORTS[m.group(1)]
         if var.sort is not want:
             raise ParseError(f"{tok} expects a sort-{want} variable", line, col)
         return FPred(tok, var)
@@ -841,13 +844,10 @@ def _print_fol(x, level):
             kw += str(x.var.sort)
         text = f"{kw} {x.var.name} . {_print_fol(x.body, 0)}"
         return f"({text})" if level else text
+    vs = _atom_vars(x)
+    if vs is None:
+        raise SortError(f"unknown FOL node {x!r}")
+    names = [v.name for v in vs]
     if isinstance(x, FEq):
-        return f"{x.left.name} = {x.right.name}"
-    if isinstance(x, FInc):
-        return f"I({x.u.name}, {x.v.name})"
-    if isinstance(x, FRelApp):
-        names = [x.head.name] + [a.name for a in x.args]
-        return f"{x.name}({', '.join(names)})"
-    if isinstance(x, FPred):
-        return f"{x.name}({x.arg.name})"
-    raise SortError(f"unknown FOL node {x!r}")
+        return " = ".join(names)
+    return f"{'I' if isinstance(x, FInc) else x.name}({', '.join(names)})"

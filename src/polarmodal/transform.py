@@ -22,7 +22,8 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    Signature, fol_all_var_names, fol_free_vars, fol_subst, lattice_vars, mapp,
+    Signature, _is_fol_name, fol_all_var_names, fol_free_vars, fol_subst,
+    lattice_vars, mapp,
 )
 
 
@@ -161,8 +162,11 @@ def std_translate(theta: ModalFormula, free_var: str) -> FolFormula:
     """Standard translation at the given free variable.
 
     Bound variables come from a counter that restarts on every call, so
-    output text is reproducible.
+    output text is reproducible.  A free_var that the FOL parser would not
+    read as a variable name raises PreconditionError.
     """
+    if not _is_fol_name(free_var):
+        raise PreconditionError(f"bad variable name {free_var!r}")
     fresh = _FreshVars({free_var})
     var = FVar(free_var, theta.sort)
     return _st(theta, var, fresh)

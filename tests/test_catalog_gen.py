@@ -76,6 +76,21 @@ def test_assignment_generator():
     assert all(beta.sort is Sort.DEL for beta in asg.values())
 
 
+@pytest.mark.parametrize("name, args, what", [
+    ("random_lattice_formula", (0, 2, 0), "at least 1 variable, not 0"),
+    ("random_lattice_formula", (0, -1), "depth must be at least 0, not -1"),
+    ("random_modal_formula", (0, 2, Sort.ONE, 0), "at least 1 variable"),
+    ("random_modal_formula", (0, -1, Sort.DEL), "depth must be at least 0"),
+    ("random_assignment", (0, [0], 1, 0), "at least 1 variable"),
+    ("random_fol_sentence", (0, -1), "depth must be at least 0"),
+    ("random_modal_corpus", (0, 3, -1), "depth must be at least 0"),
+    ("random_modal_corpus", (0, 3, 2, 0), "at least 1 variable"),
+])
+def test_formula_generators_reject_bad_sizes(name, args, what):
+    with pytest.raises(PreconditionError, match=what):
+        getattr(gen, name)(*args)
+
+
 def test_model_generators():
     frame = catalog.reference_frame()
     vars_ = [(Sort.ONE, 0), (Sort.DEL, 0)]

@@ -233,6 +233,25 @@ def test_cli_translate(tmp_path, capsys):
 def test_cli_sttrans(capsys):
     code, out, _ = run(capsys, "sttrans", "[b] Q0")
     assert code == 0 and out.strip() == "alld v1 . I(u, v1) -> Q0(v1)"
+    assert run(capsys, "sttrans", "[b] <d> P0", "--var", "u1") == \
+        (0, "alld v1 . I(u1, v1) -> ex1 u2 . I(u2, v1) & P0(u2)\n", "")
+    for var in ("u u", "all1"):
+        assert run(capsys, "sttrans", "P0", "--var", var) == \
+            (2, "", f"error: bad variable name {var!r}\n")
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_cli_rejects_variables_with_non_ascii_digits(tmp_path, capsys, digit):
+    # str.isdigit admits both; int() crashed on the superscript two and
+    # read the Arabic-Indic three as 3
+    model = tmp_path / "model.txt"
+    model.write_text(MODEL_TEXT + f"val P{digit} : a0\n", encoding="utf-8")
+    asg = tmp_path / "asg.txt"
+    asg.write_text(f"p{digit} := Q0\n", encoding="utf-8")
+    assert run(capsys, "eval", str(model), "P0") == \
+        (2, "", f"error: line 7: bad valuation variable 'P{digit}'\n")
+    assert run(capsys, "translate", "p0", "--asg", str(asg)) == \
+        (2, "", f"error: line 1: bad assignment variable 'p{digit}'\n")
 
 
 def test_cli_stable(capsys):
@@ -512,6 +531,19 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     assert code == 0
     from polarmodal.syntax import parse_modal
     assert parse_modal(out.strip()).sort is Sort.DEL
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["formula", "--lang", "lattice", "--depth", "-1"],
+     "formula depth must be at least 0, not -1"),
+    (["formula", "--lang", "modal", "--depth", "-1"],
+     "formula depth must be at least 0, not -1"),
+    (["formula", "--lang", "fol", "--depth", "-1"],
+     "formula depth must be at least 0, not -1"),
+    (["model", "--vars", "-1"], "--vars must be at least 0, not -1"),
+])
+def test_cli_gen_rejects_negative_sizes(capsys, argv, error):
+    assert run(capsys, "gen", *argv) == (2, "", f"error: {error}\n")
 
 
 def test_cli_verify(capsys):

@@ -1,5 +1,6 @@
 """Concept semantics, sorted modal truth sets and FOL evaluation."""
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarmodal import gen, semantics
-from polarmodal.catalog import D1_1, DD_D
+from polarmodal.catalog import D1_1, D1D_D, DD_D
 from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import Concept, Sort, SortedFrame, random_frame
 from polarmodal.semantics import (
@@ -19,9 +20,9 @@ from polarmodal.semantics import (
     truth_set,
 )
 from polarmodal.syntax import (
-    MAX_NESTING, FForall, FImp, FPred, FVar, LAnd, LApp, LOr, MBbox, MBdia,
-    MDbox, MDdia, MNot, Signature, modal_vars, parse_fol, parse_lattice,
-    parse_modal,
+    MAX_NESTING, FForall, FImp, FolFormula, FPred, FVar, LAnd, LApp, LOr, MBbox,
+    MBdia, MDbox, MDdia, MNot, Signature, fol_all_var_names, fol_free_vars,
+    fol_subst, modal_vars, parse_fol, parse_lattice, parse_modal, print_fol,
 )
 from polarmodal.transform import is_stable_fol, is_stable_modal, std_translate
 
@@ -307,6 +308,51 @@ def test_sort_reduce_agreement(seed, depth):
     predval = {"P0": {"a0"}, "P1": {"a1"}, "Q0": {"b0"}, "Q1": frozenset()}
     assert eval_fol(frame, predval, {}, phi) == \
         eval_fol(frame, predval, {}, sort_reduce(phi))
+
+
+def test_fol_walkers_read_every_atom_class():
+    """One sentence with an equality, an incidence, a relation atom whose
+    head is also an argument, and a predicate, through each FOL walker."""
+    text = "all1 u . exd v . u = u & I(u, v) & h(v, u, v) & P0(u)"
+    phi = parse_fol(text, Signature.of({"h": D1D_D}))
+    matrix = phi.body.body
+    u, v = FVar("u", Sort.ONE), FVar("v", Sort.DEL)
+    assert print_fol(phi) == text
+    assert fol_free_vars(phi) == frozenset()
+    assert fol_free_vars(matrix) == frozenset({u, v})
+    assert fol_all_var_names(phi) == {"u", "v"}
+    assert print_fol(fol_subst(matrix, u, FVar("z", Sort.ONE))) == \
+        "z = z & I(z, v) & h(v, z, v) & P0(z)"
+    assert print_fol(fol_subst(matrix, v, FVar("w", Sort.DEL))) == \
+        "u = u & I(u, w) & h(w, u, w) & P0(u)"
+    assert print_fol(sort_reduce(phi)) == \
+        "all u . U1(u) -> ex v . Ud(v) & (u = u & I(u, v) & h(v, u, v) & P0(u))"
+    assert fol_free_vars(sort_reduce(matrix)) == \
+        frozenset({FVar("u", None), FVar("v", None)})
+
+
+def _subformulas(phi):
+    """phi and each of its subformulas, read through the dataclass fields."""
+    yield phi
+    for field in dataclasses.fields(phi):
+        child = getattr(phi, field.name)
+        if isinstance(child, FolFormula):
+            yield from _subformulas(child)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from(Sort))
+def test_free_vars_agree_with_the_compiler(seed, depth, sort):
+    """`fol_free_vars` and the compiler collect free variables in two
+    independent walks; they agree on random sentences, standard
+    translations, their sort reductions and every subformula of each."""
+    sig = Signature.of(ALL_TYPES)
+    theta = gen.random_modal_formula(seed, depth, sort, 2, sig)
+    for phi in (gen.random_fol_sentence(seed, depth, sig),
+                std_translate(theta, "u" if sort is Sort.ONE else "v")):
+        for top in (phi, sort_reduce(phi)):
+            for sub in _subformulas(top):
+                assert fol_free_vars(sub) == semantics._compile_fol(sub).free
 
 
 def test_constraint_sentences(f0):

@@ -174,6 +174,9 @@ def test_parse_fol_errors():
         parse_fol("u = v", free={"u": Sort.ONE, "v": Sort.DEL})
     with pytest.raises(ParseError):
         parse_fol("r(u, u, v)", SIG, free={"u": Sort.ONE, "v": Sort.DEL})
+    # a binder keyword names no variable: `all1 = all1` could not use it
+    with pytest.raises(ParseError, match="bad variable name 'all1'"):
+        parse_fol("ex1 all1 . P0(all1)")
 
 
 def test_fol_helpers():

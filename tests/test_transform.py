@@ -124,6 +124,17 @@ def test_std_translate_fresh_variables():
     assert print_fol(phi) == \
         "alld v1 . I(u, v1) -> all1 u1 . I(u1, v1) -> " \
         "alld v2 . I(u1, v2) -> Q0(v2)"
+    # a free variable named like a bound one moves the counter past it
+    phi = std_translate(parse_modal("[b] <d> P0"), "u1")
+    assert print_fol(phi) == "alld v1 . I(u1, v1) -> ex1 u2 . I(u2, v1) & P0(u2)"
+    assert parse_fol(print_fol(phi), free={"u1": Sort.ONE}) == phi
+
+
+@pytest.mark.parametrize("name", ["u u", "all1", "exd", "U", "1u", "u-v", "u\n", ""])
+def test_std_translate_rejects_names_that_do_not_parse_back(name):
+    # FOL variable names follow the parser's rule: a binder keyword is none
+    with pytest.raises(PreconditionError, match="bad variable name"):
+        std_translate(parse_modal("P0"), name)
 
 
 @settings(max_examples=60, deadline=None)
