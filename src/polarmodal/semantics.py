@@ -134,12 +134,12 @@ def _extent(frame: SortedFrame, masks: Mapping[int, int],
                        & a.polar(_extent(frame, masks, phi.right)))
     if isinstance(phi, LApp):
         rel = frame.relation(phi.name)
+        if len(phi.args) != rel.sorting.arity:
+            raise SortError(f"{phi.name} arity mismatch with frame relation")
         parts = []
         for arg, s in zip(phi.args, rel.sorting.inputs):
             ext = _extent(frame, masks, arg)
             parts.append(ext if s is Sort.ONE else a.polar(ext))
-        if len(phi.args) != rel.sorting.arity:
-            raise SortError(f"{phi.name} arity mismatch with frame relation")
         out = index.side(rel.sorting.output)
         closed = out.close(index.image(rel, parts))
         return closed if out is a else b.polar(closed)

@@ -33,6 +33,15 @@ class Signature:
 
     operators: tuple[tuple[str, DistributionType], ...] = ()
 
+    def __post_init__(self):
+        # a name is one word, and not one the FOL parser reads before the
+        # signature: I(u, v) and the predicates P0(u), Q0(v), ..
+        for name, _ in self.operators:
+            word, var = _TOKEN_RE.fullmatch(name), _VAR_RE.match(name)
+            if word is None or word.lastgroup != "word" or name == "I" \
+                    or var is not None and var.group(1) in _VAR_SORTS:
+                raise ParseError(f"bad operator name {name!r}")
+
     @staticmethod
     def of(mapping) -> "Signature":
         return Signature(tuple(sorted(mapping.items())))
@@ -630,18 +639,18 @@ def _lattice_atom(p, sig):
         phi = p.nested(_Parser.binary, _LATTICE_BY_TOKEN, _lattice_atom, sig)
         p.expect(")")
         return phi
-    if tok in _LATTICE_CONSTS:
-        return _LATTICE_CONSTS[tok]
-    m = _VAR_RE.match(tok)
-    if m and m.group(1) == "p":
-        return LVar(int(m.group(2)))
-    if tok in sig:
+    if p.peek() == "(" and tok in sig:
         args = p.args(_Parser.nested, _Parser.binary, _LATTICE_BY_TOKEN,
                       _lattice_atom, sig)
         dist = sig.get(tok)
         if len(args) != dist.arity:
             raise ParseError(f"{tok} expects {dist.arity} arguments", line, col)
         return LApp(tok, tuple(args))
+    if tok in _LATTICE_CONSTS:
+        return _LATTICE_CONSTS[tok]
+    m = _VAR_RE.match(tok)
+    if m and m.group(1) == "p":
+        return LVar(int(m.group(2)))
     raise ParseError(f"unexpected token {tok!r} in lattice formula", line, col)
 
 
@@ -691,18 +700,18 @@ def _modal_operand(p, sig):
         theta = p.nested(_Parser.binary, _MODAL_BY_TOKEN, _modal_operand, sig)
         p.expect(")")
         return theta
-    if tok in _MODAL_CONSTS:
-        return _MODAL_CONSTS[tok]
-    m = _VAR_RE.match(tok)
-    if m and m.group(1) in _VAR_SORTS:
-        return MVar(_VAR_SORTS[m.group(1)], int(m.group(2)))
-    if tok in sig:
+    if p.peek() == "(" and tok in sig:
         args = p.args(_Parser.nested, _Parser.binary, _MODAL_BY_TOKEN,
                       _modal_operand, sig)
         try:
             return mapp(sig, tok, args)
         except SortError as e:
             raise ParseError(str(e), line, col)
+    if tok in _MODAL_CONSTS:
+        return _MODAL_CONSTS[tok]
+    m = _VAR_RE.match(tok)
+    if m and m.group(1) in _VAR_SORTS:
+        return MVar(_VAR_SORTS[m.group(1)], int(m.group(2)))
     raise ParseError(f"unexpected token {tok!r} in modal formula", line, col)
 
 
@@ -746,10 +755,14 @@ def parse_fol(text: str, sig: Signature = EMPTY_SIGNATURE,
     """Parse a sorted FOL formula.
 
     Bound variables get their sort from the binder; free variables must
-    be declared in `free`.
+    be declared in `free`, under names `_is_fol_name` accepts.
     """
+    free = dict(free or {})
+    for name in free:
+        if not _is_fol_name(name):
+            raise ParseError(f"bad variable name {name!r}")
     p = _Parser(text)
-    phi = p.binary(_FOL_BY_TOKEN, _fol_operand, sig, dict(free or {}))
+    phi = p.binary(_FOL_BY_TOKEN, _fol_operand, sig, free)
     p.done()
     return phi
 
@@ -765,6 +778,12 @@ def _fol_operand(p, sig, env):
     tok, line, col = p.next()
     if tok == "~":
         return FNot(p.nested(_fol_operand, sig, env))
+    if tok == "(":
+        phi = p.nested(_Parser.binary, _FOL_BY_TOKEN, _fol_operand, sig, env)
+        p.expect(")")
+        return phi
+    if p.peek() == "(":
+        return _fol_atom(p, sig, env, tok, line, col)
     if tok in _BINDERS:
         cls, sort = _BINDERS[tok]
         name, line, col = p.next()
@@ -775,47 +794,6 @@ def _fol_operand(p, sig, env):
         return cls(FVar(name, sort),
                    p.nested(_Parser.binary, _FOL_BY_TOKEN, _fol_operand, sig,
                             inner))
-    if tok == "(":
-        phi = p.nested(_Parser.binary, _FOL_BY_TOKEN, _fol_operand, sig, env)
-        p.expect(")")
-        return phi
-    m = _VAR_RE.match(tok)
-    if tok == "I":
-        p.expect("(")
-        u, ul, uc = p.next()
-        p.expect(",")
-        v, vl, vc = p.next()
-        p.expect(")")
-        uvar = _fol_var(env, u, ul, uc)
-        vvar = _fol_var(env, v, vl, vc)
-        if uvar.sort is not Sort.ONE or vvar.sort is not Sort.DEL:
-            raise ParseError("I expects a sort-1 and a sort-d variable", line, col)
-        return FInc(uvar, vvar)
-    if m and m.group(1) in _VAR_SORTS:
-        p.expect("(")
-        u, ul, uc = p.next()
-        p.expect(")")
-        var = _fol_var(env, u, ul, uc)
-        want = _VAR_SORTS[m.group(1)]
-        if var.sort is not want:
-            raise ParseError(f"{tok} expects a sort-{want} variable", line, col)
-        return FPred(tok, var)
-    if tok in sig:
-        sorting = sig.get(tok).sorting()
-        names = p.args(_Parser.next)
-        if len(names) != sorting.arity + 1:
-            raise ParseError(f"{tok} expects {sorting.arity + 1} arguments",
-                             line, col)
-        head = _fol_var(env, *names[0])
-        args = [_fol_var(env, *n) for n in names[1:]]
-        if head.sort is not sorting.output:
-            raise ParseError(f"{tok}: head must have sort {sorting.output}",
-                             line, col)
-        for a, s in zip(args, sorting.inputs):
-            if a.sort is not s:
-                raise ParseError(f"{tok}: argument {a.name} must have sort {s}",
-                                 line, col)
-        return FRelApp(tok, head, tuple(args))
     # equality: var = var
     if _FOL_NAME_RE.match(tok):
         left = _fol_var(env, tok, line, col)
@@ -826,6 +804,25 @@ def _fol_operand(p, sig, env):
             raise ParseError("equality between different sorts", line, col)
         return FEq(left, right)
     raise ParseError(f"unexpected token {tok!r} in FOL formula", line, col)
+
+
+def _fol_atom(p, sig, env, tok, line, col):
+    """The atom `tok(x, ..)`: I, else a P/Q predicate, else a signature relation."""
+    m = _VAR_RE.match(tok)
+    if tok == "I":
+        atom, sorts = FInc(None, None), [Sort.ONE, Sort.DEL]
+    elif m and m.group(1) in _VAR_SORTS:
+        atom, sorts = FPred(tok, None), [_VAR_SORTS[m.group(1)]]
+    elif tok in sig:
+        sorting = sig.get(tok).sorting()
+        atom, sorts = FRelApp(tok, None, ()), [sorting.output, *sorting.inputs]
+    else:
+        raise ParseError(f"unexpected token {tok!r} in FOL formula", line, col)
+    vs = [_fol_var(env, *n) for n in p.args(_Parser.next)]
+    if [v.sort for v in vs] != sorts:
+        raise ParseError(f"{tok} expects variables of sorts "
+                         f"{', '.join(map(str, sorts))}", line, col)
+    return _with_vars(atom, vs)
 
 
 def print_fol(phi: FolFormula) -> str:

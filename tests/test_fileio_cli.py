@@ -12,7 +12,10 @@ from polarmodal import catalog, cli, fileio, semantics
 from polarmodal.errors import ParseError, PreconditionError
 from polarmodal.frames import Sort
 from polarmodal.semantics import LatticeModel, ModalModel
-from polarmodal.syntax import MAX_NESTING
+from polarmodal.syntax import (
+    MAX_NESTING, parse_fol, parse_lattice, parse_modal, print_fol, print_lattice,
+)
+from polarmodal.transform import std_translate
 
 from conftest import dump_lattice_expansion, hash_seed_env
 
@@ -160,6 +163,9 @@ def test_signature_line():
         fileio.parse_signature_line("f")
     with pytest.raises(ParseError, match="operator 'f' is declared twice"):
         fileio.parse_signature_line("f 1->1 , f d->d")
+    # a comma glued to the next name makes no name
+    with pytest.raises(ParseError, match="bad operator name ',g'"):
+        fileio.parse_signature_line("f 1->1 ,g d->d")
 
 
 def test_load_assignment():
@@ -179,6 +185,7 @@ def test_load_assignment():
         ("p0 := Q0\np1 := Q0 &\n", "line 2", "unexpected end of input"),
         ("p0 :=  Q0 ?\n", "line 1, col 11", "unexpected character '?'"),
         ("sig: f 1->x\n", "line 1", "unknown sort 'x' (expected '1' or 'd')"),
+        ("p0 := Q0\nsig: I 1->1\n", "line 2", "bad operator name 'I'"),
     ]:
         with pytest.raises(ParseError) as info:
             fileio.load_assignment(text)
@@ -252,6 +259,62 @@ def test_cli_rejects_variables_with_non_ascii_digits(tmp_path, capsys, digit):
         (2, "", f"error: line 7: bad valuation variable 'P{digit}'\n")
     assert run(capsys, "translate", "p0", "--asg", str(asg)) == \
         (2, "", f"error: line 1: bad assignment variable 'p{digit}'\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sttrans", "P0", "--sig", "f 1->1 ,g d->d"], "bad operator name ',g'"),
+    (["sttrans", "P0", "--sig", "I 1->1"], "bad operator name 'I'"),
+    (["gen", "formula", "--sig", "P1 1->1"], "bad operator name 'P1'"),
+    (["stable", "--fol", "P0(all1)", "--var", "all1"], "bad variable name 'all1'"),
+])
+def test_cli_rejects_names_that_do_not_read_back(capsys, argv, error):
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+
+def test_cli_printed_formulas_read_back(tmp_path, capsys):
+    """What gen, translate and sttrans print is read back by the command
+    that consumes it, under operators named like a constant, a binder and
+    the free variable."""
+    # f = f, the std translation of top at f, is stable
+    assert run(capsys, "sttrans", "top", "--var", "f", "--sig", "f 1->1") == \
+        (0, "f = f\n", "")
+    assert run(capsys, "stable", "--fol", "f = f", "--var", "f", "--sig",
+               "f 1->1") == (0, "stable: true\n", "")
+    sig_text = "top 1->1 , all1 d,1->d"
+    sig = fileio.parse_signature_line(sig_text)
+    asg = tmp_path / "asg.txt"
+    asg.write_text("p0 := Q0\np1 := all1(tt, top(P0))\np2 := [d] top(top)\n")
+    for seed in map(str, range(5)):
+        code, lattice, _ = run(capsys, "gen", "formula", "--lang", "lattice",
+                               "--seed", seed, "--sig", sig_text)
+        assert code == 0
+        assert print_lattice(parse_lattice(lattice, sig)) == lattice.strip()
+        code, modal, _ = run(capsys, "translate", lattice, "--asg", str(asg),
+                             "--sig", sig_text)
+        assert code == 0
+        code, fol, _ = run(capsys, "sttrans", modal, "--var", "top",
+                           "--sig", sig_text)
+        assert code == 0
+        assert parse_fol(fol, sig, {"top": Sort.ONE}) == \
+            std_translate(parse_modal(modal, sig), "top")
+        code, sentence, _ = run(capsys, "gen", "formula", "--lang", "fol",
+                                "--seed", seed, "--sig", sig_text)
+        assert code == 0
+        assert print_fol(parse_fol(sentence, sig)) == sentence.strip()
+
+
+def test_cli_stable_on_frame_files(tmp_path, capsys):
+    f0 = tmp_path / "f0.txt"
+    f0.write_text(F0_TEXT)
+    flat = tmp_path / "flat.txt"
+    flat.write_text("sorts A: a0 a1  B: b0\n")
+    # every subset of f0's A is stable; flat's {a0} is not, {a0, a1} is
+    assert run(capsys, "stable", "P0", "--frame", str(f0)) == \
+        (0, "stable: true\n", "")
+    assert run(capsys, "stable", "P0", "--frame", str(f0), "--frame", str(flat)) \
+        == (1, "stable: false\n", "")
+    assert run(capsys, "stable", "[b] <d> P0", "--frame", str(flat)) == \
+        (0, "stable: true\n", "")
 
 
 def test_cli_stable(capsys):

@@ -56,8 +56,10 @@ def test_polarity(f0):
     assert not full.polarity("a0", "b0")
     empty = SortedFrame(["a0"], ["b0"], [])
     assert empty.polarity("a0", "b0")
-    with pytest.raises(SortError):
+    with pytest.raises(SortError, match="'b0' is not a sort-1 point"):
         f0.polarity("b0", "b0")
+    with pytest.raises(SortError, match="'a1' is not a sort-d point"):
+        f0.polarity("a0", "a1")
 
 
 def test_galois_examples(f0):
@@ -271,6 +273,16 @@ def test_lattice_tables():
     assert lat.downset("x") == {"o", "x"}
     assert lat.sorted_join(Sort.DEL, "x", "y") == "o"
     assert lat.sorted_bottom(Sort.DEL) == "i"
+
+
+def test_is_isomorphic_by():
+    two, three = catalog.chain(2), catalog.chain(3)
+    assert two.is_isomorphic_by(two, {"c0": "c0", "c1": "c1"})
+    # not order-preserving, not onto, not a bijection, not from the carrier
+    assert not two.is_isomorphic_by(two, {"c0": "c1", "c1": "c0"})
+    assert not two.is_isomorphic_by(three, {"c0": "c0", "c1": "c2"})
+    assert not three.is_isomorphic_by(two, {"c0": "c0", "c1": "c1", "c2": "c1"})
+    assert not two.is_isomorphic_by(two, {"c0": "c0"})
 
 
 def test_not_a_lattice():
@@ -492,6 +504,13 @@ def test_canonical_two_chain():
     assert frame.relations["f"].tuples == {
         ("c0", "c0"), ("c0", "c1"), ("c1", "c1")}
     assert frame.closed_op("f", [frozenset({"c0"})]) == frozenset({"c0"})
+
+
+def test_canonical_frame_needs_string_named_elements():
+    lat = FiniteLattice([0, 1], [(0, 0), (0, 1), (1, 1)])
+    exp = FiniteLatticeExpansion(lat, {})
+    with pytest.raises(PreconditionError, match="string-named elements"):
+        canonical_frame(exp)
 
 
 def test_canonical_oracle_agreement():

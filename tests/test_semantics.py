@@ -20,7 +20,7 @@ from polarmodal.semantics import (
     truth_set,
 )
 from polarmodal.syntax import (
-    MAX_NESTING, FForall, FImp, FolFormula, FPred, FVar, LAnd, LApp, LOr, MBbox,
+    MAX_NESTING, FForall, FImp, FolFormula, FPred, FVar, LAnd, LApp, LOr, LVar, MBbox,
     MBdia, MDbox, MDdia, MNot, Signature, fol_all_var_names, fol_free_vars,
     fol_subst, modal_vars, parse_fol, parse_lattice, parse_modal, print_fol,
 )
@@ -68,6 +68,14 @@ def test_extent_operator(f0):
     assert c.extent == {"a0"} and c.intent == {"b0"}
     # coincides with the closed image operator on this instance
     assert c.extent == frame.closed_op("f", [frozenset({"a0"})])
+
+
+def test_extent_checks_the_arity_before_the_arguments(f0):
+    frame = with_relation(f0, make_rel("k", "1;11", [("a0", "a0", "a0")]))
+    m = LatticeModel(frame, {0: {"a0"}})
+    # p5 has no valuation, but the missing second argument is found first
+    with pytest.raises(SortError, match="k arity mismatch"):
+        lattice_extent(m, LApp("k", (LVar(5),)))
 
 
 def operator_by_tuples(frame, name, parts):

@@ -1,5 +1,7 @@
 """Parsers, printers and sort checking for the three languages."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,12 +10,13 @@ from polarmodal.catalog import D1_1, D1D_D, D11_1, DD_D
 from polarmodal.errors import ParseError, PolarModalError, SortError
 from polarmodal.frames import DistributionType, Sort, SortingType
 from polarmodal.syntax import (
-    FEq, FExists, FForall, FImp, FInc, FolFormula, FPred, FRelApp, FVar, LAnd,
-    LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox, MDdia,
-    MImp, MNot, MOr, MVar, ModalFormula, Signature, fol_all_var_names,
+    FAnd, FEq, FExists, FForall, FImp, FInc, FOr, FolFormula, FPred, FRelApp,
+    FVar, LAnd, LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox,
+    MDdia, MImp, MNot, MOr, MVar, ModalFormula, Signature, fol_all_var_names,
     fol_free_vars, fol_subst, mapp, modal_depth, modal_vars, parse_fol,
     parse_lattice, parse_modal, print_fol, print_lattice, print_modal,
 )
+from polarmodal.transform import std_translate
 
 from conftest import modal_depth_oracle
 
@@ -26,6 +29,20 @@ def test_signature():
     with pytest.raises(SortError):
         SIG.get("z")
     assert SIG.names() == ["f", "g", "h", "r"]
+
+
+@pytest.mark.parametrize("name", [",g", "f g", "", "(", "[b]", "f-1", "I", "P0",
+                                  "Q12", "P00"])
+def test_signature_rejects_names_that_do_not_read_back(name):
+    # one tokenizer word, and not read as I(u, v) or P0(u) by the FOL parser
+    with pytest.raises(ParseError, match="bad operator name"):
+        Signature.of({"f": D1_1, name: DD_D})
+
+
+def test_signature_accepts_names_read_by_position():
+    names = ["top", "bot", "tt", "ff", "p0", "all1", "exd", "u", "U1", "Ud",
+             "x_1", "f*", "g'", "I1", "P", "Qa"]
+    assert Signature.of({n: D1_1 for n in names}).names() == sorted(names)
 
 
 def test_distribution_type_parse():
@@ -177,6 +194,34 @@ def test_parse_fol_errors():
     # a binder keyword names no variable: `all1 = all1` could not use it
     with pytest.raises(ParseError, match="bad variable name 'all1'"):
         parse_fol("ex1 all1 . P0(all1)")
+    with pytest.raises(ParseError, match="bad variable name 'all1'"):
+        parse_fol("P0(all1)", free={"all1": Sort.ONE})
+    # every atom's argument list has the length of its sorts
+    for text in ["I(u)", "I(u, v, v)", "P0(u, u)", "P0()", "f(u)",
+                 "h(u, u, u, u)", "I(u v)", "P0(u"]:
+        with pytest.raises(ParseError):
+            parse_fol(text, SIG, free={"u": Sort.ONE, "v": Sort.DEL})
+
+
+def test_a_word_before_a_bracket_applies_an_operator():
+    """A word followed by `(` is an application in all three languages, so
+    operators may be named like constants, variables, binders and FOL
+    variables; elsewhere the word keeps its usual reading."""
+    sig = Signature.of({"top": D1_1, "p0": D11_1, "all1": D1D_D, "f": D1_1})
+    p0, one = MVar(Sort.ONE, 0), Sort.ONE
+    assert parse_lattice("top(top) \\/ p0(p0, bot)", sig) == LOr(
+        LApp("top", (LTop(),)), LApp("p0", (LVar(0), LBot())))
+    assert parse_modal("top(P0) & p0(top, P0)", sig) == MAnd(
+        mapp(sig, "top", [p0]), mapp(sig, "p0", [parse_modal("top"), p0]))
+    f, v = FVar("f", one), FVar("v", Sort.DEL)
+    assert parse_fol("f = f & f(f, f) | all1(v, f, v)", sig,
+                     free={"f": one, "v": Sort.DEL}) == FOr(
+        FAnd(FEq(f, f), FRelApp("f", f, (f,))), FRelApp("all1", v, (f, v)))
+    assert parse_fol("ex1 f . top(f, f)", sig) == \
+        FExists(f, FRelApp("top", f, (f,)))
+    # I and the P/Q predicates are read before the signature
+    assert parse_fol("I(f, v) & P0(f)", sig, free={"f": one, "v": Sort.DEL}) \
+        == FAnd(FInc(f, v), FPred("P0", f))
 
 
 def test_fol_helpers():
@@ -211,6 +256,43 @@ def test_fol_roundtrip(seed, depth):
     phi = gen.random_fol_sentence(seed, depth, SIG)
     assert fol_free_vars(phi) == frozenset()
     assert parse_fol(print_fol(phi), SIG) == phi
+
+
+# operator names that every parser also reads otherwise: as constants,
+# lattice variables, binders, FOL variables or sort-reduction guards; the
+# last four are no operator names
+ROUND_TRIP_NAMES = ["f", "top", "bot", "tt", "ff", "p0", "u1", "all1", "alld",
+                    "ex1", "exd", "u", "v", "U1", "Ud", "x_1", "f*",
+                    "I", "P0", "Q1", ",g"]
+NOT_OPERATOR_NAMES = {"I", "P0", "Q1", ",g"}
+
+
+def test_printed_formulas_parse_back_under_any_signature():
+    """Each of 500 seeded two-operator signatures is rejected when it is
+    declared, or its lattice, modal and FOL formulas and its standard
+    translations, at a free variable named like an operator, print to
+    text that parses back equal."""
+    sorts = [Sort.ONE, Sort.DEL]
+    for seed in range(500):
+        rng = random.Random(seed)
+        names = rng.sample(ROUND_TRIP_NAMES, 2)
+        mapping = {n: DistributionType(tuple(rng.choices(sorts, k=rng.randint(1, 2))),
+                                       rng.choice(sorts)) for n in names}
+        if NOT_OPERATOR_NAMES & set(names):
+            with pytest.raises(ParseError, match="bad operator name"):
+                Signature.of(mapping)
+            continue
+        sig = Signature.of(mapping)
+        phi = gen.random_lattice_formula(seed, 3, 3, sig)
+        assert parse_lattice(print_lattice(phi), sig) == phi, seed
+        sort = rng.choice(sorts)
+        theta = gen.random_modal_formula(seed, 3, sort, 2, sig)
+        assert parse_modal(print_modal(theta), sig) == theta, seed
+        var = rng.choice(["u", "f", "top", "x_1", "u1", "p0"])
+        translated = std_translate(theta, var)
+        assert parse_fol(print_fol(translated), sig, {var: sort}) == translated, seed
+        chi = gen.random_fol_sentence(seed, 3, sig)
+        assert parse_fol(print_fol(chi), sig) == chi, seed
 
 
 FREE = {"u": Sort.ONE, "v": Sort.DEL}
