@@ -157,8 +157,11 @@ class SortedFrame:
             raise SortError("both sorts must be non-empty")
         if self.points_a & self.points_b:
             raise SortError("point sets of the two sorts must be disjoint")
+        # every check reports the least bad entry, pair or tuple; only then sorts
+        bad = [p for p in self.incidence if not isinstance(p, tuple) or len(p) != 2]
+        if bad:
+            raise SortError(f"incidence entry {min(bad, key=repr)!r} is not a pair")
         index = self._index = _BitIndex(self.points_a, self.points_b)
-        # every check reports the least bad pair or tuple; only then sorts
         if not index.link(self.incidence):
             a, b = min(p for p in self.incidence
                        if p[0] not in self.points_a or p[1] not in self.points_b)

@@ -16,7 +16,8 @@ from .syntax import (
     EMPTY_SIGNATURE, FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr,
     FPred, FRelApp, FVar, FolFormula, LAnd, LApp, LBot, LOr, LTop, LVar,
     LatticeFormula, MAnd, MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot,
-    MOr, MVar, ModalFormula, Signature, mapp, modal_var_key,
+    MOr, MVar, ModalFormula, Signature, _MModal, _with_vars, mapp,
+    modal_var_key,
 )
 
 
@@ -43,14 +44,10 @@ def random_lattice_formula(seed, depth: int, num_vars: int = 3,
             if roll < 0.7:
                 return LVar(rng.randrange(num_vars))
             return LTop() if roll < 0.85 else LBot()
-        choices = ["and", "or"] + list(sig.names())
-        pick = rng.choice(choices)
-        if pick == "and":
-            return LAnd(go(d - 1), go(d - 1))
-        if pick == "or":
-            return LOr(go(d - 1), go(d - 1))
-        dist = sig.get(pick)
-        return LApp(pick, tuple(go(d - 1) for _ in range(dist.arity)))
+        pick = rng.choice([LAnd, LOr, *sig.names()])
+        if isinstance(pick, str):
+            return LApp(pick, tuple(go(d - 1) for _ in range(sig.get(pick).arity)))
+        return pick(go(d - 1), go(d - 1))
 
     return go(depth)
 
@@ -65,23 +62,16 @@ def random_modal_formula(seed, depth: int, sort: Sort, num_vars: int = 2,
             if rng.random() < 0.85:
                 return MVar(s, rng.randrange(num_vars))
             return MConst(s, rng.random() < 0.5)
-        ops = ["not", "and", "or", "imp", "box", "dia"]
-        ops += [n for n in sig.names() if sig.get(n).output is s]
-        pick = rng.choice(ops)
-        if pick == "not":
+        box, dia = (MBbox, MBdia) if s is Sort.ONE else (MDbox, MDdia)
+        pick = rng.choice([MNot, MAnd, MOr, MImp, box, dia,
+                           *(n for n in sig.names() if sig.get(n).output is s)])
+        if isinstance(pick, str):
+            return mapp(sig, pick, [go(d - 1, t) for t in sig.get(pick).inputs])
+        if pick is MNot:
             return MNot(go(d - 1, s))
-        if pick == "and":
-            return MAnd(go(d - 1, s), go(d - 1, s))
-        if pick == "or":
-            return MOr(go(d - 1, s), go(d - 1, s))
-        if pick == "imp":
-            return MImp(go(d - 1, s), go(d - 1, s))
-        if pick == "box":
-            return (MBbox if s is Sort.ONE else MDbox)(go(d - 1, s.opposite))
-        if pick == "dia":
-            return (MBdia if s is Sort.ONE else MDdia)(go(d - 1, s.opposite))
-        dist = sig.get(pick)
-        return mapp(sig, pick, [go(d - 1, t) for t in dist.inputs])
+        if issubclass(pick, _MModal):
+            return pick(go(d - 1, pick._ARG))
+        return pick(go(d - 1, s), go(d - 1, s))
 
     return go(depth, sort)
 
@@ -108,42 +98,30 @@ def random_fol_sentence(seed, depth: int,
         return FVar(f"x{counter[0]}", sort)
 
     def atom(env):
-        ones = [v for v in env if v.sort is Sort.ONE]
-        dels = [v for v in env if v.sort is Sort.DEL]
-        picks = []
+        pools = {sort: [v for v in env if v.sort is sort] for sort in Sort}
+        ones, dels = pools[Sort.ONE], pools[Sort.DEL]
+
+        def draw(*sorts):
+            return [rng.choice(pools[s]) for s in sorts]
+
+        makers = []
         if ones and dels:
-            picks.append("inc")
+            makers.append(lambda: FInc(*draw(Sort.ONE, Sort.DEL)))
         if ones:
-            picks.append("p")
+            makers.append(lambda: FPred(f"P{rng.randrange(2)}", *draw(Sort.ONE)))
         if dels:
-            picks.append("q")
+            makers.append(lambda: FPred(f"Q{rng.randrange(2)}", *draw(Sort.DEL)))
         for n in sig.names():
             sorting = sig.get(n).sorting()
-            pool = ones if sorting.output is Sort.ONE else dels
-            if pool and all((ones if s is Sort.ONE else dels)
-                            for s in sorting.inputs):
-                picks.append(("rel", n))
+            sorts = (sorting.output, *sorting.inputs)
+            if all(pools[s] for s in sorts):
+                makers.append(lambda n=n, sorts=sorts:
+                              _with_vars(FRelApp(n, None, ()), draw(*sorts)))
         if len(ones) >= 2:
-            picks.append("eq1")
+            makers.append(lambda: FEq(*draw(Sort.ONE, Sort.ONE)))
         if len(dels) >= 2:
-            picks.append("eqd")
-        pick = rng.choice(picks)
-        if pick == "inc":
-            return FInc(rng.choice(ones), rng.choice(dels))
-        if pick == "p":
-            return FPred(f"P{rng.randrange(2)}", rng.choice(ones))
-        if pick == "q":
-            return FPred(f"Q{rng.randrange(2)}", rng.choice(dels))
-        if pick == "eq1":
-            return FEq(rng.choice(ones), rng.choice(ones))
-        if pick == "eqd":
-            return FEq(rng.choice(dels), rng.choice(dels))
-        _, name = pick
-        sorting = sig.get(name).sorting()
-        head = rng.choice(ones if sorting.output is Sort.ONE else dels)
-        args = tuple(rng.choice(ones if s is Sort.ONE else dels)
-                     for s in sorting.inputs)
-        return FRelApp(name, head, args)
+            makers.append(lambda: FEq(*draw(Sort.DEL, Sort.DEL)))
+        return rng.choice(makers)()
 
     def go(d, env):
         if d <= 0:

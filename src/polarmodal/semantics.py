@@ -39,8 +39,8 @@ from .frames import _ONE, Concept, Sort, SortedFrame
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
-    MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    _atom_vars, _with_vars, modal_var_key, modal_vars,
+    MBbox, MConst, MDbox, MImp, MNot, MOr, MVar, ModalFormula, _MModal,
+    _atom_vars, _with_vars, modal_var_key, modal_vars, parse_modal,
 )
 
 # read by `resource_cap`, which rejects a setting that is not a positive integer
@@ -196,14 +196,10 @@ def _truth(frame: SortedFrame, masks: Mapping[tuple[bool, int], int],
             got = left | right
         else:
             got = (index.side(theta.sort).full ^ left) | right
-    elif isinstance(theta, MBbox):
-        got = index.b.box(_truth(frame, masks, theta.arg, memo))
-    elif isinstance(theta, MDbox):
-        got = index.a.box(_truth(frame, masks, theta.arg, memo))
-    elif isinstance(theta, MBdia):
-        got = index.b.dia(_truth(frame, masks, theta.arg, memo))
-    elif isinstance(theta, MDdia):
-        got = index.a.dia(_truth(frame, masks, theta.arg, memo))
+    elif isinstance(theta, _MModal):
+        arg = _truth(frame, masks, theta.arg, memo)
+        side = index.a if theta._ARG is _ONE else index.b
+        got = side.box(arg) if isinstance(theta, (MBbox, MDbox)) else side.dia(arg)
     elif isinstance(theta, MApp):
         rel = _diamond_relation(frame, theta)
         got = index.image(rel, [_truth(frame, masks, a, memo) for a in theta.args])
@@ -353,7 +349,7 @@ class _Search:
                 got = list(map(or_, left, right))
             else:
                 got = list(map(or_, map(ones.__xor__, left), right))
-        elif isinstance(theta, (MBbox, MBdia, MDbox, MDdia)):
+        elif isinstance(theta, _MModal):
             arg = walk(theta.arg, columns, ones, memo)
             near = self.near_a if theta.sort is _ONE else self.near_b
             if isinstance(theta, (MBbox, MDbox)):
@@ -741,34 +737,26 @@ def sorting_constraint_sentences(frame: SortedFrame) -> list[FolFormula]:
 # ----------------------------------------------------------------------
 # Axiom schemata of the minimal sorted systems
 
+def _schemata(*rows) -> list[tuple[str, ModalFormula, list]]:
+    """Each (name, text) row parsed, with its variables in key order."""
+    parsed = [(name, parse_modal(text)) for name, text in rows]
+    return [(name, theta, sorted(modal_vars(theta), key=modal_var_key))
+            for name, theta in parsed]
+
+
+_K = _schemata(("K-sort1", "[b] (Q0 -> Q1) -> [b] Q0 -> [b] Q1"),
+               ("K-sortd", "[d] (P0 -> P1) -> [d] P0 -> [d] P1"))
+_B = _schemata(("B-sort1", "P0 -> [b] <d> P0"), ("B-sortd", "Q0 -> [d] <b> Q0"))
+_D = _schemata(("D-sort1", "[b] Q0 -> <b> Q0"), ("D-sortd", "[d] P0 -> <d> P0"))
+
+
 def k_axioms() -> list[tuple[str, ModalFormula, list]]:
-    b0, b1 = MVar(Sort.DEL, 0), MVar(Sort.DEL, 1)
-    a0, a1 = MVar(Sort.ONE, 0), MVar(Sort.ONE, 1)
-    k1 = MImp(MBbox(MImp(b0, b1)), MImp(MBbox(b0), MBbox(b1)))
-    kd = MImp(MDbox(MImp(a0, a1)), MImp(MDbox(a0), MDbox(a1)))
-    return [
-        ("K-sort1", k1, [(Sort.DEL, 0), (Sort.DEL, 1)]),
-        ("K-sortd", kd, [(Sort.ONE, 0), (Sort.ONE, 1)]),
-    ]
+    return [(name, theta, list(vs)) for name, theta, vs in _K]
 
 
 def b_axioms() -> list[tuple[str, ModalFormula, list]]:
-    a0 = MVar(Sort.ONE, 0)
-    b0 = MVar(Sort.DEL, 0)
-    b1 = MImp(a0, MBbox(MDdia(a0)))
-    bd = MImp(b0, MDbox(MBdia(b0)))
-    return [
-        ("B-sort1", b1, [(Sort.ONE, 0)]),
-        ("B-sortd", bd, [(Sort.DEL, 0)]),
-    ]
+    return [(name, theta, list(vs)) for name, theta, vs in _B]
 
 
 def d_axioms() -> list[tuple[str, ModalFormula, list]]:
-    a0 = MVar(Sort.ONE, 0)
-    b0 = MVar(Sort.DEL, 0)
-    d1 = MImp(MBbox(b0), MBdia(b0))
-    dd = MImp(MDbox(a0), MDdia(a0))
-    return [
-        ("D-sort1", d1, [(Sort.DEL, 0)]),
-        ("D-sortd", dd, [(Sort.ONE, 0)]),
-    ]
+    return [(name, theta, list(vs)) for name, theta, vs in _D]

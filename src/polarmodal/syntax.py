@@ -178,47 +178,46 @@ class MImp(_MBinary):
 
 
 @dataclass(frozen=True)
-class MBbox(ModalFormula):
+class _MModal(ModalFormula):
+    """A box or diamond: `_ARG` is its argument's sort, `_TOKEN` its token."""
+
+    arg: ModalFormula
+    sort: Sort
+
+    def __post_init__(self):
+        _require_sort(self.arg, self._ARG, self._TOKEN)
+
+
+@dataclass(frozen=True)
+class MBbox(_MModal):
     """[b]: takes a sort-d formula to sort 1."""
 
-    arg: ModalFormula
     sort: Sort = Sort.ONE
-
-    def __post_init__(self):
-        _require_sort(self.arg, Sort.DEL, "[b]")
+    _ARG, _TOKEN = Sort.DEL, "[b]"
 
 
 @dataclass(frozen=True)
-class MDbox(ModalFormula):
+class MDbox(_MModal):
     """[d]: takes a sort-1 formula to sort d."""
 
-    arg: ModalFormula
     sort: Sort = Sort.DEL
-
-    def __post_init__(self):
-        _require_sort(self.arg, Sort.ONE, "[d]")
+    _ARG, _TOKEN = Sort.ONE, "[d]"
 
 
 @dataclass(frozen=True)
-class MBdia(ModalFormula):
+class MBdia(_MModal):
     """<b>: the diamond dual of [b] (sort d -> 1)."""
 
-    arg: ModalFormula
     sort: Sort = Sort.ONE
-
-    def __post_init__(self):
-        _require_sort(self.arg, Sort.DEL, "<b>")
+    _ARG, _TOKEN = Sort.DEL, "<b>"
 
 
 @dataclass(frozen=True)
-class MDdia(ModalFormula):
+class MDdia(_MModal):
     """<d>: the diamond dual of [d] (sort 1 -> d)."""
 
-    arg: ModalFormula
     sort: Sort = Sort.DEL
-
-    def __post_init__(self):
-        _require_sort(self.arg, Sort.ONE, "<d>")
+    _ARG, _TOKEN = Sort.ONE, "<d>"
 
 
 @dataclass(frozen=True)
@@ -245,23 +244,34 @@ def modal_var_key(v: tuple[Sort, int]):
     return v[0].value, v[1]
 
 
+_MODAL_ARGS = {
+    MVar: lambda x: (), MConst: lambda x: (), MApp: attrgetter("args"),
+    **{cls: attrgetter("left", "right") for cls in _MBinary.__subclasses__()},
+    **{cls: lambda x: (x.arg,) for cls in (MNot, *_MModal.__subclasses__())}}
+
+
+def _modal_args(x: ModalFormula) -> tuple[ModalFormula, ...]:
+    """A modal node's subformulas in order; the counterpart of `_atom_vars`."""
+    get = _MODAL_ARGS.get(type(x))
+    if get is None:
+        raise SortError(f"unknown modal node {x!r}")
+    return get(x)
+
+
 def modal_vars(theta: ModalFormula) -> set[tuple[Sort, int]]:
-    if isinstance(theta, MVar):
-        return {(theta.sort, theta.index)}
-    if isinstance(theta, MConst):
-        return set()
-    if isinstance(theta, MNot):
-        return modal_vars(theta.arg)
-    if isinstance(theta, (MAnd, MOr, MImp)):
-        return modal_vars(theta.left) | modal_vars(theta.right)
-    if isinstance(theta, (MBbox, MDbox, MBdia, MDdia)):
-        return modal_vars(theta.arg)
-    if isinstance(theta, MApp):
-        out = set()
-        for a in theta.args:
-            out |= modal_vars(a)
-        return out
-    raise SortError(f"unknown modal node {theta!r}")
+    """theta's variables as (sort, index), walked as `modal_depth` walks."""
+    out, seen, todo = set(), set(), [theta]
+    while todo:
+        x = todo.pop()
+        key = id(x)  # theta keeps every subformula alive meanwhile
+        if key in seen:
+            continue
+        seen.add(key)
+        if type(x) is MVar:
+            out.add((x.sort, x.index))
+        else:  # `_modal_args` without a call; it raises on an unknown node
+            todo += _MODAL_ARGS.get(type(x), _modal_args)(x)
+    return out
 
 
 def modal_depth(theta: ModalFormula) -> int:
@@ -279,23 +289,13 @@ def modal_depth(theta: ModalFormula) -> int:
         if id(x) in depth:
             todo.pop()
             continue
-        if isinstance(x, (MVar, MConst)):
-            args, step = (), 0
-        elif isinstance(x, MNot):
-            args, step = (x.arg,), 0
-        elif isinstance(x, (MAnd, MOr, MImp)):
-            args, step = (x.left, x.right), 0
-        elif isinstance(x, (MBbox, MDbox, MBdia, MDdia)):
-            args, step = (x.arg,), 1
-        elif isinstance(x, MApp):
-            args, step = x.args, 1
-        else:
-            raise SortError(f"unknown modal node {x!r}")
+        args = _modal_args(x)
         pending = [a for a in args if id(a) not in depth]
         if pending:
             todo += pending
             continue
         todo.pop()
+        step = isinstance(x, (_MModal, MApp))
         depth[id(x)] = step + max((depth[id(a)] for a in args), default=0)
     return depth[id(theta)]
 
@@ -496,7 +496,11 @@ chain like P0 & P0 & ... takes at most 101 operands.  Deeper input
 raises ParseError instead of exhausting the Python stack; since every
 node of the syntax tree sits below its level, the parsers and the
 recursive evaluators and printers stay well inside the default
-recursion limit.
+recursion limit.  That holds for parsed input only: a built formula may
+nest deeper, and `truth_set`, `sat_modal` and the searches recurse once
+per level.  On `modal_equiv`'s witness for paths of n against n+1 points
+per sort, `sat_modal` works at n=20 and raises RecursionError at n=40,
+60 and 80 (Python 3.11, default recursion limit).
 """
 
 
@@ -679,8 +683,8 @@ _MODAL_CONSTS = {"top": MConst(Sort.ONE, True), "bot": MConst(Sort.ONE, False),
                  "tt": MConst(Sort.DEL, True), "ff": MConst(Sort.DEL, False)}
 _MODAL_CONST_NAMES = {c: tok for tok, c in _MODAL_CONSTS.items()}
 # prefix operators as printed; the parser reads them without the space
-_MODAL_PREFIX = {MNot: "~", MBbox: "[b] ", MDbox: "[d] ", MBdia: "<b> ",
-                 MDdia: "<d> "}
+_MODAL_PREFIX = {MNot: "~", **{cls: cls._TOKEN + " "
+                               for cls in _MModal.__subclasses__()}}
 _MODAL_PREFIX_BY_TOKEN = {text.strip(): cls for cls, text in _MODAL_PREFIX.items()}
 
 

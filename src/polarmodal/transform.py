@@ -22,8 +22,8 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    Signature, _is_fol_name, fol_all_var_names, fol_free_vars, fol_subst,
-    lattice_vars, mapp,
+    Signature, _MModal, _is_fol_name, fol_all_var_names, fol_free_vars,
+    fol_subst, lattice_vars, mapp,
 )
 
 
@@ -172,6 +172,9 @@ def std_translate(theta: ModalFormula, free_var: str) -> FolFormula:
     return _st(theta, var, fresh)
 
 
+_ST_CONNECTIVES = {MAnd: FAnd, MOr: FOr, MImp: FImp}
+
+
 def _st(theta: ModalFormula, at: FVar, fresh: _FreshVars) -> FolFormula:
     if isinstance(theta, MVar):
         return FPred(theta.name, at)
@@ -180,24 +183,16 @@ def _st(theta: ModalFormula, at: FVar, fresh: _FreshVars) -> FolFormula:
         return taut if theta.truth else FNot(taut)
     if isinstance(theta, MNot):
         return FNot(_st(theta.arg, at, fresh))
-    if isinstance(theta, MAnd):
-        return FAnd(_st(theta.left, at, fresh), _st(theta.right, at, fresh))
-    if isinstance(theta, MOr):
-        return FOr(_st(theta.left, at, fresh), _st(theta.right, at, fresh))
-    if isinstance(theta, MImp):
-        return FImp(_st(theta.left, at, fresh), _st(theta.right, at, fresh))
-    if isinstance(theta, MBbox):
-        v = fresh.fresh(Sort.DEL)
-        return FForall(v, FImp(FInc(at, v), _st(theta.arg, v, fresh)))
-    if isinstance(theta, MDbox):
-        u = fresh.fresh(Sort.ONE)
-        return FForall(u, FImp(FInc(u, at), _st(theta.arg, u, fresh)))
-    if isinstance(theta, MBdia):
-        v = fresh.fresh(Sort.DEL)
-        return FExists(v, FAnd(FInc(at, v), _st(theta.arg, v, fresh)))
-    if isinstance(theta, MDdia):
-        u = fresh.fresh(Sort.ONE)
-        return FExists(u, FAnd(FInc(u, at), _st(theta.arg, u, fresh)))
+    cls = _ST_CONNECTIVES.get(type(theta))
+    if cls is not None:
+        return cls(_st(theta.left, at, fresh), _st(theta.right, at, fresh))
+    if isinstance(theta, _MModal):
+        w = fresh.fresh(theta._ARG)
+        inc = FInc(at, w) if theta.sort is Sort.ONE else FInc(w, at)
+        body = _st(theta.arg, w, fresh)
+        if isinstance(theta, (MBbox, MDbox)):
+            return FForall(w, FImp(inc, body))
+        return FExists(w, FAnd(inc, body))
     if isinstance(theta, MApp):
         arg_vars = [fresh.fresh(a.sort) for a in theta.args]
         body = FRelApp(theta.name, at, tuple(arg_vars))

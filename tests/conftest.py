@@ -328,6 +328,20 @@ def modal_depth_oracle(theta: ModalFormula) -> int:
     return 1 + max((modal_depth_oracle(a) for a in theta.args), default=0)
 
 
+def modal_vars_oracle(theta: ModalFormula) -> set:
+    """`syntax.modal_vars` by plain recursion, one visit per tree node."""
+    if isinstance(theta, MVar):
+        return {(theta.sort, theta.index)}
+    if isinstance(theta, MConst):
+        return set()
+    if isinstance(theta, (MNot, MBbox, MDbox, MBdia, MDdia)):
+        return modal_vars_oracle(theta.arg)
+    if isinstance(theta, (MAnd, MOr, MImp)):
+        return modal_vars_oracle(theta.left) | modal_vars_oracle(theta.right)
+    assert isinstance(theta, MApp)
+    return set().union(*map(modal_vars_oracle, theta.args))
+
+
 def name_rows(frame):
     """Each point's rows by name, from a scan of I and of every tuple:
     first (None, its I-neighbours as sorted 1-tuples), then one (name,

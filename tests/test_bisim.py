@@ -21,10 +21,10 @@ from polarmodal.bisim import (
 from polarmodal.errors import PreconditionError, SortError
 from polarmodal.frames import Sort, SortedFrame, SortingType, random_frame
 from polarmodal.semantics import ModalModel, sat_modal, truth_set
-from polarmodal.syntax import ModalFormula, modal_depth
+from polarmodal.syntax import ModalFormula, modal_depth, modal_vars
 
 from conftest import (
-    ALL_TYPES, hash_seed_env, make_rel, modal_depth_oracle,
+    ALL_TYPES, hash_seed_env, make_rel, modal_depth_oracle, modal_vars_oracle,
     refinement_levels_oracle, with_relation,
 )
 
@@ -483,6 +483,21 @@ def test_modal_depth_of_path_formulas():
     depth = modal_depth(theta)
     assert time.perf_counter() - start < 1.0
     assert not ok and 0 < depth <= bound
+
+
+def test_modal_vars_of_path_formulas():
+    """`modal_vars` follows the shared subformulas too: it agrees with the
+    tree walk up to n=4, and at n=5, where a tree walk takes seconds, it
+    returns at once."""
+    for n in range(1, 5):
+        m, m2 = _path(n), _path(n + 1)
+        ok, theta = modal_equiv(m, "a0", m2, "a0", equivalence_depth_bound(m, m2))
+        assert not ok and modal_vars(theta) == modal_vars_oracle(theta)
+    m, m2 = _path(5), _path(6)
+    ok, theta = modal_equiv(m, "a0", m2, "a0", equivalence_depth_bound(m, m2))
+    start = time.perf_counter()
+    assert modal_vars(theta) == {(Sort.ONE, 0)}
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------- refinement oracle

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -47,6 +48,17 @@ def test_sort_validation():
         SortedFrame(["x"], ["x"], [])
     with pytest.raises(SortError):
         SortedFrame(["a0"], ["b0"], [("a0", "a0")])
+
+
+@pytest.mark.parametrize("bad, named", [
+    ([("a0", "b0", "zz")], "('a0', 'b0', 'zz')"), ([("a0",)], "('a0',)"),
+    ([("a0",), ("a0", "b0", "zz")], "('a0', 'b0', 'zz')")])  # least by repr
+def test_incidence_entries_must_be_pairs(bad, named):
+    # a longer tuple linked its first two points while `polarity` looked
+    # for the whole entry; a shorter one failed with IndexError
+    with pytest.raises(SortError,
+                       match=re.escape(f"incidence entry {named} is not a pair")):
+        SortedFrame(["a0"], ["b0"], [("a0", "b0"), *bad])
 
 
 def test_polarity(f0):

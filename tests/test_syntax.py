@@ -1,6 +1,8 @@
 """Parsers, printers and sort checking for the three languages."""
 
+import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +14,14 @@ from polarmodal.frames import DistributionType, Sort, SortingType
 from polarmodal.syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FOr, FolFormula, FPred, FRelApp,
     FVar, LAnd, LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox,
-    MDdia, MImp, MNot, MOr, MVar, ModalFormula, Signature, fol_all_var_names,
-    fol_free_vars, fol_subst, mapp, modal_depth, modal_vars, parse_fol,
-    parse_lattice, parse_modal, print_fol, print_lattice, print_modal,
+    MBdia, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula, Signature,
+    fol_all_var_names, fol_free_vars, fol_subst, mapp, modal_depth, modal_vars,
+    parse_fol, parse_lattice, parse_modal, print_fol, print_lattice,
+    print_modal,
 )
 from polarmodal.transform import std_translate
 
-from conftest import modal_depth_oracle
+from conftest import modal_depth_oracle, modal_vars_oracle
 
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1, "r": D1D_D})
 
@@ -137,6 +140,14 @@ def test_modal_depth_matches_recursion(seed, depth, sort):
     assert modal_depth(theta) == modal_depth_oracle(theta)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 5),
+       st.sampled_from([Sort.ONE, Sort.DEL]), st.integers(1, 4))
+def test_modal_vars_matches_recursion(seed, depth, sort, num_vars):
+    theta = gen.random_modal_formula(seed, depth, sort, num_vars, SIG)
+    assert modal_vars(theta) == modal_vars_oracle(theta)
+
+
 def _shared_chain(k):
     """x_0 = P0, x_(i+1) = [b] <d> x_i | f(x_i): k levels, each naming the
     one object x_i twice, so the tree has about 2**k nodes and depth 2k."""
@@ -153,6 +164,37 @@ def test_modal_depth_visits_shared_subformulas_once():
     # 2**3000 tree nodes and 6,000 levels: past any tree walk and past
     # Python's recursion limit
     assert modal_depth(_shared_chain(3000)) == 6000
+
+
+def test_modal_vars_visits_shared_subformulas_once():
+    for k in range(8):
+        assert modal_vars(_shared_chain(k)) == modal_vars_oracle(_shared_chain(k)) \
+            == {(Sort.ONE, 0)}
+    start = time.perf_counter()
+    assert modal_vars(_shared_chain(3000)) == {(Sort.ONE, 0)}
+    assert time.perf_counter() - start < 1.0
+
+
+_SORT_REPRS = {"1": "<Sort.ONE: '1'>", "d": "<Sort.DEL: 'd'>"}
+
+
+@pytest.mark.parametrize("cls, dual, token, arg, out", [
+    (MBbox, MBdia, "[b]", "d", "1"), (MDbox, MDdia, "[d]", "1", "d"),
+    (MBdia, MBbox, "<b>", "d", "1"), (MDdia, MDbox, "<d>", "1", "d")])
+def test_box_family_layout(cls, dual, token, arg, out):
+    # result digests read the dataclass fields and repr; errors, the token
+    assert [f.name for f in dataclasses.fields(cls)] == ["arg", "sort"]
+    var = MVar(Sort(arg), 0)
+    theta = cls(var)
+    assert repr(theta) == (f"{cls.__name__}(arg=MVar(sort={_SORT_REPRS[arg]}, "
+                           f"index=0), sort={_SORT_REPRS[out]})")
+    assert theta == cls(MVar(Sort(arg), 0))
+    assert hash(theta) == hash(cls(MVar(Sort(arg), 0)))
+    assert theta != dual(var)
+    assert print_modal(theta) == f"{token} {var.name}"
+    with pytest.raises(SortError) as err:
+        cls(MVar(Sort(out), 0))
+    assert str(err.value) == f"{token}: expected a sort-{arg} argument, got sort-{out}"
 
 
 @settings(max_examples=100, deadline=None)
