@@ -6,8 +6,8 @@ from .errors import (
     PreconditionError, SortError,
 )
 from .frames import (
-    Concept, DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
-    SortedFrame, SortedRelation, SortingType, canonical_frame, random_frame,
+    Concept, FiniteLattice, FiniteLatticeExpansion, Sort, SortedFrame,
+    SortedRelation, SortingType, canonical_frame, random_frame,
 )
 from .syntax import (
     EMPTY_SIGNATURE, FolFormula, LatticeFormula, ModalFormula, Signature,

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .frames import (
-    DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
-    SortedFrame, SortedRelation, SortingType, canonical_frame, random_frame,
+    FiniteLattice, FiniteLatticeExpansion, Sort, SortedFrame, SortedRelation,
+    SortingType, canonical_frame, random_frame,
 )
 from .syntax import Signature
 
-D1_1 = DistributionType((Sort.ONE,), Sort.ONE)
-DD_D = DistributionType((Sort.DEL,), Sort.DEL)
-D11_1 = DistributionType((Sort.ONE, Sort.ONE), Sort.ONE)
-DDD_D = DistributionType((Sort.DEL, Sort.DEL), Sort.DEL)
-D1D_D = DistributionType((Sort.ONE, Sort.DEL), Sort.DEL)
-DD1_D = DistributionType((Sort.DEL, Sort.ONE), Sort.DEL)
+D1_1 = SortingType(Sort.ONE, (Sort.ONE,))
+DD_D = SortingType(Sort.DEL, (Sort.DEL,))
+D11_1 = SortingType(Sort.ONE, (Sort.ONE, Sort.ONE))
+DDD_D = SortingType(Sort.DEL, (Sort.DEL, Sort.DEL))
+D1D_D = SortingType(Sort.DEL, (Sort.ONE, Sort.DEL))
+DD1_D = SortingType(Sort.DEL, (Sort.DEL, Sort.ONE))
 
 
 def chain(n: int) -> FiniteLattice:
@@ -163,7 +163,7 @@ def default_model_family():
     Each interprets P0, P1, Q0 and Q1.  One frame has a V(P0) that is not
     Galois-stable, so the bare atom P0(u) is a guaranteed unstable control.
     """
-    sig = {"f": D1_1.sorting(), "g": DD_D.sorting()}
+    sig = {"f": D1_1, "g": DD_D}
     f0 = reference_frame()
     f0 = SortedFrame(f0.points_a, f0.points_b, f0.incidence, _unary_relations(f0))
     f1 = unstable_control_frame()
@@ -187,6 +187,6 @@ def _unary_relations(frame: SortedFrame):
     r = frozenset((a, a) for a in frame.points_a)
     s = frozenset((b, b) for b in frame.points_b)
     return {
-        "f": SortedRelation("f", SortingType(Sort.ONE, (Sort.ONE,)), r),
-        "g": SortedRelation("g", SortingType(Sort.DEL, (Sort.DEL,)), s),
+        "f": SortedRelation("f", D1_1, r),
+        "g": SortedRelation("g", DD_D, s),
     }

@@ -55,7 +55,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_extent(args) -> int:
-    _, lattice_model = fileio.load_model(_read(args.model), close=args.close)
+    try:
+        _, lattice_model = fileio.load_model(_read(args.model), close=args.close)
+    except PreconditionError as exc:  # an unstable valuation; the remedy is a flag
+        raise PreconditionError(str(exc).replace("close=True", "--close")) from None
     if lattice_model is None:
         raise PolarModalError("model file has no lattice valuation lines "
                               "(val p0 : ...)")
@@ -164,7 +167,7 @@ def cmd_concepts(args) -> int:
 
 def cmd_gen(args) -> int:
     sig = _signature(args)
-    sortings = {name: sig.get(name).sorting() for name in sig.names()}
+    sortings = dict(sig.operators)
     if args.kind == "frame":
         frame = random_frame(args.size_a, args.size_b, sortings,
                              args.density, args.seed)

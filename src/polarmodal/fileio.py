@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from .errors import ParseError, PreconditionError, SortError
 from .frames import (
-    DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
-    SortedFrame, SortedRelation, SortingType,
+    FiniteLattice, FiniteLatticeExpansion, Sort, SortedFrame, SortedRelation,
+    SortingType,
 )
 from .semantics import LatticeModel, ModalModel
 from .syntax import (
@@ -103,7 +103,7 @@ def parse_frame_lines(text: str):
             name = tokens[1]
             if name in relations:
                 raise ParseError(f"relation {name!r} is defined twice", lineno)
-            sorting = SortingType.parse(tokens[3])
+            sorting = _on_line(lineno, 0, SortingType.parse, tokens[3])
             tuples = set()
             for group in _split_groups(tokens[5:]):
                 if len(group) != sorting.arity + 1:
@@ -131,7 +131,8 @@ def load_frame(text: str) -> SortedFrame:
 
 
 def _parse_valuations(val_lines):
-    modal, lattice = {}, {}
+    """The modal and lattice valuations, and each variable's line."""
+    modal, lattice, lines = {}, {}, {}
     for lineno, tokens in val_lines:
         if len(tokens) < 2 or tokens[1] != ":":
             raise ParseError("expected 'val VAR : points'", lineno)
@@ -147,16 +148,30 @@ def _parse_valuations(val_lines):
         if key in table:
             raise ParseError(f"variable {var!r} is valued twice", lineno)
         table[key] = points
-    return modal, lattice
+        lines[key] = lineno
+    return modal, lattice, lines
+
+
+def _model(cls, frame, valuation, lines, *rest):
+    """`cls(frame, valuation, *rest)`, an ill-sorted valuation reported at
+    its `val` line: the model checks in order, so the first to fail alone."""
+    try:
+        return cls(frame, valuation, *rest)
+    except SortError:
+        for key, points in valuation.items():
+            _on_line(lines[key], 0, cls, frame, {key: points}, *rest)
+        raise
 
 
 def load_model(text: str, close: bool = False):
     """Load a model file; returns (ModalModel | None, LatticeModel | None)."""
     points_a, points_b, incidence, relations, val_lines = parse_frame_lines(text)
     frame = SortedFrame(points_a, points_b, incidence, relations)
-    modal, lattice = _parse_valuations(val_lines)
-    modal_model = ModalModel(frame, modal) if modal or not lattice else None
-    lattice_model = LatticeModel(frame, lattice, close=close) if lattice else None
+    modal, lattice, lines = _parse_valuations(val_lines)
+    modal_model = _model(ModalModel, frame, modal, lines) \
+        if modal or not lattice else None
+    lattice_model = _model(LatticeModel, frame, lattice, lines, close) \
+        if lattice else None
     return modal_model, lattice_model
 
 
@@ -206,7 +221,7 @@ def load_lattice_expansion(text: str) -> FiniteLatticeExpansion:
             name = raw[1]
             if name in ops:
                 raise ParseError(f"operator {name!r} is defined twice", lineno)
-            dist = DistributionType.parse(raw[3])
+            dist = _on_line(lineno, 0, SortingType.parse_distribution, raw[3])
             table = {}
             for row in _split_groups(_comma_tokens(" ".join(raw[5:]))):
                 if len(row) != dist.arity + 2 or row[-2] != "->":
@@ -267,7 +282,7 @@ def parse_signature_line(line: str) -> Signature:
     for i in range(0, len(tokens), 2):
         if tokens[i] in mapping:
             raise ParseError(f"operator {tokens[i]!r} is declared twice")
-        mapping[tokens[i]] = DistributionType.parse(tokens[i + 1])
+        mapping[tokens[i]] = SortingType.parse_distribution(tokens[i + 1])
     return Signature.of(mapping)
 
 

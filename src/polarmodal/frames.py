@@ -53,7 +53,9 @@ _ONE = Sort.ONE
 
 @dataclass(frozen=True)
 class SortingType:
-    """Sorting of a frame relation: output sort, then input sorts."""
+    """An operator's sorts, output then inputs: one value types a lattice
+    operator, its modal diamond and the frame relation interpreting it,
+    written `o;i1..in` in frame files and `i1,..,in->o` elsewhere."""
 
     output: Sort
     inputs: tuple[Sort, ...]
@@ -77,37 +79,14 @@ class SortingType:
             raise SortError(f"bad sorting type {text!r}, expected '<out>;<inputs>'")
         return SortingType(Sort.parse(out), tuple(Sort.parse(c) for c in ins))
 
-
-@dataclass(frozen=True)
-class DistributionType:
-    """Input/output polarities of a lattice operator."""
-
-    inputs: tuple[Sort, ...]
-    output: Sort
-
-    def __post_init__(self):
-        if len(self.inputs) < 1:
-            raise SortError("distribution type needs n >= 1 inputs")
-
-    @property
-    def arity(self) -> int:
-        return len(self.inputs)
-
-    def sorting(self) -> SortingType:
-        return SortingType(self.output, self.inputs)
-
-    def __str__(self):
-        return ",".join(str(s) for s in self.inputs) + "->" + str(self.output)
-
     @staticmethod
-    def parse(text: str) -> "DistributionType":
+    def parse_distribution(text: str) -> "SortingType":
         try:
             ins, out = text.split("->")
         except ValueError:
             raise SortError(f"bad distribution type {text!r}, expected 'i1,..,in->o'")
-        return DistributionType(
-            tuple(Sort.parse(c) for c in ins.split(",")), Sort.parse(out)
-        )
+        return SortingType(Sort.parse(out),
+                           tuple(Sort.parse(c) for c in ins.split(",")))
 
 
 @dataclass(frozen=True)
@@ -636,7 +615,7 @@ class FiniteLattice:
 
 @dataclass
 class FiniteLatticeExpansion:
-    """A finite lattice with normal operators tagged by distribution types.
+    """A finite lattice with normal operators tagged by their sorts.
 
     Operator tables map argument tuples (of lattice elements) to lattice
     elements.  Normality, including preservation of the empty join in
@@ -644,7 +623,7 @@ class FiniteLatticeExpansion:
     """
 
     lattice: FiniteLattice
-    operators: dict[str, tuple[DistributionType, dict[tuple, object]]] = field(
+    operators: dict[str, tuple[SortingType, dict[tuple, object]]] = field(
         default_factory=dict
     )
 
@@ -725,7 +704,7 @@ def canonical_frame(exp: FiniteLatticeExpansion) -> SortedFrame:
         for args in itertools.product(elems, repeat=dist.arity):
             tail = tuple(point(w, s) for w, s in zip(args, dist.inputs))
             tuples.update((point(u, dist.output),) + tail for u in heads(table[args]))
-        relations[name] = SortedRelation(name, dist.sorting(), frozenset(tuples))
+        relations[name] = SortedRelation(name, dist, frozenset(tuples))
     return SortedFrame(elems, [x + B_SUFFIX for x in elems], incidence, relations)
 
 

@@ -111,8 +111,7 @@ def random_fol_sentence(seed, depth: int,
             makers.append(lambda: FPred(f"P{rng.randrange(2)}", *draw(Sort.ONE)))
         if dels:
             makers.append(lambda: FPred(f"Q{rng.randrange(2)}", *draw(Sort.DEL)))
-        for n in sig.names():
-            sorting = sig.get(n).sorting()
+        for n, sorting in sig.operators:
             sorts = (sorting.output, *sorting.inputs)
             if all(pools[s] for s in sorts):
                 makers.append(lambda n=n, sorts=sorts:

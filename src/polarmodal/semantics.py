@@ -8,16 +8,17 @@ configurable resource limit.
 
 A single evaluation (`truth_set`, `sat_modal`) walks its formula once on
 int masks, one bit per point, through the frame's kernels.  A valuation
-search (`frame_valid_modal`, `transform.is_stable_modal`) is bit-sliced
-(`_Search`): it walks its formula once per batch of up to `_BATCH`
-valuations, and a node's value is one int per point with one bit per
-valuation of the batch, so each connective is one map of ands and ors
-over the points and each box or diamond one and or or over every
-point's I-neighbours.  Valuations are counted in binary, one bit of the
-count per point of each variable, so a variable's column in a batch is
-a fixed periodic mask or a constant per point (`_periodic`), not an
-enumeration.  Both walks evaluate a subformula that the formula shares
-once, and nothing is kept on the frame.
+search (`frame_valid_modal`, run by `transform.is_stable_modal` on
+`[b]<d> alpha -> alpha`) is bit-sliced (`_Search`, known only here): it
+walks its formula once per batch of up to `_BATCH` valuations, and a
+node's value is one int per point with one bit per valuation of the
+batch, so each connective is one map of ands and ors over the points
+and each box or diamond one and or or over every point's I-neighbours.
+Valuations are counted in binary, one bit of the count per point of
+each variable, so a variable's column in a batch is a fixed periodic
+mask or a constant per point (`_periodic`), not an enumeration.  Both
+walks evaluate a subformula that the formula shares once, and nothing
+is kept on the frame.
 
 A FOL formula is compiled once, for any model (`_Fol`): its closures
 read variables and model data from slots of an environment list, which
@@ -93,7 +94,8 @@ class ModalModel:
         for (sort, i), s in valuation.items():
             s = frozenset(s)
             if not s <= frame.carrier(sort):
-                raise SortError(f"valuation of variable {i} ill-sorted for {sort}")
+                raise SortError(
+                    f"valuation of {MVar(sort, i).name} ill-sorted for {sort}")
             self.valuation[(sort, i)] = s
             self._masks[(sort is _ONE, i)] = frame._index.side(sort).mask(s)
 
@@ -312,12 +314,11 @@ class _Search:
         return {key: side.points(k >> shift & side.full)
                 for key, side, _, shift in self.layout}
 
-    def walk(self, theta: ModalFormula, columns: Mapping, ones: int,
-             memo: dict[int, list[int]]) -> list[int]:
-        """`truths`, where a variable of theta that the search lacks raises
-        PreconditionError naming the least such variable."""
+    def walk(self, theta: ModalFormula, columns: Mapping, ones: int) -> list[int]:
+        """`truths` with a fresh memo, where a variable of theta that the
+        search lacks raises PreconditionError naming the least such variable."""
         try:
-            return self.truths(theta, columns, ones, memo)
+            return self.truths(theta, columns, ones, {})
         except KeyError:
             lacked = modal_vars(theta).difference(key for key, *_ in self.layout)
             if not lacked:
@@ -434,7 +435,7 @@ def frame_valid_modal(frame: SortedFrame, theta: ModalFormula, vars_in_use):
     side = frame._index.side(theta.sort)
     search = _Search(frame, vars_in_use)
     for start, ones, columns in search.batches():
-        truths = search.walk(theta, columns, ones, {})
+        truths = search.walk(theta, columns, ones)
         fail = ones & ~reduce(and_, truths, ones)
         if fail:
             k = (fail & -fail).bit_length() - 1

@@ -17,8 +17,7 @@ from itertools import combinations, product
 from . import catalog, fileio, gen
 from .errors import NormalityError, PreconditionError
 from .frames import (
-    DistributionType, FiniteLatticeExpansion, Sort, SortedFrame, SortingType,
-    canonical_frame, random_frame,
+    FiniteLatticeExpansion, Sort, SortedFrame, canonical_frame, random_frame,
 )
 from .semantics import (
     b_axioms, d_axioms, eval_fol, frame_valid_modal, k_axioms, sat_modal,
@@ -69,13 +68,9 @@ class SuiteReport:
         return "\n".join(out) + "\n"
 
 
-_UNARY_SIG = {"f": SortingType(Sort.ONE, (Sort.ONE,)),
-              "g": SortingType(Sort.DEL, (Sort.DEL,))}
+_SUITE_SORTINGS = {"f": catalog.D1_1, "g": catalog.DD_D, "h": catalog.D1D_D}
 
-_SUITE_SIGNATURE = Signature.of({"f": catalog.D1_1, "g": catalog.DD_D,
-                                 "h": catalog.D1D_D})
-
-_SUITE_SORTINGS = dict(_UNARY_SIG, h=SortingType(Sort.DEL, (Sort.ONE, Sort.DEL)))
+_SUITE_SIGNATURE = Signature.of(_SUITE_SORTINGS)
 
 _VARS4 = [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]
 
@@ -125,13 +120,13 @@ def _complex_algebra(frame):
                Sort.DEL: {c.intent: c for c in lat.carrier}}
     operators = {}
     for name, rel in frame.relations.items():
-        inputs, output = rel.sorting.inputs, by_side[rel.sorting.output]
+        output = by_side[rel.sorting.output]
         table = {}
         for args in product(lat.carrier, repeat=rel.sorting.arity):
             parts = [c.extent if s is Sort.ONE else c.intent
-                     for c, s in zip(args, inputs)]
+                     for c, s in zip(args, rel.sorting.inputs)]
             table[args] = output[frame.closed_op(name, parts)]
-        operators[name] = (DistributionType(inputs, rel.sorting.output), table)
+        operators[name] = (rel.sorting, table)
     return FiniteLatticeExpansion(lat, operators)
 
 

@@ -18,20 +18,19 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ParseError, SortError
-from .frames import DistributionType, Sort
+from .frames import Sort, SortingType
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Declared operator symbols with their distribution types.
+    """Declared operator symbols with their sorts.
 
-    A single declaration serves all three languages: a lattice operator
-    of distribution type (i1..in; o), the sorted modal diamond of the
-    same name, and the frame relation / FOL predicate of sorting type
-    (o; i1..in).
+    A single declaration serves all three languages: one `SortingType`
+    types the lattice operator, the sorted modal diamond of the same
+    name, and the frame relation / FOL predicate.
     """
 
-    operators: tuple[tuple[str, DistributionType], ...] = ()
+    operators: tuple[tuple[str, SortingType], ...] = ()
 
     def __post_init__(self):
         # a name is one word, and not one the FOL parser reads before the
@@ -46,7 +45,7 @@ class Signature:
     def of(mapping) -> "Signature":
         return Signature(tuple(sorted(mapping.items())))
 
-    def get(self, name: str) -> DistributionType:
+    def get(self, name: str) -> SortingType:
         for n, d in self.operators:
             if n == name:
                 return d
@@ -818,7 +817,7 @@ def _fol_atom(p, sig, env, tok, line, col):
     elif m and m.group(1) in _VAR_SORTS:
         atom, sorts = FPred(tok, None), [_VAR_SORTS[m.group(1)]]
     elif tok in sig:
-        sorting = sig.get(tok).sorting()
+        sorting = sig.get(tok)
         atom, sorts = FRelApp(tok, None, ()), [sorting.output, *sorting.inputs]
     else:
         raise ParseError(f"unexpected token {tok!r} in FOL formula", line, col)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import PreconditionError, SortError
 from .frames import Sort, SortedFrame
 from .semantics import (
-    LatticeModel, ModalModel, _Search, _compile_fol, _instance_budget,
+    LatticeModel, ModalModel, _compile_fol, _instance_budget, frame_valid_modal,
     lattice_extent, truth_set,
 )
 from .syntax import (
@@ -283,15 +283,9 @@ def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
 
 def is_stable_modal(alpha: ModalFormula, frames: Sequence[SortedFrame],
                     vars_in_use) -> bool:
-    """True iff alpha and [b]<d> alpha agree under every valuation."""
+    """True iff alpha and [b]<d> alpha agree under every valuation: as the
+    closure contains alpha, iff [b]<d> alpha -> alpha is valid."""
     if alpha.sort is not Sort.ONE:
         raise SortError("stability is defined for sort-1 formulas")
-    closed = MBbox(MDdia(alpha))
-    for frame in frames:
-        search = _Search(frame, vars_in_use)
-        for _, ones, columns in search.batches():
-            memo = {}
-            truths = search.walk(alpha, columns, ones, memo)
-            if truths != search.truths(closed, columns, ones, memo):
-                return False
-    return True
+    closed_in = MImp(MBbox(MDdia(alpha)), alpha)
+    return all(frame_valid_modal(f, closed_in, vars_in_use)[0] for f in frames)

@@ -28,7 +28,7 @@ ALL_TYPES = {"f": catalog.D1_1, "g": catalog.DD_D, "k": catalog.D11_1,
 # with empty or full incidence
 oracle_frames = st.builds(
     random_frame, st.integers(1, 8), st.integers(1, 8),
-    st.just({name: dist.sorting() for name, dist in ALL_TYPES.items()}),
+    st.just(ALL_TYPES),
     st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 10 ** 6),
 )
 
@@ -295,7 +295,7 @@ def canonical_relation_oracle(exp: FiniteLatticeExpansion,
                     (point(u, dist.output),)
                     + tuple(point(w, s) for w, s in zip(args, dist.inputs))
                 )
-    return SortedRelation(name, dist.sorting(), frozenset(tuples))
+    return SortedRelation(name, dist, frozenset(tuples))
 
 
 def dump_lattice_expansion(exp: FiniteLatticeExpansion) -> str:
@@ -310,7 +310,8 @@ def dump_lattice_expansion(exp: FiniteLatticeExpansion) -> str:
         rows = " , ".join(
             " ".join(args) + " -> " + table[args] for args in sorted(table)
         )
-        out.append(f"op {name} type {dist} table: {rows}")
+        arrow = ",".join(map(str, dist.inputs)) + f"->{dist.output}"
+        out.append(f"op {name} type {arrow} table: {rows}")
     return "\n".join(out) + "\n"
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import bisim, gen
+from polarmodal import bisim, catalog, gen
 from polarmodal.bisim import (
     SortedPairRelation, all_bisimulations_union, equivalence_depth_bound,
     is_bisimulation, is_model_bisimulation, is_simulation,
@@ -153,9 +153,8 @@ def _check_against_tuple_scan(f, g, seed, toggled=None):
 @given(st.integers(1, 3), st.integers(1, 3), st.floats(0.0, 1.0),
        st.integers(0, 10 ** 6), st.booleans())
 def test_simulation_matches_tuple_scan(size_a, size_b, density, seed, same):
-    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
-    f = random_frame(size_a, size_b, sorting, density, seed)
-    g = f if same else random_frame(size_a, size_b, sorting, density, seed + 1)
+    f = random_frame(size_a, size_b, ALL_TYPES, density, seed)
+    g = f if same else random_frame(size_a, size_b, ALL_TYPES, density, seed + 1)
     _check_against_tuple_scan(f, g, seed)
 
 
@@ -185,6 +184,17 @@ def test_largest_contains_identity(f0):
     for b in f0.points_b:
         assert (b, b) in big.pairs_b
     assert is_model_bisimulation(m, m, big)
+
+
+def test_largest_across_frames_typed_from_signature_and_relation_notation():
+    """A catalog entry, which types signatures, and the relation notation
+    give one sorting, so a frame typed either way relates to itself."""
+    for entry, text in ((catalog.D1_1, "1;1"), (catalog.D1D_D, "d;1d")):
+        m = ModalModel(random_frame(2, 2, {"f": entry}, 0.5, seed=1), {})
+        other = random_frame(2, 2, {"f": SortingType.parse(text)}, 0.5, seed=1)
+        big = largest_bisimulation(m, ModalModel(other, {}))
+        assert big == largest_bisimulation(m, m), text
+        assert identity_rel(m.frame).pairs_a <= big.pairs_a, text
 
 
 def test_largest_respects_valuation(f0):

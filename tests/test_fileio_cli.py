@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polarmodal import catalog, cli, fileio, semantics
 from polarmodal.errors import ParseError, PreconditionError
-from polarmodal.frames import Sort
+from polarmodal.frames import Sort, random_frame
 from polarmodal.semantics import LatticeModel, ModalModel
 from polarmodal.syntax import (
     MAX_NESTING, parse_fol, parse_lattice, parse_modal, print_fol, print_lattice,
@@ -131,6 +131,17 @@ def test_frame_roundtrip():
     assert again.incidence == frame.incidence
     assert again.relations["R"].tuples == frame.relations["R"].tuples
     assert again.relations["R"].sorting == frame.relations["R"].sorting
+
+
+def test_frames_typed_from_signature_entries_roundtrip():
+    """A relation typed by a catalog entry or a `sig:` entry is written in
+    the relation notation, which the frame loader reads back."""
+    for sig in ({"k": catalog.D11_1},
+                dict(fileio.parse_signature_line("k 1,1->1 , h 1,d->d").operators)):
+        frame = random_frame(2, 2, sig, 0.5, seed=1)
+        text = fileio.dump_frame(frame)
+        assert "rel k sort 1;11 : " in text
+        assert fileio.load_frame(text).relations == frame.relations
 
 
 def test_lattice_expansion_roundtrip():
@@ -512,6 +523,35 @@ def test_cli_rejects_a_malformed_sorts_line(tmp_path, capsys, sorts):
     path.write_text(f"# frame\n{sorts}\nI: a0 b0\n")
     assert run(capsys, "concepts", str(path)) == \
         (2, "", "error: line 2: expected 'sorts A: points  B: points'\n")
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (["concepts"], F0_TEXT + "rel f sort 1;x : a0 a0\n",
+     "line 4: unknown sort 'x' (expected '1' or 'd')"),
+    (["canon"], "elems c0 c1\nleq: c0 c0 , c0 c1 , c1 c1\n"
+                "op f type 1-1 table: c0 -> c0 , c1 -> c1\n",
+     "line 3: bad distribution type '1-1', expected 'i1,..,in->o'"),
+    (["eval", "P0"], F0_TEXT + "val P0 : a0\nval Q0 : a0\n",
+     "line 5: valuation of Q0 ill-sorted for d"),
+    (["extent", "p0"], F0_TEXT + "val p0 : a0\nval p1 : b1\n",
+     "line 5: valuation of p1 is not a subset of A"),
+])
+def test_cli_names_the_line_of_an_ill_sorted_declaration(tmp_path, capsys, argv,
+                                                         text, error):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", f"error: {error}\n")
+
+
+def test_cli_extent_names_the_close_flag(tmp_path, capsys):
+    # empty incidence: A is the only stable subset of A
+    path = tmp_path / "model.txt"
+    path.write_text("sorts A: a0 a1  B: b0\nI:\nval p0 : a0\n")
+    assert run(capsys, "extent", str(path), "p0") == (
+        2, "", "error: valuation of p0 is not Galois-stable "
+               "(pass --close to close it)\n")
+    code, out, _ = run(capsys, "extent", str(path), "p0", "--close")
+    assert code == 0 and "extent: a0 a1\n" in out
 
 
 @pytest.mark.parametrize("command, text, error", [

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from polarmodal import catalog, fileio, semantics
 from polarmodal.errors import CapExceeded, NormalityError, PreconditionError, SortError
 from polarmodal.frames import (
-    Concept, DistributionType, FiniteLattice, FiniteLatticeExpansion, Sort,
+    Concept, FiniteLattice, FiniteLatticeExpansion, Sort,
     SortedFrame, canonical_frame, random_frame,
 )
 
@@ -470,21 +470,21 @@ def test_normality_rejects_join_as_output_one():
     # join preserves binary joins but not the empty join: 0 v y = y
     lat = catalog.chain(2)
     table = {(x, y): lat.join(x, y) for x in lat.carrier for y in lat.carrier}
-    dist = DistributionType((Sort.ONE, Sort.ONE), Sort.ONE)
+    dist = catalog.D11_1
     with pytest.raises(NormalityError):
         FiniteLatticeExpansion(lat, {"j": (dist, table)})
 
 
 def test_normality_rejects_partial_table():
     lat = catalog.chain(2)
-    dist = DistributionType((Sort.ONE,), Sort.ONE)
+    dist = catalog.D1_1
     with pytest.raises(NormalityError):
         FiniteLatticeExpansion(lat, {"f": (dist, {("c0",): "c0"})})
 
 
 def test_normality_rejects_tables_outside_the_carrier():
     lat = catalog.chain(2)
-    dist = DistributionType((Sort.ONE,), Sort.ONE)
+    dist = catalog.D1_1
     total = {("c0",): "c0", ("c1",): "c1"}
     for table, what in (({("c0",): "c0", ("c1",): "zz"}, "value 'zz'"),
                         ({**total, ("zz",): "c1"}, "entry ('zz',)"),
@@ -506,7 +506,7 @@ def test_canonical_two_chain():
     lat = catalog.chain(2)
     ident = {(x,): x for x in lat.carrier}
     exp = FiniteLatticeExpansion(
-        lat, {"f": (DistributionType((Sort.ONE,), Sort.ONE), ident)})
+        lat, {"f": (catalog.D1_1, ident)})
     frame = canonical_frame(exp)
     assert frame.points_a == {"c0", "c1"}
     assert frame.points_b == {"c0*", "c1*"}
@@ -591,7 +591,7 @@ def test_concept_repr_lists_points_sorted():
 # ---------------------------------------------------------------- random
 
 def test_random_frame_determinism():
-    sig = {"R": catalog.D11_1.sorting()}
+    sig = {"R": catalog.D11_1}
     one = random_frame(3, 2, sig, 0.5, seed=11)
     two = random_frame(3, 2, sig, 0.5, seed=11)
     assert one.incidence == two.incidence

@@ -116,8 +116,7 @@ def operator_nodes(phi):
        st.integers(0, 10 ** 6))
 def test_operator_extent_matches_tuple_enumeration(size_a, size_b, density,
                                                     seed):
-    sorting = {name: dist.sorting() for name, dist in ALL_TYPES.items()}
-    frame = random_frame(size_a, size_b, sorting, density, seed)
+    frame = random_frame(size_a, size_b, ALL_TYPES, density, seed)
     model = gen.random_lattice_model(frame, range(3), seed)
     for k in range(4):
         phi = gen.random_lattice_formula(seed + k, 3, 3,
@@ -519,7 +518,7 @@ def test_is_stable_fol_rejects_atoms_of_another_sorting_first(f0):
 
 
 def test_eval_fol_compiles_a_formula_once_for_every_point(fol_compiles):
-    frame = random_frame(5, 4, {"f": D1_1.sorting()}, 0.5, seed=3)
+    frame = random_frame(5, 4, {"f": D1_1}, 0.5, seed=3)
     predval = random_predval(frame, 3)
     phi = std_translate(parse_modal("[b] <d> (P0 | f(P1))", SIG), "u")
     for a in sorted(frame.points_a):

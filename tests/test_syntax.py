@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from polarmodal import gen
 from polarmodal.catalog import D1_1, D1D_D, D11_1, DD_D
 from polarmodal.errors import ParseError, PolarModalError, SortError
-from polarmodal.frames import DistributionType, Sort, SortingType
+from polarmodal.frames import Sort, SortingType
 from polarmodal.syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FOr, FolFormula, FPred, FRelApp,
     FVar, LAnd, LApp, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MBbox,
@@ -49,11 +49,10 @@ def test_signature_accepts_names_read_by_position():
 
 
 def test_distribution_type_parse():
-    assert str(DistributionType.parse("1,d->d")) == "1,d->d"
-    assert DistributionType.parse("1,d->d").sorting() == \
-        SortingType.parse("d;1d")
-    with pytest.raises(SortError):
-        DistributionType.parse("1;d")
+    assert SortingType.parse_distribution("1,d->d") == SortingType.parse("d;1d")
+    assert str(SortingType.parse_distribution("1,d->d")) == "d;1d"
+    with pytest.raises(SortError, match="bad distribution type '1;d'"):
+        SortingType.parse_distribution("1;d")
     with pytest.raises(SortError):
         SortingType.parse("1,d->d")
 
@@ -318,8 +317,10 @@ def test_printed_formulas_parse_back_under_any_signature():
     for seed in range(500):
         rng = random.Random(seed)
         names = rng.sample(ROUND_TRIP_NAMES, 2)
-        mapping = {n: DistributionType(tuple(rng.choices(sorts, k=rng.randint(1, 2))),
-                                       rng.choice(sorts)) for n in names}
+        mapping = {}
+        for n in names:
+            inputs = tuple(rng.choices(sorts, k=rng.randint(1, 2)))
+            mapping[n] = SortingType(rng.choice(sorts), inputs)
         if NOT_OPERATOR_NAMES & set(names):
             with pytest.raises(ParseError, match="bad operator name"):
                 Signature.of(mapping)

@@ -23,7 +23,7 @@ from polarmodal.transform import (
 from conftest import SetKernels, stable_by_sets, stable_fol_oracle
 
 SIG = Signature.of({"f": D1_1, "g": DD_D, "h": D11_1})
-SORTINGS = {name: SIG.get(name).sorting() for name in SIG.names()}
+SORTINGS = dict(SIG.operators)
 
 
 def asg_of(*texts):
@@ -83,8 +83,7 @@ def test_induced_model(f0):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_translation_theorem_random(seed):
-    sortings = {n: SIG.get(n).sorting() for n in SIG.names()}
-    frame = random_frame(3, 3, sortings, 0.5, seed)
+    frame = random_frame(3, 3, SORTINGS, 0.5, seed)
     phi = gen.random_lattice_formula(seed, 3, 2, SIG)
     psi = gen.random_lattice_formula(seed + 1, 3, 2, SIG)
     asg = gen.random_assignment(seed + 2, [0, 1], 2, 2, SIG)
@@ -141,8 +140,7 @@ def test_std_translate_rejects_names_that_do_not_parse_back(name):
 @given(st.integers(0, 10 ** 6), st.integers(0, 3),
        st.sampled_from([Sort.ONE, Sort.DEL]))
 def test_std_translate_agreement(seed, depth, sort):
-    frame = random_frame(3, 2, {n: SIG.get(n).sorting() for n in SIG.names()},
-                         0.5, seed)
+    frame = random_frame(3, 2, SORTINGS, 0.5, seed)
     theta = gen.random_modal_formula(seed, depth, sort, 2, SIG)
     model = gen.random_modal_model(
         frame, [(s, i) for s in (Sort.ONE, Sort.DEL) for i in range(2)], seed)
@@ -234,7 +232,7 @@ def test_is_stable_modal():
 
 def test_is_stable_modal_matches_set_oracle():
     sig = catalog.default_signature()
-    sortings = {name: sig.get(name).sorting() for name in sig.names()}
+    sortings = dict(sig.operators)
     verdicts = set()
     for seed in range(60):
         rng = random.Random(seed)
