@@ -42,21 +42,26 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _split_groups(tokens: list[str]):
-    """Split a token list on ',' separators."""
-    groups, current = [], []
-    for tok in tokens:
-        if tok == ",":
-            groups.append(current)
-            current = []
-        else:
-            current.append(tok)
-    groups.append(current)
-    return [g for g in groups if g]
+def _groups(text: str, size: int | None = None, lineno: int = 0, message=None):
+    """The comma-separated groups of `text`, each split on whitespace.
+
+    Empty groups are dropped.  Given a `size`, every group must hold that
+    many tokens; the first that does not is named in the ParseError
+    `message(group)` at line `lineno`.
+    """
+    groups = list(filter(None, map(str.split, text.split(","))))
+    if size is not None and set(map(len, groups)) - {size}:
+        bad = next(g for g in groups if len(g) != size)
+        raise ParseError(message(bad), lineno)
+    return groups
 
 
-def _comma_tokens(text: str) -> list[str]:
-    return text.replace(",", " , ").split()
+def _fields(text: str, n: int) -> tuple[list[str], str]:
+    """The first `n` whitespace-separated tokens of `text`, a comma being
+    a token of its own, and the rest of the text after them as one
+    string, for `_groups` or `str.split`."""
+    tokens = text.replace(",", " , ").split(None, n)
+    return tokens, tokens.pop() if len(tokens) > n else ""
 
 
 # ----------------------------------------------------------------------
@@ -72,9 +77,9 @@ def parse_frame_lines(text: str):
     relations = {}
     val_lines = []
     for lineno, line in _lines(text):
-        tokens = _comma_tokens(line)
-        head = tokens[0]
+        (head,), rest = _fields(line, 1)
         if head == "sorts":
+            tokens = [head, *rest.split()]
             if points_a is not None:
                 raise ParseError("repeated 'sorts' line", lineno)
             if tokens[1:2] != ["A:"] or tokens.count("A:") != 1 \
@@ -91,12 +96,10 @@ def parse_frame_lines(text: str):
                     raise ParseError(f"point {p!r} is listed twice", lineno)
                 seen.add(p)
         elif head == "I:":
-            for pair in _split_groups(tokens[1:]):
-                if len(pair) != 2:
-                    raise ParseError(f"incidence entry {' '.join(pair)!r} "
-                                     "is not a pair", lineno)
-                incidence.append((pair[0], pair[1]))
+            incidence += map(tuple, _groups(rest, 2, lineno, lambda pair: (
+                f"incidence entry {' '.join(pair)!r} is not a pair")))
         elif head == "rel":
+            tokens, rest = _fields(line, 5)
             if len(tokens) < 5 or tokens[2] != "sort" or tokens[4] != ":":
                 raise ParseError(
                     "expected 'rel NAME sort TYPE : tuples'", lineno)
@@ -104,17 +107,13 @@ def parse_frame_lines(text: str):
             if name in relations:
                 raise ParseError(f"relation {name!r} is defined twice", lineno)
             sorting = _on_line(lineno, 0, SortingType.parse, tokens[3])
-            tuples = set()
-            for group in _split_groups(tokens[5:]):
-                if len(group) != sorting.arity + 1:
-                    raise ParseError(
-                        f"relation {name}: tuple {' '.join(group)!r} has "
-                        f"arity {len(group) - 1}, expected {sorting.arity}",
-                        lineno)
-                tuples.add(tuple(group))
-            relations[name] = SortedRelation(name, sorting, frozenset(tuples))
+            tuples = _groups(rest, sorting.arity + 1, lineno, lambda group: (
+                f"relation {name}: tuple {' '.join(group)!r} has "
+                f"arity {len(group) - 1}, expected {sorting.arity}"))
+            relations[name] = SortedRelation(name, sorting,
+                                             frozenset(map(tuple, tuples)))
         elif head == "val":
-            val_lines.append((lineno, tokens[1:]))
+            val_lines.append((lineno, rest.split()))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if points_a is None:
@@ -176,7 +175,9 @@ def load_model(text: str, close: bool = False):
 
 
 def load_modal_model(text: str) -> ModalModel:
-    modal_model, _ = load_model(text)
+    """Load a model file's modal model.  Its lattice valuation, if any,
+    must name points of A, but need not be Galois-stable."""
+    modal_model, _ = load_model(text, close=True)
     if modal_model is None:
         raise PreconditionError("model file has no modal valuation lines")
     return modal_model
@@ -223,7 +224,7 @@ def load_lattice_expansion(text: str) -> FiniteLatticeExpansion:
                 raise ParseError(f"operator {name!r} is defined twice", lineno)
             dist = _on_line(lineno, 0, SortingType.parse_distribution, raw[3])
             table = {}
-            for row in _split_groups(_comma_tokens(" ".join(raw[5:]))):
+            for row in _groups(" ".join(raw[5:])):
                 if len(row) != dist.arity + 2 or row[-2] != "->":
                     raise ParseError(
                         f"operator {name}: row {' '.join(row)!r} must be "
@@ -235,23 +236,19 @@ def load_lattice_expansion(text: str) -> FiniteLatticeExpansion:
                 table[args] = row[-1]
             ops[name] = (dist, table)
             continue
-        tokens = _comma_tokens(line)
-        head = tokens[0]
+        (head,), rest = _fields(line, 1)
         if head == "elems":
             if elems is not None:
                 raise ParseError("repeated 'elems' line", lineno)
-            elems = tokens[1:]
+            elems = rest.split()
             if not elems:
                 raise ParseError("elems line lists no elements", lineno)
             for x in elems:
                 if elems.count(x) > 1:
                     raise ParseError(f"element {x!r} is listed twice", lineno)
         elif head == "leq:":
-            for pair in _split_groups(tokens[1:]):
-                if len(pair) != 2:
-                    raise ParseError(f"leq entry {' '.join(pair)!r} is not "
-                                     "a pair", lineno)
-                leq.append((pair[0], pair[1]))
+            leq += map(tuple, _groups(rest, 2, lineno, lambda pair: (
+                f"leq entry {' '.join(pair)!r} is not a pair")))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if elems is None:

@@ -19,11 +19,12 @@ names that it builds for the call and drops when it returns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import add, and_, lshift, rshift
+from operator import add, and_, itemgetter, lshift, rshift
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, NormalityError, PreconditionError, SortError
@@ -31,6 +32,9 @@ from .errors import CapExceeded, NormalityError, PreconditionError, SortError
 class Sort(Enum):
     ONE = "1"
     DEL = "d"
+
+    # the members are singletons, so identity hashes them exactly, in C
+    __hash__ = object.__hash__
 
     @property
     def opposite(self) -> "Sort":
@@ -71,7 +75,10 @@ class SortingType:
     def __str__(self):
         return f"{self.output};{''.join(str(s) for s in self.inputs)}"
 
+    # memoised, as frame files repeat a few types: a result is immutable,
+    # and an error is not kept
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def parse(text: str) -> "SortingType":
         try:
             out, ins = text.split(";")
@@ -118,7 +125,9 @@ class SortedFrame:
 
     Every kernel runs on one private `_BitIndex` (see the module
     docstring), built in a single pass over I; a relation is indexed on
-    its first use.
+    its first use.  Construction checks each relation one argument place
+    at a time, by one C-level subset test of the place's carrier, and
+    scans entry by entry only to name the least bad pair or tuple.
     """
 
     def __init__(
@@ -152,15 +161,20 @@ class SortedFrame:
 
     def _check_relation(self, rel: SortedRelation):
         places = [self.carrier(s) for s in (rel.sorting.output, *rel.sorting.inputs)]
-        bad = [t for t in rel.tuples if len(t) != len(places)
-               or not all(map(frozenset.__contains__, places, t))]
-        if bad:
-            tup = min(bad)
-            if len(tup) != len(places):
-                raise SortError(f"relation {rel.name}: tuple {tup} has wrong arity")
-            i = next(i for i, w in enumerate(tup) if w not in places[i])
-            role = "argument" if i else "head"
-            raise SortError(f"relation {rel.name}: {role} {tup[i]} ill-sorted")
+        tuples = rel.tuples
+        if {len(places)}.issuperset(map(len, tuples)):
+            for i, place in enumerate(places):
+                if not place.issuperset(map(itemgetter(i), tuples)):
+                    break
+            else:
+                return
+        tup = min(t for t in tuples if len(t) != len(places)
+                  or not all(map(frozenset.__contains__, places, t)))
+        if len(tup) != len(places):
+            raise SortError(f"relation {rel.name}: tuple {tup} has wrong arity")
+        i = next(i for i, w in enumerate(tup) if w not in places[i])
+        role = "argument" if i else "head"
+        raise SortError(f"relation {rel.name}: {role} {tup[i]} ill-sorted")
 
     def carrier(self, sort: Sort) -> frozenset[str]:
         return self.points_a if sort is Sort.ONE else self.points_b

@@ -36,8 +36,8 @@ class Signature:
         # a name is one word, and not one the FOL parser reads before the
         # signature: I(u, v) and the predicates P0(u), Q0(v), ..
         for name, _ in self.operators:
-            word, var = _TOKEN_RE.fullmatch(name), _VAR_RE.match(name)
-            if word is None or word.lastgroup != "word" or name == "I" \
+            var = _VAR_RE.match(name)
+            if _WORD_RE.fullmatch(name) is None or name == "I" \
                     or var is not None and var.group(1) in _VAR_SORTS:
                 raise ParseError(f"bad operator name {name!r}")
 
@@ -142,13 +142,16 @@ class MConst(ModalFormula):
     truth: bool
 
 
+# A connective's sort is its first argument's.  It is stored on the node,
+# outside the dataclass fields (so not in `repr`, `==` or `hash`), so that
+# reading it costs one lookup however long a chain of connectives is.
+
 @dataclass(frozen=True)
 class MNot(ModalFormula):
     arg: ModalFormula
 
-    @property
-    def sort(self):
-        return self.arg.sort
+    def __post_init__(self):
+        object.__setattr__(self, "sort", self.arg.sort)
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,9 @@ class _MBinary(ModalFormula):
     right: ModalFormula
 
     def __post_init__(self):
-        _require_sort(self.right, self.left.sort, type(self).__name__)
-
-    @property
-    def sort(self):
-        return self.left.sort
+        sort = self.left.sort
+        _require_sort(self.right, sort, type(self).__name__)
+        object.__setattr__(self, "sort", sort)
 
 
 class MAnd(_MBinary):
@@ -448,34 +449,32 @@ def fol_subst(phi: FolFormula, old: FVar, new: FVar) -> FolFormula:
 # ======================================================================
 # Tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<land>/\\)
-  | (?P<lor>\\/)
-  | (?P<arrow>->)
-  | (?P<bbox>\[b\])
-  | (?P<dbox>\[d\])
-  | (?P<bdia><b>)
-  | (?P<ddia><d>)
-  | (?P<sym>[()~&|,.=])
-  | (?P<word>[A-Za-z_][A-Za-z0-9_*']*)
-    """,
-    re.VERBOSE,
-)
+# the token patterns in the order they are tried; a word is a name
+_WORD = r"[A-Za-z_][A-Za-z0-9_*']*"
+_TOKEN_PATTERNS = (r"/\\", r"\\/", r"->", r"\[b\]", r"\[d\]", r"<b>", r"<d>",
+                   r"[()~&|,.=]", _WORD)
+_TOKENS_RE = re.compile("|".join(_TOKEN_PATTERNS))
+_SCAN_RE = re.compile(r"(\s+)|" + "|".join(_TOKEN_PATTERNS))
+_WORD_RE = re.compile(_WORD)
 
 
-def _tokenize(text: str):
+def _scan(text: str) -> list[tuple[str, int, int]]:
+    """Each token of `text` with its line and column, both from 1.
+
+    This is the position-tracking scanner: a step per token or run of
+    whitespace.  It raises ParseError at the first character that starts
+    no token.  The parsers call it only to place an error.
+    """
     tokens = []
     pos = 0
     line = 1
     linestart = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = _SCAN_RE.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}",
                              line, pos - linestart + 1)
-        if m.lastgroup != "ws":
+        if m.lastindex is None:
             tokens.append((m.group(), line, m.start() - linestart + 1))
         else:
             nl = m.group().count("\n")
@@ -483,6 +482,22 @@ def _tokenize(text: str):
                 line += nl
                 linestart = m.start() + m.group().rindex("\n") + 1
         pos = m.end()
+    return tokens
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, as `_scan` gives them but without positions.
+
+    One `findall` takes them all; it skips every character that starts
+    no token, whitespace or not.  No token holds whitespace, so the
+    tokens cover every other character iff their lengths add up to the
+    number of characters outside whitespace (`str.split` and `\\s` agree
+    on every code point).  Otherwise `_scan` runs and raises at the first
+    uncovered character.
+    """
+    tokens = _TOKENS_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        return [tok for tok, _, _ in _scan(text)]
     return tokens
 
 
@@ -517,36 +532,52 @@ def _connectives(table):
 
 
 class _Parser:
+    """A parse in progress over the tokens of `text`.
+
+    The tokens are plain strings, ended by a None; `i` indexes the next
+    one.  A token's line and column are found again by `_scan`, and only
+    for an error reported at it.
+    """
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
+        self.tokens.append(None)
         self.i = 0
         self.depth = 0  # levels open at the current token
         self.reach = 0  # deepest level inside the operand being parsed
 
     def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
-    def next(self):
-        if self.i >= len(self.tokens):
+    def take(self) -> int:
+        """Consume the next token and return its index."""
+        i = self.i
+        if self.tokens[i] is None:
             raise ParseError("unexpected end of input")
+        self.i = i + 1
+        return i
+
+    def fail(self, message, at: int):
+        """Raise `message` at the line and column of token `at`."""
+        _, line, col = _scan(self.text)[at]
+        raise ParseError(message, line, col)
+
+    def expect(self, want: str):
         tok = self.tokens[self.i]
+        if tok != want:
+            at = self.take()  # raises at the end of input
+            self.fail(f"expected {want!r}, found {tok!r}", at)
         self.i += 1
         return tok
 
-    def expect(self, want: str):
-        tok, line, col = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", line, col)
-        return tok
-
     def error(self, message):
-        if self.i < len(self.tokens):
-            _, line, col = self.tokens[self.i]
-            raise ParseError(message, line, col)
+        if self.tokens[self.i] is not None:
+            self.fail(message, self.i)
         raise ParseError(message + " (at end of input)")
 
     def done(self):
-        if self.i != len(self.tokens):
+        if self.tokens[self.i] is not None:
             self.error(f"trailing input {self.peek()!r}")
 
     def too_deep(self):
@@ -575,7 +606,7 @@ class _Parser:
         """
         outer, self.reach = self.reach, self.depth
         left = operand(self, *args)
-        spec = ops.get(self.peek())
+        spec = ops.get(self.tokens[self.i])
         while spec is not None and spec[0] >= level:
             rank, cls, right_assoc = spec
             self.i += 1
@@ -587,7 +618,7 @@ class _Parser:
                                 level=rank if right_assoc else rank + 1)
             self.depth -= 1
             left = cls(left, right)
-            spec = ops.get(self.peek())
+            spec = ops.get(self.tokens[self.i])
         if outer > self.reach:
             self.reach = outer
         return left
@@ -596,7 +627,7 @@ class _Parser:
         """Parse `( item, item, ... )`, each item by `item(self, *args)`."""
         self.expect("(")
         out = [item(self, *args)]
-        while self.peek() == ",":
+        while self.tokens[self.i] == ",":
             self.i += 1
             out.append(item(self, *args))
         self.expect(")")
@@ -637,7 +668,8 @@ def parse_lattice(text: str, sig: Signature = EMPTY_SIGNATURE) -> LatticeFormula
 
 
 def _lattice_atom(p, sig):
-    tok, line, col = p.next()
+    at = p.take()
+    tok = p.tokens[at]
     if tok == "(":
         phi = p.nested(_Parser.binary, _LATTICE_BY_TOKEN, _lattice_atom, sig)
         p.expect(")")
@@ -647,14 +679,14 @@ def _lattice_atom(p, sig):
                       _lattice_atom, sig)
         dist = sig.get(tok)
         if len(args) != dist.arity:
-            raise ParseError(f"{tok} expects {dist.arity} arguments", line, col)
+            p.fail(f"{tok} expects {dist.arity} arguments", at)
         return LApp(tok, tuple(args))
     if tok in _LATTICE_CONSTS:
         return _LATTICE_CONSTS[tok]
     m = _VAR_RE.match(tok)
     if m and m.group(1) == "p":
         return LVar(int(m.group(2)))
-    raise ParseError(f"unexpected token {tok!r} in lattice formula", line, col)
+    p.fail(f"unexpected token {tok!r} in lattice formula", at)
 
 
 def print_lattice(phi: LatticeFormula) -> str:
@@ -695,7 +727,8 @@ def parse_modal(text: str, sig: Signature = EMPTY_SIGNATURE) -> ModalFormula:
 
 
 def _modal_operand(p, sig):
-    tok, line, col = p.next()
+    at = p.take()
+    tok = p.tokens[at]
     op = _MODAL_PREFIX_BY_TOKEN.get(tok)
     if op is not None:
         return op(p.nested(_modal_operand, sig))
@@ -709,13 +742,13 @@ def _modal_operand(p, sig):
         try:
             return mapp(sig, tok, args)
         except SortError as e:
-            raise ParseError(str(e), line, col)
+            p.fail(str(e), at)
     if tok in _MODAL_CONSTS:
         return _MODAL_CONSTS[tok]
     m = _VAR_RE.match(tok)
     if m and m.group(1) in _VAR_SORTS:
         return MVar(_VAR_SORTS[m.group(1)], int(m.group(2)))
-    raise ParseError(f"unexpected token {tok!r} in modal formula", line, col)
+    p.fail(f"unexpected token {tok!r} in modal formula", at)
 
 
 def print_modal(theta: ModalFormula) -> str:
@@ -770,15 +803,17 @@ def parse_fol(text: str, sig: Signature = EMPTY_SIGNATURE,
     return phi
 
 
-def _fol_var(env, name, line, col):
+def _fol_var(p, env, at):
+    """The variable that token `at` names."""
+    name = p.tokens[at]
     if name not in env:
-        raise ParseError(f"variable {name!r} is neither bound nor declared free",
-                         line, col)
+        p.fail(f"variable {name!r} is neither bound nor declared free", at)
     return FVar(name, env[name])
 
 
 def _fol_operand(p, sig, env):
-    tok, line, col = p.next()
+    at = p.take()
+    tok = p.tokens[at]
     if tok == "~":
         return FNot(p.nested(_fol_operand, sig, env))
     if tok == "(":
@@ -786,12 +821,13 @@ def _fol_operand(p, sig, env):
         p.expect(")")
         return phi
     if p.peek() == "(":
-        return _fol_atom(p, sig, env, tok, line, col)
+        return _fol_atom(p, sig, env, at)
     if tok in _BINDERS:
         cls, sort = _BINDERS[tok]
-        name, line, col = p.next()
+        name_at = p.take()
+        name = p.tokens[name_at]
         if not _is_fol_name(name):
-            raise ParseError(f"bad variable name {name!r}", line, col)
+            p.fail(f"bad variable name {name!r}", name_at)
         p.expect(".")
         inner = {**env, name: sort}
         return cls(FVar(name, sort),
@@ -799,18 +835,19 @@ def _fol_operand(p, sig, env):
                             inner))
     # equality: var = var
     if _FOL_NAME_RE.match(tok):
-        left = _fol_var(env, tok, line, col)
+        left = _fol_var(p, env, at)
         p.expect("=")
-        name, nl, nc = p.next()
-        right = _fol_var(env, name, nl, nc)
+        right = _fol_var(p, env, p.take())
         if left.sort != right.sort:
-            raise ParseError("equality between different sorts", line, col)
+            p.fail("equality between different sorts", at)
         return FEq(left, right)
-    raise ParseError(f"unexpected token {tok!r} in FOL formula", line, col)
+    p.fail(f"unexpected token {tok!r} in FOL formula", at)
 
 
-def _fol_atom(p, sig, env, tok, line, col):
-    """The atom `tok(x, ..)`: I, else a P/Q predicate, else a signature relation."""
+def _fol_atom(p, sig, env, at):
+    """The atom `tok(x, ..)` at token `at`: I, else a P/Q predicate, else a
+    signature relation."""
+    tok = p.tokens[at]
     m = _VAR_RE.match(tok)
     if tok == "I":
         atom, sorts = FInc(None, None), [Sort.ONE, Sort.DEL]
@@ -820,11 +857,11 @@ def _fol_atom(p, sig, env, tok, line, col):
         sorting = sig.get(tok)
         atom, sorts = FRelApp(tok, None, ()), [sorting.output, *sorting.inputs]
     else:
-        raise ParseError(f"unexpected token {tok!r} in FOL formula", line, col)
-    vs = [_fol_var(env, *n) for n in p.args(_Parser.next)]
+        p.fail(f"unexpected token {tok!r} in FOL formula", at)
+    vs = [_fol_var(p, env, i) for i in p.args(_Parser.take)]
     if [v.sort for v in vs] != sorts:
-        raise ParseError(f"{tok} expects variables of sorts "
-                         f"{', '.join(map(str, sorts))}", line, col)
+        p.fail(f"{tok} expects variables of sorts "
+               f"{', '.join(map(str, sorts))}", at)
     return _with_vars(atom, vs)
 
 

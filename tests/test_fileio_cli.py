@@ -535,12 +535,30 @@ def test_cli_rejects_a_malformed_sorts_line(tmp_path, capsys, sorts):
      "line 5: valuation of Q0 ill-sorted for d"),
     (["extent", "p0"], F0_TEXT + "val p0 : a0\nval p1 : b1\n",
      "line 5: valuation of p1 is not a subset of A"),
+    # `eval` does not check stability, but still the points
+    (["eval", "P0"], F0_TEXT + "val P0 : a0\nval p1 : b1\n",
+     "line 5: valuation of p1 is not a subset of A"),
+    # the first group of the wrong length is named, not the least
+    (["concepts"], F0_TEXT + "rel f sort 1;1 : a0 a1 , a1 a0 a0 , a0\n",
+     "line 4: relation f: tuple 'a1 a0 a0' has arity 2, expected 1"),
+    (["concepts"], F0_TEXT + "I: a0 b0 , b1 , a0 , a1 b1\n",
+     "line 4: incidence entry 'b1' is not a pair"),
 ])
 def test_cli_names_the_line_of_an_ill_sorted_declaration(tmp_path, capsys, argv,
                                                          text, error):
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", f"error: {error}\n")
+
+
+def test_cli_eval_and_bisim_ignore_an_unstable_lattice_valuation(tmp_path, capsys):
+    # both read the modal model only, so p0 need not be Galois-stable
+    path = tmp_path / "model.txt"
+    path.write_text("sorts A: a0 a1  B: b0\nI:\nval P0 : a0\nval p0 : a0\n")
+    assert run(capsys, "eval", str(path), "P0") == (
+        1, "formula: P0\ntruth-set: a0\nverdict: false\n", "")
+    code, out, err = run(capsys, "bisim", str(path), str(path))
+    assert code == 0 and "a0 a0\n" in out and err == ""
 
 
 def test_cli_extent_names_the_close_flag(tmp_path, capsys):

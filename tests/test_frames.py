@@ -61,6 +61,19 @@ def test_incidence_entries_must_be_pairs(bad, named):
         SortedFrame(["a0"], ["b0"], [("a0", "b0"), *bad])
 
 
+@pytest.mark.parametrize("bad, error", [
+    ([("a0",), ("a1", "b0"), ("b0", "a0")], "tuple ('a0',) has wrong arity"),
+    ([("a0", "b0"), ("a1",), ("b0", "a0")], "argument b0 ill-sorted"),
+    ([("a1", "a1", "a1"), ("a1", "b0"), ("b1",)], "tuple ('a1', 'a1', 'a1') has wrong arity"),
+    ([("b0", "a0"), ("b1",), ("b0", "a0", "a0")], "head b0 ill-sorted")])
+def test_relations_name_their_least_bad_tuple(bad, error):
+    # wrong arities and ill-sorted points mixed: the least tuple is named
+    rel = make_rel("f", "1;1", [("a0", "a1"), ("a1", "a1"), *bad])
+    with pytest.raises(SortError) as info:
+        SortedFrame(["a0", "a1"], ["b0", "b1"], [("a0", "b0")], {"f": rel})
+    assert str(info.value) == f"relation f: {error}"
+
+
 def test_polarity(f0):
     assert f0.polarity("a0", "b0")
     assert not f0.polarity("a0", "b1")

@@ -1,13 +1,15 @@
 """Parsers, printers and sort checking for the three languages."""
 
+import ast
 import dataclasses
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import gen
+from polarmodal import gen, syntax
 from polarmodal.catalog import D1_1, D1D_D, D11_1, DD_D
 from polarmodal.errors import ParseError, PolarModalError, SortError
 from polarmodal.frames import Sort, SortingType
@@ -397,3 +399,119 @@ def test_parsers_return_a_formula_or_a_package_error(tokens, sep):
             continue
         assert isinstance(phi, kind)
         assert parse(show(phi)) == phi
+
+
+# ---------------------------------------------------------------- tokens
+
+# token soup: mostly tokens and token-like pieces, now and then a
+# character that starts no token (non-ASCII ones among them), joined by
+# nothing or by runs of spaces, tabs and line breaks
+SOUP_PIECES = ["(", ")", "(", ")", "[b]", "[d]", "<b>", "<d>", "~", "&", "|",
+               "->", "/\\", "\\/", ",", ".", "=", "P0", "Q1", "p0", "p12",
+               "top", "bot", "tt", "ff", "f", "g", "h", "I", "u", "v", "x", "x1'",
+               "a*b", "all1", "alld", "ex1", "exd", "P0(u)", "I(u, v)", "u = u",
+               "f(", "h("]
+SOUP_STRAYS = ["[", "]", "<", ">", "-", "/", "\\", ":", "7", "é", "λ", "∧",
+               "$", "\u00a0x"]
+SOUP_GAPS = ["", " ", " ", "  ", "\t", "\n", " \n\t", "\r\n", "\x0b"]
+
+
+def _soup(rng):
+    """Token soup, or every other time a printed formula whose spaces are
+    replaced by gaps and which, half the time, has one piece of soup put in."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(SOUP_PIECES if rng.random() < 0.97 else SOUP_STRAYS)
+                       + rng.choice(SOUP_GAPS) for _ in range(rng.randint(0, 14)))
+    seed = rng.randrange(10 ** 6)
+    text = rng.choice([
+        lambda: print_lattice(gen.random_lattice_formula(seed, 3, 2, SIG)),
+        lambda: print_modal(gen.random_modal_formula(seed, 3, Sort.ONE, 2, SIG)),
+        lambda: print_fol(std_translate(
+            gen.random_modal_formula(seed, 2, Sort.ONE, 2, SIG), "u")),
+        lambda: print_fol(gen.random_fol_sentence(seed, 2, SIG))])()
+    text = re.sub(" ", lambda _: rng.choice(SOUP_GAPS[1:]), text)
+    if rng.random() < 0.5:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(SOUP_PIECES + SOUP_STRAYS) + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except PolarModalError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _scanned_tokens(text):
+    return [tok for tok, _, _ in syntax._scan(text)]
+
+
+def test_tokenize_matches_the_position_tracking_scan():
+    rng = random.Random(29)
+    texts = [_soup(rng) for _ in range(4000)]
+    fast = [_outcome(syntax._tokenize, text) for text in texts]
+    assert fast == [_outcome(_scanned_tokens, text) for text in texts]
+    errors = sum(out.startswith("ParseError") for out in fast)
+    assert 400 < errors < 3600  # both paths are exercised
+
+
+# `message` names the token that its error is placed at
+_NAMED_TOKEN = re.compile(r"(?:character|found|token|input|name|variable) "
+                          r"('[^']*'|\"[^\"]*\")|^(\w+) (?:expects|argument)")
+
+
+def test_parsers_match_the_position_tracking_scan(monkeypatch):
+    # an error is placed at the start of a token that `_scan` finds, and
+    # at the token its message names; every outcome is the same when the
+    # parsers read their tokens from `_scan`
+    rng = random.Random(29)
+    texts = [_soup(rng) for _ in range(3000)]
+    named = 0
+    for text in texts:
+        for parse, _, _ in LANGUAGES:
+            try:
+                parse(text)
+            except PolarModalError as e:
+                if not isinstance(e, ParseError) or e.column is None:
+                    continue
+                at = text.split("\n")[e.line - 1][e.column - 1:]
+                m = _NAMED_TOKEN.search(e.message)
+                if m is not None:
+                    token = ast.literal_eval(m.group(1)) if m.group(1) else m.group(2)
+                    assert at.startswith(token), (text, str(e))
+                    named += 1
+                if not e.message.startswith("unexpected character"):
+                    starts = {(line, col) for _, line, col in syntax._scan(text)}
+                    assert (e.line, e.column) in starts, (text, str(e))
+    assert named > 3000
+    fast = [[_outcome(parse, text) for parse, _, _ in LANGUAGES] for text in texts]
+    monkeypatch.setattr(syntax, "_tokenize", _scanned_tokens)
+    assert fast == [[_outcome(parse, text) for parse, _, _ in LANGUAGES]
+                    for text in texts]
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (_parse_fol, "P0(u) &\n  v = u", "line 2, col 3: equality between different sorts"),
+    (_parse_fol, "ex1 x .\n\tI(x, v) & r(x, u, v)",
+     "line 2, col 12: r expects variables of sorts d, 1, d"),
+    (_parse_fol, "all1 x . P0(x) ->\n ~$", "line 2, col 3: unexpected character '$'"),
+    (_parse_fol, "u = u =", "line 1, col 7: trailing input '='"),
+    (_parse_lattice, "p0 /\\\n  h(p0)", "line 2, col 3: h expects 2 arguments"),
+    (_parse_modal, "[b] Q0 &\n  f(Q0)",
+     "line 2, col 3: f argument 0: expected a sort-1 argument, got sort-d"),
+    (_parse_modal, "P0 | (Q0", "unexpected end of input"),
+])
+def test_errors_are_placed_at_their_token(parse, text, error):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == error
+
+
+def test_long_chains_of_connectives_know_their_sort():
+    # a connective's sort is stored, not read down its left spine
+    chain = MVar(Sort.DEL, 0)
+    for _ in range(5000):
+        chain = MAnd(chain, MVar(Sort.DEL, 1))
+    assert chain.sort is Sort.DEL and MNot(chain).sort is Sort.DEL
+    assert MImp(MOr(chain, chain), chain).sort is Sort.DEL
