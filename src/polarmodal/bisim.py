@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import PreconditionError, SortError
-from .frames import Sort, SortedFrame
+from .frames import Sort, SortedFrame, _collector_paused
 from .semantics import ModalModel
 from .syntax import (MApp, MBdia, MConst, MDdia, MNot, MVar, MAnd, ModalFormula,
                      modal_var_key)
@@ -347,12 +347,14 @@ def _numbering(keys: set) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
+@_collector_paused
 def _refinement(m: ModalModel, m2: ModalModel) -> _Refinement:
     """The refinement of the ordered pair (m, m2), kept for the last pair.
 
     Models hash by identity and are immutable after construction; the
     single slot keeps at most one pair alive.  A pair that raises is not
-    kept."""
+    kept.  A refinement holds no reference cycle, so it is built with the
+    cycle collector paused; a cached pair returns without touching it."""
     return _Refinement(m, m2)
 
 

@@ -15,11 +15,21 @@ enumeration and section stability all work on them, and convert to
 frozensets once, at the public boundary.  Concept enumeration converts
 its masks a plane of at most 8 bits at a time, through tables of point
 names that it builds for the call and drops when it returns.
+
+The calls that build large results at once (concept enumeration,
+`random_frame` and, in `bisim`, refinement) run with CPython's
+automatic cyclic garbage collection paused (`_collector_paused`).
+Their results hold no reference cycles, so a collection during such a
+call frees nothing: it only walks again the sets, tuples and dicts the
+call has built so far and, if it is a full collection, every live
+object of the process.  The setting is process-wide; each call restores
+the setting it found on entry.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -54,6 +64,34 @@ class Sort(Enum):
 
 # the kernels read a module global; an enum member lookup costs far more
 _ONE = Sort.ONE
+
+
+def _collector_paused(fn):
+    """Run `fn` with automatic cyclic garbage collection disabled.
+
+    For calls that build large acyclic results: every collection during
+    them would walk again the containers they allocate, and free nothing,
+    since none is part of a cycle (the tests check that such a call leaves
+    no cyclic garbage).  `gc.disable` is process-wide, so the pause covers
+    every thread while the call runs.  On return and on raise the call
+    restores the setting it found on entry: a collector that was off is
+    left alone, and a nested call leaves the outer call's pause in place.
+    That holds per thread of control only: a thread that turns the
+    collector off while another thread's paused call runs finds it on
+    again when that call returns.  Explicit `gc.collect()` calls still
+    run.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
 
 @dataclass(frozen=True)
 class SortingType:
@@ -464,6 +502,7 @@ class _Side:
     def close(self, m: int) -> int:
         return self.full & ~_union(self.co_rows, self.polar(m))
 
+    @_collector_paused
     def closed_sets(self) -> list[frozenset[str]]:
         """The closed sets of this side, ordered by (size, sorted points).
 
@@ -725,6 +764,7 @@ def canonical_frame(exp: FiniteLatticeExpansion) -> SortedFrame:
 # ----------------------------------------------------------------------
 # Random generation
 
+@_collector_paused
 def random_frame(size_a: int, size_b: int,
                  signature: Mapping[str, SortingType] | None = None,
                  density: float = 0.5, seed: int = 0) -> SortedFrame:

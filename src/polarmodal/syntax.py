@@ -156,25 +156,27 @@ class MNot(ModalFormula):
 
 @dataclass(frozen=True)
 class _MBinary(ModalFormula):
+    """A binary connective: `_TOKEN` is its token."""
+
     left: ModalFormula
     right: ModalFormula
 
     def __post_init__(self):
         sort = self.left.sort
-        _require_sort(self.right, sort, type(self).__name__)
+        _require_sort(self.right, sort, self._TOKEN)
         object.__setattr__(self, "sort", sort)
 
 
 class MAnd(_MBinary):
-    pass
+    _TOKEN = "&"
 
 
 class MOr(_MBinary):
-    pass
+    _TOKEN = "|"
 
 
 class MImp(_MBinary):
-    pass
+    _TOKEN = "->"
 
 
 @dataclass(frozen=True)
@@ -609,6 +611,7 @@ class _Parser:
         spec = ops.get(self.tokens[self.i])
         while spec is not None and spec[0] >= level:
             rank, cls, right_assoc = spec
+            at = self.i
             self.i += 1
             self.reach += 1
             if self.reach > MAX_NESTING:
@@ -617,11 +620,20 @@ class _Parser:
             right = self.binary(ops, operand, *args,
                                 level=rank if right_assoc else rank + 1)
             self.depth -= 1
-            left = cls(left, right)
+            left = self.build(cls, at, left, right)
             spec = ops.get(self.tokens[self.i])
         if outer > self.reach:
             self.reach = outer
         return left
+
+    def build(self, make, at: int, *args):
+        """`make(*args)`, a SortError it raises placed at token `at`: a
+        node built over arguments of the wrong sorts is reported at its
+        operator."""
+        try:
+            return make(*args)
+        except SortError as e:
+            self.fail(str(e), at)
 
     def args(self, item, *args):
         """Parse `( item, item, ... )`, each item by `item(self, *args)`."""
@@ -708,7 +720,8 @@ def _print_lattice(x, level):
 
 # ---------------------------------------------------------------- modal
 
-_MODAL_OPS = (("->", MImp, True), ("|", MOr, False), ("&", MAnd, False))
+_MODAL_OPS = tuple((cls._TOKEN, cls, right)
+                   for cls, right in ((MImp, True), (MOr, False), (MAnd, False)))
 _MODAL_BY_TOKEN, _MODAL_BY_CLASS = _connectives(_MODAL_OPS)
 _MODAL_CONSTS = {"top": MConst(Sort.ONE, True), "bot": MConst(Sort.ONE, False),
                  "tt": MConst(Sort.DEL, True), "ff": MConst(Sort.DEL, False)}
@@ -731,7 +744,7 @@ def _modal_operand(p, sig):
     tok = p.tokens[at]
     op = _MODAL_PREFIX_BY_TOKEN.get(tok)
     if op is not None:
-        return op(p.nested(_modal_operand, sig))
+        return p.build(op, at, p.nested(_modal_operand, sig))
     if tok == "(":
         theta = p.nested(_Parser.binary, _MODAL_BY_TOKEN, _modal_operand, sig)
         p.expect(")")
@@ -739,10 +752,7 @@ def _modal_operand(p, sig):
     if p.peek() == "(" and tok in sig:
         args = p.args(_Parser.nested, _Parser.binary, _MODAL_BY_TOKEN,
                       _modal_operand, sig)
-        try:
-            return mapp(sig, tok, args)
-        except SortError as e:
-            p.fail(str(e), at)
+        return p.build(mapp, at, sig, tok, args)
     if tok in _MODAL_CONSTS:
         return _MODAL_CONSTS[tok]
     m = _VAR_RE.match(tok)

@@ -191,8 +191,9 @@ def test_load_assignment():
     for text, where, what in [
         ("sig: f 1->1\np0 := f(Q0)\n", "line 2, col 7",
          "f argument 0: expected a sort-1 argument, got sort-d"),
-        ("p0 := Q0\n  p1 := Q0 & P0\n", "line 2",
-         "MAnd: expected a sort-d argument, got sort-1"),
+        ("p0 := Q0\n  p1 := Q0 & P0\n", "line 2, col 12",
+         "&: expected a sort-d argument, got sort-1"),
+        ("p0 := [d] tt\n", "line 1, col 7", "[d]: expected a sort-1 argument, got sort-d"),
         ("p0 := Q0\np1 := Q0 &\n", "line 2", "unexpected end of input"),
         ("p0 :=  Q0 ?\n", "line 1, col 11", "unexpected character '?'"),
         ("sig: f 1->x\n", "line 1", "unknown sort 'x' (expected '1' or 'd')"),

@@ -1,6 +1,7 @@
 """Galois machinery, concept lattices and canonical frames."""
 
 import collections
+import gc
 import itertools
 import random
 import re
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import catalog, fileio, semantics
+from polarmodal import bisim, catalog, fileio, frames, gen, semantics
 from polarmodal.errors import CapExceeded, NormalityError, PreconditionError, SortError
 from polarmodal.frames import (
     Concept, FiniteLattice, FiniteLatticeExpansion, Sort,
@@ -616,3 +617,104 @@ def test_random_frame_determinism():
         random_frame(0, 2, None, 0.5, 1)
     with pytest.raises(PreconditionError):
         random_frame(2, 2, None, 1.5, 1)
+
+
+# ---------------------------------------------------------------- collector
+
+@pytest.fixture
+def collector():
+    """Leave the cycle collector as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def _paused_sites(seed):
+    """Each call that pauses the cycle collector, by name, on seeded
+    random input: the decorated functions and the public calls that
+    reach them."""
+    rng = random.Random(seed)
+    sig = {"f": catalog.D11_1, "g": catalog.DD_D, "h": catalog.D1D_D}
+    frame = random_frame(rng.randint(2, 7), rng.randint(2, 7), sig,
+                         rng.choice([0.2, 0.4, 0.6]), seed)
+    model = gen.random_modal_model(frame, [(Sort.ONE, 0), (Sort.DEL, 0)], seed)
+    model_text = fileio.dump_modal_model(model) + "val p0 : a0\n"
+    clone = fileio.load_modal_model(model_text)
+
+    def refined(read):
+        # the refinement is cached by model pair: start and end with it cleared
+        def call():
+            bisim._refinement.cache_clear()
+            try:
+                return read(model, clone)
+            finally:
+                bisim._refinement.cache_clear()
+        return call
+
+    return {
+        "stable_sets": frame.stable_sets,
+        "costable_sets": frame.costable_sets,
+        "random_frame": lambda: random_frame(6, 5, sig, 0.4, seed),
+        "refinement": refined(bisim._refinement),
+        "largest_bisimulation": refined(bisim.largest_bisimulation),
+    }
+
+
+SITES = sorted(_paused_sites(0))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("name", SITES)
+def test_paused_calls_restore_the_collector(collector, name, enabled):
+    call = _paused_sites(1)[name]
+    (gc.enable if enabled else gc.disable)()
+    call()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_paused_calls_restore_the_collector_when_they_raise(
+        collector, monkeypatch, enabled):
+    frame = random_frame(5, 5, None, 0.3, seed=2)
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 1)
+    calls = [
+        (CapExceeded, frame.stable_sets),
+        (CapExceeded, frame.costable_sets),
+        (PreconditionError, lambda: random_frame(0, 1)),
+    ]
+    for error, call in calls:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled() is enabled
+
+
+def test_the_collector_is_paused_inside_and_a_nested_pause_keeps_it(collector):
+    seen = []
+
+    @frames._collector_paused
+    def inner():
+        seen.append(gc.isenabled())
+
+    @frames._collector_paused
+    def outer():
+        inner()
+        seen.append(gc.isenabled())
+
+    gc.enable()
+    outer()
+    assert seen == [False, False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", SITES)
+def test_paused_calls_leave_no_cyclic_garbage(collector, name, seed):
+    """The premise of the pause: the calls build no reference cycle, so a
+    collection during them could free nothing.  With the collector off,
+    a call's dropped result leaves nothing for `gc.collect` to find."""
+    call = _paused_sites(seed)[name]
+    gc.disable()
+    gc.collect()
+    result = call()
+    del result
+    assert gc.collect() == 0

@@ -119,7 +119,7 @@ def test_modal_sort_errors():
         MAnd(MVar(Sort.ONE, 0), MVar(Sort.DEL, 0))
     with pytest.raises(SortError):
         mapp(SIG, "f", [MVar(Sort.DEL, 0)])
-    with pytest.raises(SortError):
+    with pytest.raises(ParseError):
         parse_modal("P0 & Q0")
     with pytest.raises(ParseError):
         parse_modal("f(Q0)", SIG)
@@ -500,6 +500,13 @@ def test_parsers_match_the_position_tracking_scan(monkeypatch):
     (_parse_lattice, "p0 /\\\n  h(p0)", "line 2, col 3: h expects 2 arguments"),
     (_parse_modal, "[b] Q0 &\n  f(Q0)",
      "line 2, col 3: f argument 0: expected a sort-1 argument, got sort-d"),
+    # a sort clash is placed at its operator, which the message names
+    (_parse_modal, "P0 & Q0", "line 1, col 4: &: expected a sort-1 argument, got sort-d"),
+    (_parse_modal, "Q0 |\n  ~P0", "line 1, col 4: |: expected a sort-d argument, got sort-1"),
+    (_parse_modal, "P1 -> P0 -> tt",
+     "line 1, col 10: ->: expected a sort-1 argument, got sort-d"),
+    (_parse_modal, "P0 & [d] tt", "line 1, col 6: [d]: expected a sort-1 argument, got sort-d"),
+    (_parse_modal, "~\t<b> P0", "line 1, col 3: <b>: expected a sort-d argument, got sort-1"),
     (_parse_modal, "P0 | (Q0", "unexpected end of input"),
 ])
 def test_errors_are_placed_at_their_token(parse, text, error):
