@@ -17,8 +17,8 @@ and each box or diamond one and or or over every point's I-neighbours.
 Valuations are counted in binary, one bit of the count per point of
 each variable, so a variable's column in a batch is a fixed periodic
 mask or a constant per point (`_periodic`), not an enumeration.  Both
-walks evaluate a subformula that the formula shares once, and nothing
-is kept on the frame.
+are loops over `syntax._listing`, with no depth limit below memory, and
+evaluate a shared subformula once; nothing is kept on the frame.
 
 A FOL formula is compiled once, for any model (`_Fol`): its closures
 read variables and model data from slots of an environment list, which
@@ -40,8 +40,8 @@ from .frames import _ONE, Concept, Sort, SortedFrame
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
-    MBbox, MConst, MDbox, MImp, MNot, MOr, MVar, ModalFormula, _MModal,
-    _atom_vars, _with_vars, modal_var_key, modal_vars, parse_modal,
+    MBbox, MBdia, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
+    _atom_vars, _listing, _with_vars, modal_var_key, modal_vars, parse_modal,
 )
 
 # read by `resource_cap`, which rejects a setting that is not a positive integer
@@ -80,9 +80,9 @@ class ModalModel:
 
     Instances are immutable after construction: `bisim` keeps the
     refinement of the last model pair keyed by model identity, and the
-    valuation's masks are computed once, here.  Evaluation walks the
-    formula once on those masks through the frame's kernels, and keeps
-    no table of their results.
+    valuation's masks are computed once, here.  Evaluation is one loop
+    over the formula's listing on those masks through the frame's
+    kernels, at any depth of nesting, and keeps no table of their results.
     """
 
     def __init__(self, frame: SortedFrame,
@@ -166,49 +166,47 @@ def lattice_consequence(model: LatticeModel, phi: LatticeFormula,
 def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
     """All points of theta's sort where theta holds."""
     side = model.frame._index.side(theta.sort)
-    return side.points(_truth(model.frame, model._masks, theta, {}))
+    return side.points(_truth(model.frame, model._masks, theta))
 
 
 def _truth(frame: SortedFrame, masks: Mapping[tuple[bool, int], int],
-           theta: ModalFormula, memo: dict[int, int]) -> int:
-    """The mask of `truth_set` under one valuation.
+           theta: ModalFormula) -> int:
+    """The mask of `truth_set` under one valuation: one loop over
+    `_listing(theta)` that writes one mask per slot.
 
     `masks` holds each variable's mask, keyed by (sort is Sort.ONE,
-    index); a variable it lacks is false everywhere.  `memo` maps the id
-    of every subformula evaluated so far to its mask, so a subformula
-    that theta shares is evaluated once.
+    index); a variable it lacks is false everywhere.
     """
-    got = memo.get(id(theta))
-    if got is not None:
-        return got
     index = frame._index
-    if isinstance(theta, MVar):
-        got = masks.get((theta.sort is _ONE, theta.index), 0)
-    elif isinstance(theta, MConst):
-        got = index.side(theta.sort).full if theta.truth else 0
-    elif isinstance(theta, MNot):
-        # masks lie inside the carrier, so xor with it is complement
-        got = index.side(theta.sort).full ^ _truth(frame, masks, theta.arg, memo)
-    elif isinstance(theta, (MAnd, MOr, MImp)):
-        left = _truth(frame, masks, theta.left, memo)
-        right = _truth(frame, masks, theta.right, memo)
-        if isinstance(theta, MAnd):
-            got = left & right
-        elif isinstance(theta, MOr):
-            got = left | right
-        else:
-            got = (index.side(theta.sort).full ^ left) | right
-    elif isinstance(theta, _MModal):
-        arg = _truth(frame, masks, theta.arg, memo)
-        side = index.a if theta._ARG is _ONE else index.b
-        got = side.box(arg) if isinstance(theta, (MBbox, MDbox)) else side.dia(arg)
-    elif isinstance(theta, MApp):
-        rel = _diamond_relation(frame, theta)
-        got = index.image(rel, [_truth(frame, masks, a, memo) for a in theta.args])
-    else:
-        raise SortError(f"unknown modal node {theta!r}")
-    memo[id(theta)] = got
-    return got
+    a, b = index.a, index.b
+    got = []
+    put = got.append
+    for x, at in _listing(theta):
+        t = type(x)
+        if t is MVar:
+            put(masks.get((x.sort is _ONE, x.index), 0))
+        elif t is MAnd:
+            put(got[at[0]] & got[at[1]])
+        elif t is MOr:
+            put(got[at[0]] | got[at[1]])
+        elif t is MImp:
+            # masks lie inside the carrier, so xor with it is complement
+            put((index.side(x.sort).full ^ got[at[0]]) | got[at[1]])
+        elif t is MNot:
+            put(index.side(x.sort).full ^ got[at[0]])
+        elif t is MBbox:
+            put(b.box(got[at[0]]))
+        elif t is MDbox:
+            put(a.box(got[at[0]]))
+        elif t is MBdia:
+            put(b.dia(got[at[0]]))
+        elif t is MDdia:
+            put(a.dia(got[at[0]]))
+        elif t is MApp:
+            put(index.image(_diamond_relation(frame, x), [got[j] for j in at]))
+        else:  # MConst: `_listing` lists no other node
+            put(index.side(x.sort).full if x.truth else 0)
+    return got[-1]
 
 
 def _diamond_relation(frame: SortedFrame, theta: MApp):
@@ -227,7 +225,7 @@ def sat_modal(model: ModalModel, point: str, theta: ModalFormula) -> bool:
     if frame.sort_of(point) is not theta.sort:
         raise SortError(f"point {point} has the wrong sort for this formula")
     side = frame._index.side(theta.sort)
-    return bool(side.bit[point] & _truth(frame, model._masks, theta, {}))
+    return bool(side.bit[point] & _truth(frame, model._masks, theta))
 
 
 def resource_cap() -> int:
@@ -266,9 +264,9 @@ class _Search:
     starting at a multiple of itself, and a node's value under it is a
     list with one int per point of the node's sort, in bit order, whose
     bit i is set iff the point satisfies the node under the batch's i-th
-    valuation.  So a batch costs one walk of the formula: each connective
-    is one C-level map over the points, and each box, diamond or named
-    diamond one and or or per I-neighbour or tuple of a point.
+    valuation.  So a batch costs one loop over the formula's listing: each
+    connective is one C-level map over the points, and each box, diamond
+    or named diamond one and or or per I-neighbour or tuple of a point.
 
     The number of valuations is checked against the cap before anything
     else.  Built for one search and dropped with it, it stores nothing on
@@ -315,70 +313,60 @@ class _Search:
                 for key, side, _, shift in self.layout}
 
     def walk(self, theta: ModalFormula, columns: Mapping, ones: int) -> list[int]:
-        """`truths` with a fresh memo, where a variable of theta that the
-        search lacks raises PreconditionError naming the least such variable."""
-        try:
-            return self.truths(theta, columns, ones, {})
-        except KeyError:
-            lacked = modal_vars(theta).difference(key for key, *_ in self.layout)
-            if not lacked:
-                raise
-        least = MVar(*min(lacked, key=modal_var_key))
-        raise PreconditionError(f"{least.name} is not among the variables in use")
-
-    def truths(self, theta: ModalFormula, columns: Mapping, ones: int,
-               memo: dict[int, list[int]]) -> list[int]:
         """theta's value under the batch of `columns` and `ones`, as
-        `batches` gives them; `memo` maps the id of every subformula
-        evaluated so far under that batch to its value, as in `_truth`."""
-        got = memo.get(id(theta))
-        if got is not None:
-            return got
-        walk = self.truths
-        if isinstance(theta, MVar):
-            got = columns[(theta.sort is _ONE, theta.index)]
-        elif isinstance(theta, MConst):
-            got = [ones if theta.truth else 0] * len(self.index.side(theta.sort).bit)
-        elif isinstance(theta, MNot):
-            got = list(map(ones.__xor__, walk(theta.arg, columns, ones, memo)))
-        elif isinstance(theta, (MAnd, MOr, MImp)):
-            left = walk(theta.left, columns, ones, memo)
-            right = walk(theta.right, columns, ones, memo)
-            if isinstance(theta, MAnd):
-                got = list(map(and_, left, right))
-            elif isinstance(theta, MOr):
-                got = list(map(or_, left, right))
-            else:
-                got = list(map(or_, map(ones.__xor__, left), right))
-        elif isinstance(theta, _MModal):
-            arg = walk(theta.arg, columns, ones, memo)
-            near = self.near_a if theta.sort is _ONE else self.near_b
-            if isinstance(theta, (MBbox, MDbox)):
-                got = _meets(arg, near, ones)
-            else:
-                got = _joins(arg, near)
-        elif isinstance(theta, MApp):
-            rel = _diamond_relation(self.frame, theta)
-            args = [walk(a, columns, ones, memo) for a in theta.args]
-            rows = self._heads(rel)
-            if len(args) == 1:
-                got = _joins(args[0], rows)
-            else:
+        `batches` gives them: one loop over `_listing(theta)` that writes
+        one value per slot.  A variable of theta that the search lacks
+        raises PreconditionError naming the least such variable."""
+        near_a, near_b = self.near_a, self.near_b
+        got = []
+        put = got.append
+        for x, at in _listing(theta):
+            t = type(x)
+            if t is MVar:
+                column = columns.get((x.sort is _ONE, x.index))
+                if column is None:
+                    lacked = modal_vars(theta).difference(key for key, *_ in self.layout)
+                    least = MVar(*min(lacked, key=modal_var_key))
+                    raise PreconditionError(
+                        f"{least.name} is not among the variables in use")
+                put(column)
+            elif t is MAnd:
+                put(list(map(and_, got[at[0]], got[at[1]])))
+            elif t is MOr:
+                put(list(map(or_, got[at[0]], got[at[1]])))
+            elif t is MImp:
+                put(list(map(or_, map(ones.__xor__, got[at[0]]), got[at[1]])))
+            elif t is MNot:
+                put(list(map(ones.__xor__, got[at[0]])))
+            elif t is MBbox:
+                put(_meets(got[at[0]], near_a, ones))
+            elif t is MDbox:
+                put(_meets(got[at[0]], near_b, ones))
+            elif t is MBdia:
+                put(_joins(got[at[0]], near_a))
+            elif t is MDdia:
+                put(_joins(got[at[0]], near_b))
+            elif t is MApp:
+                rows = self._heads(_diamond_relation(self.frame, x))
+                if len(at) == 1:
+                    put(_joins(got[at[0]], rows))
+                    continue
                 # the OR, over the tuples a point heads, of the AND of its
                 # arguments' values
-                got = []
+                args = [got[j] for j in at]
+                value = []
                 for row in rows:
                     v = 0
-                    for t in row:
+                    for tup in row:
                         w = ones
-                        for arg, j in zip(args, t):
+                        for arg, j in zip(args, tup):
                             w &= arg[j]
                         v |= w
-                    got.append(v)
-        else:
-            raise SortError(f"unknown modal node {theta!r}")
-        memo[id(theta)] = got
-        return got
+                    value.append(v)
+                put(value)
+            else:  # MConst: `_listing` lists no other node
+                put([ones if x.truth else 0] * len(self.index.side(x.sort).bit))
+        return got[-1]
 
     def _heads(self, rel) -> list:
         """For each point of the relation's output sort, in bit order, the

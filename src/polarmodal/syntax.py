@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 from .errors import ParseError, SortError
@@ -119,6 +120,7 @@ def lattice_vars(phi: LatticeFormula) -> set[int]:
 
 class ModalFormula:
     sort: Sort
+    _below = None  # `_listing`'s entries below this root, once built
 
 
 def _require_sort(arg: ModalFormula, sort: Sort, ctx: str):
@@ -246,60 +248,69 @@ def modal_var_key(v: tuple[Sort, int]):
     return v[0].value, v[1]
 
 
+# each modal node class's subformulas in order; only `_listing` reads it
 _MODAL_ARGS = {
     MVar: lambda x: (), MConst: lambda x: (), MApp: attrgetter("args"),
     **{cls: attrgetter("left", "right") for cls in _MBinary.__subclasses__()},
     **{cls: lambda x: (x.arg,) for cls in (MNot, *_MModal.__subclasses__())}}
 
 
-def _modal_args(x: ModalFormula) -> tuple[ModalFormula, ...]:
-    """A modal node's subformulas in order; the counterpart of `_atom_vars`."""
-    get = _MODAL_ARGS.get(type(x))
-    if get is None:
-        raise SortError(f"unknown modal node {x!r}")
-    return get(x)
+def _listing(theta: ModalFormula):
+    """theta's distinct subformula objects in post-order, theta last, each
+    as (node, the positions of its arguments in the listing).
+
+    Every walk of a modal formula loops over this listing.  An explicit
+    stack and a memo by id build it once per root, so no nesting depth
+    reaches Python's recursion limit.  The entries below theta are kept on
+    theta outside the dataclass fields (not in `repr`, `==` or `hash`), and
+    its own is added per call, so that theta holds no reference to itself.
+    """
+    kept = theta._below
+    if kept is None:
+        at = {}  # by id: theta keeps every subformula alive meanwhile
+        below = []
+        put = below.append
+        todo = [theta]
+        while todo:
+            x = todo.pop()
+            if type(x) is tuple:  # a node whose arguments are all listed
+                x, args = x
+                at[id(x)] = len(below)
+                if len(args) == 1:
+                    put((x, (at[id(args[0])],)))
+                elif len(args) == 2:
+                    put((x, (at[id(args[0])], at[id(args[1])])))
+                else:
+                    put((x, tuple([at[id(a)] for a in args])))
+            elif id(x) not in at:
+                get = _MODAL_ARGS.get(type(x))
+                if get is None:
+                    raise SortError(f"unknown modal node {x!r}")
+                args = get(x)
+                if args:
+                    todo.append((x, args))
+                    todo += reversed(args)  # the first argument listed first
+                else:
+                    at[id(x)] = len(below)
+                    put((x, args))
+        kept = below, below.pop()[1]
+        object.__setattr__(theta, "_below", kept)
+    below, at = kept
+    return chain(below, ((theta, at),))
 
 
 def modal_vars(theta: ModalFormula) -> set[tuple[Sort, int]]:
-    """theta's variables as (sort, index), walked as `modal_depth` walks."""
-    out, seen, todo = set(), set(), [theta]
-    while todo:
-        x = todo.pop()
-        key = id(x)  # theta keeps every subformula alive meanwhile
-        if key in seen:
-            continue
-        seen.add(key)
-        if type(x) is MVar:
-            out.add((x.sort, x.index))
-        else:  # `_modal_args` without a call; it raises on an unknown node
-            todo += _MODAL_ARGS.get(type(x), _modal_args)(x)
-    return out
+    """theta's variables as (sort, index), read from `_listing`."""
+    return {(x.sort, x.index) for x, _ in _listing(theta) if type(x) is MVar}
 
 
 def modal_depth(theta: ModalFormula) -> int:
-    """The deepest nesting of boxes, diamonds and named diamonds in theta.
-
-    The walk keeps its own stack and visits each distinct subformula
-    object once, so a formula that shares its subformulas costs its
-    number of distinct nodes, not the size of its tree, and deep nesting
-    does not reach Python's recursion limit.
-    """
-    depth = {}  # by id: theta keeps every subformula alive meanwhile
-    todo = [theta]
-    while todo:
-        x = todo[-1]
-        if id(x) in depth:
-            todo.pop()
-            continue
-        args = _modal_args(x)
-        pending = [a for a in args if id(a) not in depth]
-        if pending:
-            todo += pending
-            continue
-        todo.pop()
-        step = isinstance(x, (_MModal, MApp))
-        depth[id(x)] = step + max((depth[id(a)] for a in args), default=0)
-    return depth[id(theta)]
+    """The deepest nesting of boxes, diamonds and named diamonds in theta."""
+    depth = []
+    for x, at in _listing(theta):
+        depth.append(isinstance(x, (_MModal, MApp))
+                     + max(map(depth.__getitem__, at), default=0))
+    return depth[-1]
 
 
 # ======================================================================
@@ -510,13 +521,12 @@ Each bracket, operator argument list, prefix operator (~, boxes,
 diamonds, binders) and binary connective opens one level, so a flat
 chain like P0 & P0 & ... takes at most 101 operands.  Deeper input
 raises ParseError instead of exhausting the Python stack; since every
-node of the syntax tree sits below its level, the parsers and the
-recursive evaluators and printers stay well inside the default
-recursion limit.  That holds for parsed input only: a built formula may
-nest deeper, and `truth_set`, `sat_modal` and the searches recurse once
-per level.  On `modal_equiv`'s witness for paths of n against n+1 points
-per sort, `sat_modal` works at n=20 and raises RecursionError at n=40,
-60 and 80 (Python 3.11, default recursion limit).
+node of the syntax tree sits below its level, the parsers and printers,
+`std_translate` and the generators, which recurse, stay well inside the
+default recursion limit.  The modal evaluators (`truth_set`, `sat_modal`
+and the valuation searches), `modal_vars` and `modal_depth` loop over
+`_listing` instead, so a built formula may nest deeper for them, with no
+limit below memory.
 """
 
 

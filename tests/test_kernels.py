@@ -22,6 +22,7 @@ from polarmodal.syntax import (
 from polarmodal.transform import is_stable_fol, is_stable_modal
 
 from conftest import ALL_TYPES, SetKernels, image_op, oracle_frames, stable_by_sets
+from test_syntax import _shared_chain
 
 SIG = Signature.of(ALL_TYPES)
 VARS = [(Sort.ONE, 0), (Sort.ONE, 1), (Sort.DEL, 0), (Sort.DEL, 1)]
@@ -132,11 +133,14 @@ def test_closed_set_lists_leave_nothing_on_the_frame(n):
 def test_evaluators_match_sets(frame, seed):
     oracle = SetKernels(frame)
     model = gen.random_modal_model(frame, VARS, seed)
-    for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE, Sort.DEL)):
-        theta = gen.random_modal_formula(seed + k, 3, sort, 2, SIG)
+    # random formulas, and chains that name each level's one subformula twice
+    formulas = [gen.random_modal_formula(seed + k, 3, sort, 2, SIG)
+                for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE, Sort.DEL))]
+    for theta in formulas + [_shared_chain(k) for k in range(4)]:
         expect = oracle.truth_set(model.valuation, theta)
         assert truth_set(model, theta) == expect
-        assert {p for p in frame.carrier(sort) if sat_modal(model, p, theta)} == expect
+        assert {p for p in frame.carrier(theta.sort)
+                if sat_modal(model, p, theta)} == expect
     lattice_model = gen.random_lattice_model(frame, range(3), seed)
     for k in range(4):
         phi = gen.random_lattice_formula(seed + k, 3, 3, SIG)
@@ -168,12 +172,13 @@ def test_valuation_batches_of_any_size_match_sets(frame, seed, batch):
     oracle = SetKernels(frame)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "_BATCH", batch)
-        for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE)):
-            theta = gen.random_modal_formula(seed + k, 3, sort, 2, SIG)
+        formulas = [gen.random_modal_formula(seed + k, 3, sort, 2, SIG)
+                    for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE))]
+        for theta in formulas + [_shared_chain(seed % 4)]:
             vars_in_use = modal_vars(theta)
             assert frame_valid_modal(frame, theta, vars_in_use) == \
                 oracle.frame_valid_modal(theta, vars_in_use)
-            if sort is Sort.ONE:
+            if theta.sort is Sort.ONE:
                 assert is_stable_modal(theta, [frame], vars_in_use) == \
                     stable_by_sets(theta, [frame], vars_in_use)
 
@@ -373,9 +378,10 @@ def _distinct(theta):
 
 def test_searches_leave_nothing_behind():
     """Two searches and a `truth_set`, back to back on one frame, each give
-    what they give on a fresh frame.  Every batch of a search evaluates
-    each distinct subformula once, afresh, and the searches leave the
-    frame, its index and both sides as they found them."""
+    what they give on a fresh frame.  Every batch of a search is one walk,
+    a loop over its formula's listing that evaluates each distinct
+    subformula once, afresh, and the searches leave the frame, its index
+    and both sides as they found them."""
     frame = random_frame(3, 3, ALL_TYPES, 0.5, seed=4)
     # same points and relations, other incidence: a memo kept across
     # frames would answer for the wrong one
@@ -386,46 +392,54 @@ def test_searches_leave_nothing_behind():
     alpha = parse_modal("[b] <d> (P0 & f(P0) | <b> Q0)", SIG)
     valuation = {(Sort.ONE, 0): ["a0", "a2"], (Sort.DEL, 0): ["b1"],
                  (Sort.ONE, 1): ["a1"]}
-    # each query; the formula whose subformulas each batch evaluates, with
+    # each query; the formula whose subformulas each walk evaluates, with
     # how many nodes the search adds to it ([b] <d> alpha -> alpha); and the
-    # least number of batches: 64 valuations of alpha, 8 at a time
+    # least number of batches: 64 valuations of alpha, 8 at a time, and
+    # none for `truth_set`, which walks once
     queries = [
         (lambda f: frame_valid_modal(f, theta, modal_vars(theta)), theta, 0, 1),
         (lambda f: is_stable_modal(alpha, [f], modal_vars(alpha)), alpha, 3, 8),
-        (lambda f: truth_set(ModalModel(f, valuation), theta), None, 0, 0),
+        (lambda f: truth_set(ModalModel(f, valuation), theta), theta, 0, 0),
     ]
-    truths = semantics._Search.truths
-    # each batch's memo, and every subformula the walk evaluated under it
-    walked = []
+    listing, batches = semantics._listing, semantics._Search.batches
+    # each walk's root, the nodes of its listing and what it left unread;
+    # and each batch the searches cut
+    walks, cut = [], []
 
-    def counted(search, phi, columns, ones, memo):
-        if id(phi) not in memo:
-            if not walked or walked[-1][0] is not memo:
-                walked.append((memo, []))
-            walked[-1][1].append(id(phi))
-        return truths(search, phi, columns, ones, memo)
+    def listed(phi):
+        entries = list(listing(phi))
+        unread = iter(entries)
+        walks.append((phi, [x for x, _ in entries], unread))
+        return unread
+
+    def counted(search):
+        for batch in batches(search):
+            cut.append(batch)
+            yield batch
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "_BATCH", 8)
-        mp.setattr(semantics._Search, "truths", counted)
-        for query, root, added, batches in queries + queries:
+        mp.setattr(semantics, "_listing", listed)
+        mp.setattr(semantics._Search, "batches", counted)
+        for query, root, added, least in queries + queries:
             for f in (frame, other):
                 before = _held(f)
-                del walked[:]
+                del walks[:], cut[:]
                 found = query(f)
-                if root is not None:
+                if least:  # `truth_set` may fill the index's relation heads
                     after = _held(f)
                     assert list(after) == list(before)
                     for key, (value, keys) in before.items():
                         assert after[key][0] is value and after[key][1] == keys, key
-                    # one memo per batch, each subformula evaluated once in it
-                    memos = [memo for memo, _ in walked]
-                    assert len(set(map(id, memos))) == len(memos) >= batches
-                    for _, ids in walked:
-                        assert len(set(ids)) == len(ids) == len(_distinct(root)) + added
-                        assert set(ids) >= _distinct(root)
-                else:
-                    assert walked == []
+                # one walk per batch, or one for `truth_set`, each over the
+                # one root and to the end of its listing
+                assert len(walks) == max(len(cut), 1) and len(cut) >= least
+                assert len({id(phi) for phi, _, _ in walks}) == 1
+                for _, nodes, unread in walks:
+                    assert next(unread, None) is None
+                    ids = set(map(id, nodes))
+                    assert len(ids) == len(nodes) == len(_distinct(root)) + added
+                    assert ids >= _distinct(root)
                 assert query(_twin(f)) == found
 
 

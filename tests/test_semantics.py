@@ -21,8 +21,9 @@ from polarmodal.semantics import (
 )
 from polarmodal.syntax import (
     MAX_NESTING, FForall, FImp, FolFormula, FPred, FVar, LAnd, LApp, LOr, LVar, MBbox,
-    MBdia, MDbox, MDdia, MNot, Signature, fol_all_var_names, fol_free_vars,
-    fol_subst, modal_vars, parse_fol, parse_lattice, parse_modal, print_fol,
+    MBdia, MDbox, MDdia, MNot, ModalFormula, Signature, fol_all_var_names,
+    fol_free_vars, fol_subst, modal_depth, modal_vars, parse_fol, parse_lattice,
+    parse_modal, print_fol, print_modal,
 )
 from polarmodal.transform import is_stable_fol, is_stable_modal, std_translate
 
@@ -30,6 +31,7 @@ from conftest import (
     ALL_TYPES, SetKernels, fol_oracle, galois_dual, make_rel, oracle_frames,
     stable_by_sets, with_relation,
 )
+from test_syntax import _shared_chain
 
 SIG = Signature.of({"f": D1_1})
 
@@ -181,6 +183,49 @@ def test_sat_modal(f0):
     assert not sat_modal(m, "a0", parse_modal("[b] Q0"))
     with pytest.raises(SortError):
         sat_modal(m, "b0", parse_modal("P0"))
+
+
+def test_an_evaluated_formula_stays_as_it_was(f0):
+    """The listing an evaluation keeps on its formula lies outside the
+    dataclass fields: the formula prints, compares and hashes as before,
+    and a second evaluation reads the kept listing."""
+    frame = with_relation(f0, make_rel("f", "1;1", [("a1", "a0")]))
+    model = ModalModel(frame, {(Sort.ONE, 0): {"a0"}, (Sort.DEL, 0): {"b0"}})
+    text = "[b] (Q0 | <d> P0) & f(P0) -> [b] (Q0 | <d> P0)"
+    theta, fresh = parse_modal(text, SIG), parse_modal(text, SIG)
+
+    def seen(x):
+        return repr(x), hash(x), dataclasses.fields(x), print_modal(x)
+
+    before = seen(theta)
+    found = truth_set(model, theta)
+    kept = theta._below
+    assert kept is not None and fresh._below is None
+    assert truth_set(model, theta) == found and theta._below is kept
+    assert sat_modal(model, "a1", theta) == ("a1" in found)
+    assert theta._below is kept
+    assert seen(theta) == before == seen(fresh) and theta == fresh
+
+
+@dataclasses.dataclass(frozen=True)
+class _Unknown(ModalFormula):
+    """A modal node the library does not know."""
+
+    sort: Sort
+
+
+def test_unknown_modal_nodes_are_rejected(f0):
+    """An unknown node, alone or below a known one, is a SortError of every
+    walk of a modal formula, and no other exception."""
+    model = mmodel(f0)
+    for theta in (_Unknown(Sort.ONE), MNot(_Unknown(Sort.ONE)),
+                  MBbox(_Unknown(Sort.DEL))):
+        for walk in (lambda: truth_set(model, theta),
+                     lambda: sat_modal(model, "a0", theta),
+                     lambda: frame_valid_modal(f0, theta, [(Sort.ONE, 0)]),
+                     lambda: modal_vars(theta), lambda: modal_depth(theta)):
+            with pytest.raises(SortError, match="^unknown modal node _Unknown"):
+                walk()
 
 
 @settings(max_examples=80, deadline=None)
@@ -611,6 +656,27 @@ def test_modal_searches_at_the_nesting_limit(f0, shape):
         oracle.frame_valid_modal(theta, vars_in_use)
     assert is_stable_modal(theta, [f0], vars_in_use) == \
         stable_by_sets(theta, [f0], vars_in_use)
+
+
+def test_modal_evaluators_past_the_nesting_limit():
+    """`_shared_chain(3000)` nests 6,000 levels, far past Python's recursion
+    limit, and every modal evaluator answers it.  Each level contains the
+    one below, as `[b] <d>` is a closure, so on three points per sort the
+    levels stop changing within three steps: the deep chain answers as
+    `_shared_chain(4)` does, which the set kernels check."""
+    frame = random_frame(3, 3, {"f": D1_1}, 0.5, seed=2)
+    deep, shallow = _shared_chain(3000), _shared_chain(4)
+    oracle = SetKernels(frame)
+    vars_in_use = [(Sort.ONE, 0)]
+    for points in ({"a0"}, {"a1", "a2"}):
+        model = ModalModel(frame, {(Sort.ONE, 0): points})
+        expect = oracle.truth_set(model.valuation, shallow)
+        assert truth_set(model, deep) == expect
+        assert {a for a in frame.points_a if sat_modal(model, a, deep)} == expect
+    assert frame_valid_modal(frame, deep, vars_in_use) == \
+        oracle.frame_valid_modal(shallow, vars_in_use)
+    assert is_stable_modal(deep, [frame], vars_in_use) == \
+        stable_by_sets(shallow, [frame], vars_in_use)
 
 
 @pytest.mark.parametrize("shape", ["prefix", "binders", "chain"])
