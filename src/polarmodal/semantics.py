@@ -18,7 +18,11 @@ Valuations are counted in binary, one bit of the count per point of
 each variable, so a variable's column in a batch is a fixed periodic
 mask or a constant per point (`_periodic`), not an enumeration.  Both
 are loops over `syntax._listing`, with no depth limit below memory, and
-evaluate a shared subformula once; nothing is kept on the frame.
+evaluate a shared subformula once.  Both read a named diamond's relation
+through the frame's one relation index (`_BitIndex.heads`), which reads
+the relation's tuples on first use and keeps their heads by argument
+tuple; that is all either keeps on the frame.  Both key a variable by
+(sort, index), as `ModalModel.valuation` does.
 
 A FOL formula is compiled once, for any model (`_Fol`): its closures
 read variables and model data from slots of an environment list, which
@@ -36,7 +40,7 @@ from operator import and_, attrgetter, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, PolarModalError, PreconditionError, SortError
-from .frames import _ONE, Concept, Sort, SortedFrame
+from .frames import Concept, Sort, SortedFrame
 from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
@@ -97,7 +101,7 @@ class ModalModel:
                 raise SortError(
                     f"valuation of {MVar(sort, i).name} ill-sorted for {sort}")
             self.valuation[(sort, i)] = s
-            self._masks[(sort is _ONE, i)] = frame._index.side(sort).mask(s)
+            self._masks[(sort, i)] = frame._index.side(sort).mask(s)
 
     def var(self, sort: Sort, i: int) -> frozenset[str]:
         return self.valuation.get((sort, i), frozenset())
@@ -169,13 +173,13 @@ def truth_set(model: ModalModel, theta: ModalFormula) -> frozenset[str]:
     return side.points(_truth(model.frame, model._masks, theta))
 
 
-def _truth(frame: SortedFrame, masks: Mapping[tuple[bool, int], int],
+def _truth(frame: SortedFrame, masks: Mapping[tuple[Sort, int], int],
            theta: ModalFormula) -> int:
     """The mask of `truth_set` under one valuation: one loop over
     `_listing(theta)` that writes one mask per slot.
 
-    `masks` holds each variable's mask, keyed by (sort is Sort.ONE,
-    index); a variable it lacks is false everywhere.
+    `masks` holds each variable's mask, keyed by (sort, index); a
+    variable it lacks is false everywhere.
     """
     index = frame._index
     a, b = index.a, index.b
@@ -184,7 +188,7 @@ def _truth(frame: SortedFrame, masks: Mapping[tuple[bool, int], int],
     for x, at in _listing(theta):
         t = type(x)
         if t is MVar:
-            put(masks.get((x.sort is _ONE, x.index), 0))
+            put(masks.get((x.sort, x.index), 0))
         elif t is MAnd:
             put(got[at[0]] & got[at[1]])
         elif t is MOr:
@@ -266,11 +270,13 @@ class _Search:
     bit i is set iff the point satisfies the node under the batch's i-th
     valuation.  So a batch costs one loop over the formula's listing: each
     connective is one C-level map over the points, and each box, diamond
-    or named diamond one and or or per I-neighbour or tuple of a point.
+    or named diamond one and or or per I-neighbour, or per argument tuple
+    of the frame's relation index (`_BitIndex.heads`).
 
     The number of valuations is checked against the cap before anything
-    else.  Built for one search and dropped with it, it stores nothing on
-    the frame.
+    else.  Built for one search and dropped with it, it keeps nothing on
+    the frame but the heads of the relations it reads, which the index
+    keeps for every evaluator.
     """
 
     def __init__(self, frame: SortedFrame, vars_in_use):
@@ -290,8 +296,6 @@ class _Search:
         # each point's I-neighbours, as positions on the other side
         self.near_a = [_positions(a.rows[1 << j]) for j in range(len(a.bit))]
         self.near_b = [_positions(b.rows[1 << j]) for j in range(len(b.bit))]
-        # `_heads` of each relation read so far
-        self.by_head: dict[str, list] = {}
 
     def batches(self):
         """Each batch as (start, ones, columns): `ones` has one bit per
@@ -301,10 +305,9 @@ class _Search:
         l = min(_BATCH, self.total).bit_length() - 1
         ones, periodic = (1 << (1 << l)) - 1, _periodic(l)
         for start in range(0, self.total, 1 << l):
-            columns = {(sort is _ONE, i): [periodic[g] if g < l else
-                                           ones if start >> g & 1 else 0
-                                           for g in range(shift, shift + n)]
-                       for (sort, i), _, n, shift in self.layout}
+            columns = {key: [periodic[g] if g < l else ones if start >> g & 1 else 0
+                             for g in range(shift, shift + n)]
+                       for key, _, n, shift in self.layout}
             yield start, ones, columns
 
     def valuation(self, k: int) -> dict:
@@ -317,13 +320,13 @@ class _Search:
         `batches` gives them: one loop over `_listing(theta)` that writes
         one value per slot.  A variable of theta that the search lacks
         raises PreconditionError naming the least such variable."""
-        near_a, near_b = self.near_a, self.near_b
+        index, near_a, near_b = self.index, self.near_a, self.near_b
         got = []
         put = got.append
         for x, at in _listing(theta):
             t = type(x)
             if t is MVar:
-                column = columns.get((x.sort is _ONE, x.index))
+                column = columns.get((x.sort, x.index))
                 if column is None:
                     lacked = modal_vars(theta).difference(key for key, *_ in self.layout)
                     least = MVar(*min(lacked, key=modal_var_key))
@@ -347,42 +350,25 @@ class _Search:
             elif t is MDdia:
                 put(_joins(got[at[0]], near_b))
             elif t is MApp:
-                rows = self._heads(_diamond_relation(self.frame, x))
-                if len(at) == 1:
-                    put(_joins(got[at[0]], rows))
-                    continue
-                # the OR, over the tuples a point heads, of the AND of its
-                # arguments' values
-                args = [got[j] for j in at]
-                value = []
-                for row in rows:
-                    v = 0
-                    for tup in row:
-                        w = ones
-                        for arg, j in zip(args, tup):
-                            w &= arg[j]
-                        v |= w
-                    value.append(v)
+                # into each head of an argument tuple, the AND of the
+                # arguments' values at the tuple's points; an argument's
+                # field of the packed tuple has one bit per point of its sort
+                offsets, heads = index.heads(_diamond_relation(self.frame, x))
+                places = [(got[j], offset, (1 << len(got[j])) - 1)
+                          for j, offset in zip(at, offsets)]
+                value = [0] * len(index.side(x.sort).bit)
+                for key, hs in heads.items():
+                    w = ones
+                    for arg, offset, full in places:
+                        w &= arg[(key >> offset & full).bit_length() - 1]
+                    while hs:  # one step per head, not per bit of the side
+                        low = hs & -hs
+                        value[low.bit_length() - 1] |= w
+                        hs ^= low
                 put(value)
             else:  # MConst: `_listing` lists no other node
-                put([ones if x.truth else 0] * len(self.index.side(x.sort).bit))
+                put([ones if x.truth else 0] * len(index.side(x.sort).bit))
         return got[-1]
-
-    def _heads(self, rel) -> list:
-        """For each point of the relation's output sort, in bit order, the
-        argument tuples it heads, as tuples of positions, or as single
-        positions when the relation is unary."""
-        got = self.by_head.get(rel.name)
-        if got is None:
-            index = self.index
-            at = [dict(zip(index.side(s).bit, itertools.count()))
-                  for s in (rel.sorting.output, *rel.sorting.inputs)]
-            got = self.by_head[rel.name] = [[] for _ in at[0]]
-            head, places = at[0], at[1:]
-            for t in rel.tuples:
-                args = tuple(map(dict.__getitem__, places, t[1:]))
-                got[head[t[0]]].append(args if len(args) > 1 else args[0])
-        return got
 
 
 def _meets(values: list[int], groups: list[list[int]], ones: int) -> list[int]:
@@ -396,7 +382,7 @@ def _meets(values: list[int], groups: list[list[int]], ones: int) -> list[int]:
     return out
 
 
-def _joins(values: list[int], groups: list) -> list[int]:
+def _joins(values: list[int], groups: list[list[int]]) -> list[int]:
     """For each group of positions, the OR of the values there."""
     out = []
     for group in groups:

@@ -270,9 +270,8 @@ def is_stable_fol(phi: FolFormula, free_var: str, model_family: ModelFamily):
     for idx, ((frame, _), env) in enumerate(zip(model_family, envs)):
         a, b = frame._index.a, frame._index.b
         ext = 0
-        # bits from high to low: the points in name order
-        for bit, point in reversed(a.name.items()):
-            env[at] = point
+        for bit in a.order():
+            env[at] = a.name[bit]
             if root(env):
                 ext |= bit
         differ = ext ^ b.box(a.dia(ext))

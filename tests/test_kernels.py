@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarmodal import frames, gen, semantics
-from polarmodal.frames import Sort, SortedFrame, random_frame
+from polarmodal.frames import (
+    Sort, SortedFrame, SortedRelation, SortingType, random_frame,
+)
 from polarmodal.semantics import (
-    ModalModel, eval_fol, frame_valid_modal, lattice_extent, sat_modal,
-    truth_set, b_axioms, d_axioms, k_axioms,
+    LatticeModel, ModalModel, eval_fol, frame_valid_modal, lattice_extent,
+    sat_modal, truth_set, b_axioms, d_axioms, k_axioms,
 )
 from polarmodal.syntax import (
     MAnd, MBbox, MBdia, MDbox, MDdia, MImp, MNot, MOr, ModalFormula, Signature,
-    mapp, modal_vars, parse_fol, parse_modal,
+    mapp, modal_vars, parse_fol, parse_lattice, parse_modal,
 )
 from polarmodal.transform import is_stable_fol, is_stable_modal
 
@@ -250,7 +252,7 @@ def test_batch_columns_transpose_the_valuations(sizes, vars_in_use, batch):
             window = valuations[start:start + ones.bit_length()]
             assert ones == (1 << len(window)) - 1
             for i, ((sort, index), side) in enumerate(zip(keys, sides)):
-                assert columns[(sort is Sort.ONE, index)] == [
+                assert columns[(sort, index)] == [
                     sum(1 << k for k, v in enumerate(window) if v[i] >> j & 1)
                     for j in range(len(side.bit))]
     assert starts == list(range(0, len(valuations), batch))
@@ -359,6 +361,47 @@ def test_shared_subformulas_under_kernels_match_sets(
                 stable_by_sets(alpha, [frame], vars_in_use)
 
 
+# one relation of three argument places on each output sort
+TERNARY = {"t": SortingType(Sort.ONE, (Sort.ONE, Sort.DEL, Sort.ONE)),
+           "u": SortingType(Sort.DEL, (Sort.DEL, Sort.DEL, Sort.ONE))}
+TERNARY_SIG = Signature.of(TERNARY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(random_frame, st.integers(1, 3), st.integers(1, 3),
+                 st.just(TERNARY), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                 st.integers(0, 10 ** 6)),
+       st.integers(0, 10 ** 6))
+def test_named_diamonds_of_three_places_match_sets(frame, seed):
+    """Named diamonds of three argument places: the image kernel, both
+    evaluators, frame validity in batches of 1, 8 and 4,096 valuations,
+    and stability agree with the set kernels."""
+    oracle = SetKernels(frame)
+    rng = random.Random(seed)
+    for name, sorting in TERNARY.items():
+        args = [random_subset(rng, frame.carrier(s)) for s in sorting.inputs]
+        assert image_op(frame, name, args) == oracle.image_op(name, args)
+    model = gen.random_modal_model(frame, VARS, seed)
+    formulas = [gen.random_modal_formula(seed + k, 3, sort, 1, TERNARY_SIG)
+                for k, sort in enumerate((Sort.ONE, Sort.DEL, Sort.ONE))]
+    formulas += [parse_modal(text, TERNARY_SIG)
+                 for text in ("t(P0, Q0, P0)", "u(Q0, ~Q0, P0 -> t(P0, Q0, P0))")]
+    for theta in formulas:
+        expect = oracle.truth_set(model.valuation, theta)
+        assert truth_set(model, theta) == expect
+        assert {p for p in frame.carrier(theta.sort)
+                if sat_modal(model, p, theta)} == expect
+        vars_in_use = modal_vars(theta)
+        valid = oracle.frame_valid_modal(theta, vars_in_use)
+        for batch in (1, 8, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semantics, "_BATCH", batch)
+                assert frame_valid_modal(frame, theta, vars_in_use) == valid
+        if theta.sort is Sort.ONE:
+            assert is_stable_modal(theta, [frame], vars_in_use) == \
+                stable_by_sets(theta, [frame], vars_in_use)
+
+
 def _twin(frame):
     return SortedFrame(frame.points_a, frame.points_b, frame.incidence,
                        frame.relations)
@@ -380,8 +423,10 @@ def test_searches_leave_nothing_behind():
     """Two searches and a `truth_set`, back to back on one frame, each give
     what they give on a fresh frame.  Every batch of a search is one walk,
     a loop over its formula's listing that evaluates each distinct
-    subformula once, afresh, and the searches leave the frame, its index
-    and both sides as they found them."""
+    subformula once, afresh.  All three leave the frame, its index and both
+    sides as they found them, but for the index's relation heads: each
+    fills the heads of its formula's relations, and only those, and a
+    later query reads the same objects."""
     frame = random_frame(3, 3, ALL_TYPES, 0.5, seed=4)
     # same points and relations, other incidence: a memo kept across
     # frames would answer for the wrong one
@@ -393,13 +438,16 @@ def test_searches_leave_nothing_behind():
     valuation = {(Sort.ONE, 0): ["a0", "a2"], (Sort.DEL, 0): ["b1"],
                  (Sort.ONE, 1): ["a1"]}
     # each query; the formula whose subformulas each walk evaluates, with
-    # how many nodes the search adds to it ([b] <d> alpha -> alpha); and the
+    # how many nodes the search adds to it ([b] <d> alpha -> alpha); the
     # least number of batches: 64 valuations of alpha, 8 at a time, and
-    # none for `truth_set`, which walks once
+    # none for `truth_set`, which walks once; and the relations the formula
+    # names.  alpha comes first, so on a fresh frame it finds no heads
     queries = [
-        (lambda f: frame_valid_modal(f, theta, modal_vars(theta)), theta, 0, 1),
-        (lambda f: is_stable_modal(alpha, [f], modal_vars(alpha)), alpha, 3, 8),
-        (lambda f: truth_set(ModalModel(f, valuation), theta), theta, 0, 0),
+        (lambda f: is_stable_modal(alpha, [f], modal_vars(alpha)), alpha, 3, 8, {"f"}),
+        (lambda f: frame_valid_modal(f, theta, modal_vars(theta)), theta, 0, 1,
+         set(ALL_TYPES)),
+        (lambda f: truth_set(ModalModel(f, valuation), theta), theta, 0, 0,
+         set(ALL_TYPES)),
     ]
     listing, batches = semantics._listing, semantics._Search.batches
     # each walk's root, the nodes of its listing and what it left unread;
@@ -421,16 +469,22 @@ def test_searches_leave_nothing_behind():
         mp.setattr(semantics, "_BATCH", 8)
         mp.setattr(semantics, "_listing", listed)
         mp.setattr(semantics._Search, "batches", counted)
-        for query, root, added, least in queries + queries:
+        for query, root, added, least, names in queries + queries:
             for f in (frame, other):
                 before = _held(f)
+                heads = dict(f._index._heads)
                 del walks[:], cut[:]
                 found = query(f)
-                if least:  # `truth_set` may fill the index's relation heads
-                    after = _held(f)
-                    assert list(after) == list(before)
-                    for key, (value, keys) in before.items():
-                        assert after[key][0] is value and after[key][1] == keys, key
+                after = _held(f)
+                assert list(after) == list(before)
+                for key, (value, keys) in before.items():
+                    assert after[key][0] is value, key
+                    if key != ("index", "_heads"):
+                        assert after[key][1] == keys, key
+                # the heads of root's relations are filled, each once
+                filled = f._index._heads
+                assert set(filled) == set(heads) | names
+                assert all(filled[name] is got for name, got in heads.items())
                 # one walk per batch, or one for `truth_set`, each over the
                 # one root and to the end of its listing
                 assert len(walks) == max(len(cut), 1) and len(cut) >= least
@@ -441,6 +495,41 @@ def test_searches_leave_nothing_behind():
                     assert len(ids) == len(nodes) == len(_distinct(root)) + added
                     assert ids >= _distinct(root)
                 assert query(_twin(f)) == found
+
+
+class _CountedTuples(frozenset):
+    """Relation tuples that count the times they are iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_each_relation_is_read_once_per_frame():
+    """The searches, both evaluators, `closed_op` and `is_section_stable`
+    read a relation through the frame's one relation index, which reads
+    the relation's tuples on first use: after construction they are
+    iterated once, however many queries follow."""
+    base = random_frame(3, 3, TERNARY, 0.5, seed=2)
+    rel = base.relation("t")
+    tuples = _CountedTuples(rel.tuples)
+    frame = SortedFrame(base.points_a, base.points_b, base.incidence,
+                        {"t": SortedRelation("t", rel.sorting, tuples)})
+    tuples.iterations = 0
+    theta = parse_modal("t(P0, Q0, P0) | ~P1", TERNARY_SIG)
+    alpha = parse_modal("t(P0, Q0, [b] <d> P0)", TERNARY_SIG)
+    stable = frame.closure(Sort.ONE, ["a1"])
+    frame_valid_modal(frame, theta, modal_vars(theta))
+    for _ in range(2):
+        is_stable_modal(alpha, [frame], modal_vars(alpha))
+    truth_set(ModalModel(frame, {(Sort.ONE, 0): ["a0"]}), theta)
+    lattice_extent(LatticeModel(frame, {0: stable}),
+                   parse_lattice("t(p0, p0, p0)", TERNARY_SIG))
+    frame.closed_op("t", [frame.points_a, frame.points_b, stable])
+    frame.is_section_stable("t")
+    assert tuples.iterations == 1
 
 
 def test_a_frame_is_freed_when_its_last_search_returns():
