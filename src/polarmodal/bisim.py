@@ -39,9 +39,9 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import PreconditionError, SortError
+from .errors import CapExceeded, PreconditionError, SortError
 from .frames import Sort, SortedFrame, _collector_paused
-from .semantics import ModalModel
+from .semantics import ModalModel, resource_cap
 from .syntax import (MApp, MBdia, MConst, MDdia, MNot, MVar, MAnd, ModalFormula,
                      modal_var_key)
 
@@ -394,6 +394,7 @@ def all_bisimulations_union(m: ModalModel, m2: ModalModel) -> SortedPairRelation
     """Union of all model bisimulations by exhaustive relation enumeration.
 
     Exponential in the number of point pairs; an oracle for tiny models.
+    More candidate relations than `resource_cap()` raise CapExceeded.
     """
     f, g = m.frame, m2.frame
     _check_compatible(f, g)
@@ -407,6 +408,9 @@ def all_bisimulations_union(m: ModalModel, m2: ModalModel) -> SortedPairRelation
 
     cand_a = sorted((a, a2) for a in f.points_a for a2 in g.points_a)
     cand_b = sorted((b, b2) for b in f.points_b for b2 in g.points_b)
+    total, cap = 2 ** (len(cand_a) + len(cand_b)), resource_cap()
+    if total > cap:
+        raise CapExceeded(f"{total} candidate relations exceed cap {cap}")
     union_a, union_b = set(), set()
     for mask_a in itertools.product([False, True], repeat=len(cand_a)):
         pa = frozenset(p for p, keep in zip(cand_a, mask_a) if keep)

@@ -4,8 +4,9 @@ Exit codes: 0 = success / property holds, 1 = property fails (witness in
 the report), 2 = usage, parse, sort or resource errors.  The environment
 variable POLARMODAL_CAP bounds exhaustive valuation searches, the
 quantifier instances of one FOL evaluation, or of the whole search for
-`stable --fol`, and the closed sets `concepts` enumerates; a value that
-is not a positive integer fails every command with exit code 2.
+`stable --fol`, the closed sets `concepts` enumerates, the subsets
+`verify galois` checks and the nodes of a formula `gen` draws; a value
+that is not a positive integer fails every command with exit code 2.
 """
 
 from __future__ import annotations

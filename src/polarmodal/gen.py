@@ -6,18 +6,19 @@ caller-supplied Random instance) and never produce ill-sorted output.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterable
 
-from .errors import PreconditionError
+from .errors import CapExceeded, PreconditionError
 from .frames import Sort, SortedFrame
-from .semantics import LatticeModel, ModalModel
+from .semantics import LatticeModel, ModalModel, resource_cap
 from .syntax import (
     EMPTY_SIGNATURE, FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr,
     FPred, FRelApp, FVar, FolFormula, LAnd, LApp, LBot, LOr, LTop, LVar,
-    LatticeFormula, MAnd, MBbox, MBdia, MConst, MDbox, MDdia, MImp, MNot,
-    MOr, MVar, ModalFormula, Signature, _MModal, _with_vars, mapp,
-    modal_var_key,
+    LatticeFormula, MAX_NESTING, MAnd, MBbox, MBdia, MConst, MDbox, MDdia,
+    MImp, MNot, MOr, MVar, ModalFormula, Signature, _MModal, _with_vars,
+    mapp, modal_var_key,
 )
 
 
@@ -28,17 +29,32 @@ def _rng(seed) -> random.Random:
 def _check_sizes(depth: int, num_vars: int = 1):
     if depth < 0:
         raise PreconditionError(f"formula depth must be at least 0, not {depth}")
+    if depth > MAX_NESTING:
+        raise PreconditionError(
+            f"formula depth must be at most {MAX_NESTING}, not {depth}")
     if num_vars < 1:
         raise PreconditionError(
             f"formulas need at least 1 variable, not {num_vars}")
 
 
+def _node_budget():
+    """A tick to call once per node a generator draws: past `resource_cap()`
+    nodes it raises CapExceeded.  It draws no random number."""
+    cap, drawn = resource_cap(), itertools.count(1)
+
+    def tick():
+        if next(drawn) > cap:
+            raise CapExceeded(f"generated nodes exceed cap {cap}")
+    return tick
+
+
 def random_lattice_formula(seed, depth: int, num_vars: int = 3,
                            sig: Signature = EMPTY_SIGNATURE) -> LatticeFormula:
     _check_sizes(depth, num_vars)
-    rng = _rng(seed)
+    rng, tick = _rng(seed), _node_budget()
 
     def go(d):
+        tick()
         if d <= 0 or rng.random() < 0.25:
             roll = rng.random()
             if roll < 0.7:
@@ -55,9 +71,10 @@ def random_lattice_formula(seed, depth: int, num_vars: int = 3,
 def random_modal_formula(seed, depth: int, sort: Sort, num_vars: int = 2,
                          sig: Signature = EMPTY_SIGNATURE) -> ModalFormula:
     _check_sizes(depth, num_vars)
-    rng = _rng(seed)
+    rng, tick = _rng(seed), _node_budget()
 
     def go(d, s):
+        tick()
         if d <= 0 or rng.random() < 0.2:
             if rng.random() < 0.85:
                 return MVar(s, rng.randrange(num_vars))
@@ -90,7 +107,7 @@ def random_fol_sentence(seed, depth: int,
     """A closed sorted FOL sentence with at least one quantifier, over the
     predicates P0, P1, Q0 and Q1."""
     _check_sizes(depth)
-    rng = _rng(seed)
+    rng, tick = _rng(seed), _node_budget()
     counter = [0]
 
     def fresh(sort):
@@ -123,6 +140,7 @@ def random_fol_sentence(seed, depth: int,
         return rng.choice(makers)()
 
     def go(d, env):
+        tick()
         if d <= 0:
             return atom(env)
         roll = rng.random()
@@ -142,6 +160,7 @@ def random_fol_sentence(seed, depth: int,
     sort = Sort.ONE if rng.random() < 0.5 else Sort.DEL
     var = fresh(sort)
     cls = FForall if rng.random() < 0.5 else FExists
+    tick()
     return cls(var, go(depth - 1, [var]))
 
 

@@ -45,7 +45,8 @@ from .syntax import (
     FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
     FolFormula, LApp, LAnd, LBot, LOr, LTop, LVar, LatticeFormula, MAnd, MApp,
     MBbox, MBdia, MDbox, MDdia, MImp, MNot, MOr, MVar, ModalFormula,
-    _atom_vars, _listing, _with_vars, modal_var_key, modal_vars, parse_modal,
+    _atom_vars, _listing, _rebuild, _with_vars, modal_var_key, modal_vars,
+    parse_modal,
 )
 
 # read by `resource_cap`, which rejects a setting that is not a positive integer
@@ -655,22 +656,18 @@ def sort_reduce(phi: FolFormula) -> FolFormula:
     def strip(v: FVar) -> FVar:
         return FVar(v.name, None)
 
-    def guard(v: FVar) -> FPred:
-        return FPred("U1" if v.sort is Sort.ONE else "Ud", strip(v))
+    joins = {FForall: FImp, FExists: FAnd}  # what joins a guard to its body
 
     def go(x):
         vs = _atom_vars(x)
         if vs is not None:
             return _with_vars(x, map(strip, vs))
-        if isinstance(x, FNot):
-            return FNot(go(x.arg))
-        if isinstance(x, (FAnd, FOr, FImp)):
-            return type(x)(go(x.left), go(x.right))
-        if isinstance(x, FForall):
-            return FForall(strip(x.var), FImp(guard(x.var), go(x.body)))
-        if isinstance(x, FExists):
-            return FExists(strip(x.var), FAnd(guard(x.var), go(x.body)))
-        raise SortError(f"unknown FOL node {x!r}")
+        join = joins.get(type(x))
+        if join is None:
+            return _rebuild(x, go)
+        var = strip(x.var)
+        guard = FPred("U1" if x.var.sort is Sort.ONE else "Ud", var)
+        return type(x)(var, join(guard, go(x.body)))
 
     return go(phi)
 

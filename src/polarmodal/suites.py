@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import catalog, fileio, gen
-from .errors import NormalityError, PreconditionError
+from .errors import CapExceeded, NormalityError, PreconditionError
 from .frames import (
     FiniteLatticeExpansion, Sort, SortedFrame, canonical_frame, random_frame,
 )
 from .semantics import (
-    b_axioms, d_axioms, eval_fol, frame_valid_modal, k_axioms, sat_modal,
-    sort_reduce, sorting_constraint_sentences, truth_set,
+    b_axioms, d_axioms, eval_fol, frame_valid_modal, k_axioms, resource_cap,
+    sat_modal, sort_reduce, sorting_constraint_sentences, truth_set,
 )
 from .bisim import (
     all_bisimulations_union, equivalence_depth_bound, is_model_bisimulation,
@@ -92,6 +92,7 @@ def suite_galois(rng, report, count=200, max_a=4, max_b=4):
     frames = _sample_frames(rng, count, max_a, max_b)
     frames += list(catalog.catalog_canonical_frames().values())
     report.note(f"frames: {len(frames)} ({count} random + catalog canonical)")
+    subsets, cap = 0, resource_cap()  # all the run's subsets, on one budget
     for idx, frame in enumerate(frames):
         for base, close_via, box_dia in (
             (frame.points_a, lambda s: frame.closure(Sort.ONE, s),
@@ -100,6 +101,9 @@ def suite_galois(rng, report, count=200, max_a=4, max_b=4):
              lambda s: frame.box_ab(frame.dia_ba(s))),
         ):
             items = sorted(base)
+            subsets += 2 ** len(items)
+            if subsets > cap:
+                raise CapExceeded(f"galois subsets exceed cap {cap}")
             for r in range(len(items) + 1):
                 for combo in combinations(items, r):
                     s = frozenset(combo)

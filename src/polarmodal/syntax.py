@@ -62,6 +62,15 @@ class Signature:
 EMPTY_SIGNATURE = Signature()
 
 
+def _args(x, shape: tuple[str, dict]) -> tuple:
+    """x's subformulas in order, read by `shape`: a language's name and its
+    node classes, each mapped to a reader; a node of any other class raises."""
+    read = shape[1].get(type(x))
+    if read is None:
+        raise SortError(f"unknown {shape[0]} node {x!r}")
+    return read(x)
+
+
 # ======================================================================
 # Lattice language
 
@@ -102,17 +111,15 @@ class LApp(LatticeFormula):
     args: tuple[LatticeFormula, ...]
 
 
+_LATTICE_ARGS = "lattice", {
+    **dict.fromkeys((LVar, LTop, LBot), lambda x: ()), LApp: attrgetter("args"),
+    **dict.fromkeys((LAnd, LOr), attrgetter("left", "right"))}
+
+
 def lattice_vars(phi: LatticeFormula) -> set[int]:
-    if isinstance(phi, LVar):
+    if type(phi) is LVar:
         return {phi.index}
-    if isinstance(phi, (LAnd, LOr)):
-        return lattice_vars(phi.left) | lattice_vars(phi.right)
-    if isinstance(phi, LApp):
-        out = set()
-        for a in phi.args:
-            out |= lattice_vars(a)
-        return out
-    return set()
+    return set().union(*map(lattice_vars, _args(phi, _LATTICE_ARGS)))
 
 
 # ======================================================================
@@ -248,11 +255,11 @@ def modal_var_key(v: tuple[Sort, int]):
     return v[0].value, v[1]
 
 
-# each modal node class's subformulas in order; only `_listing` reads it
-_MODAL_ARGS = {
+# only `_listing` reads it
+_MODAL_ARGS = "modal", {
     MVar: lambda x: (), MConst: lambda x: (), MApp: attrgetter("args"),
-    **{cls: attrgetter("left", "right") for cls in _MBinary.__subclasses__()},
-    **{cls: lambda x: (x.arg,) for cls in (MNot, *_MModal.__subclasses__())}}
+    **dict.fromkeys(_MBinary.__subclasses__(), attrgetter("left", "right")),
+    **dict.fromkeys((MNot, *_MModal.__subclasses__()), lambda x: (x.arg,))}
 
 
 def _listing(theta: ModalFormula):
@@ -283,10 +290,7 @@ def _listing(theta: ModalFormula):
                 else:
                     put((x, tuple([at[id(a)] for a in args])))
             elif id(x) not in at:
-                get = _MODAL_ARGS.get(type(x))
-                if get is None:
-                    raise SortError(f"unknown modal node {x!r}")
-                args = get(x)
+                args = _args(x, _MODAL_ARGS)
                 if args:
                     todo.append((x, args))
                     todo += reversed(args)  # the first argument listed first
@@ -410,30 +414,36 @@ def _with_vars(x: FolFormula, vs) -> FolFormula:
     return type(x)(*vs)
 
 
+# each quantifier's keyword, which the parser reads with its sort appended;
+# a quantifier's subformula is its body
+_QUANTIFIERS = {FForall: "all", FExists: "ex"}
+_FOL_ARGS = "FOL", {
+    **dict.fromkeys(_ATOM_VARS, lambda x: ()), FNot: lambda x: (x.arg,),
+    **dict.fromkeys((FAnd, FOr, FImp), attrgetter("left", "right")),
+    **dict.fromkeys(_QUANTIFIERS, lambda x: (x.body,))}
+
+
+def _rebuild(x: FolFormula, go) -> FolFormula:
+    """Compound node x over `go` of each of its subformulas."""
+    if type(x) in _QUANTIFIERS:
+        return type(x)(x.var, go(x.body))
+    return type(x)(*map(go, _args(x, _FOL_ARGS)))
+
+
 def fol_free_vars(phi: FolFormula) -> frozenset[FVar]:
     vs = _atom_vars(phi)
     if vs is not None:
         return frozenset(vs)
-    if isinstance(phi, FNot):
-        return fol_free_vars(phi.arg)
-    if isinstance(phi, (FAnd, FOr, FImp)):
-        return fol_free_vars(phi.left) | fol_free_vars(phi.right)
-    if isinstance(phi, (FForall, FExists)):
-        return fol_free_vars(phi.body) - {phi.var}
-    raise SortError(f"unknown FOL node {phi!r}")
+    free = frozenset().union(*map(fol_free_vars, _args(phi, _FOL_ARGS)))
+    return free - {phi.var} if type(phi) in _QUANTIFIERS else free
 
 
 def fol_all_var_names(phi: FolFormula) -> set[str]:
     vs = _atom_vars(phi)
     if vs is not None:
         return {v.name for v in vs}
-    if isinstance(phi, FNot):
-        return fol_all_var_names(phi.arg)
-    if isinstance(phi, (FAnd, FOr, FImp)):
-        return fol_all_var_names(phi.left) | fol_all_var_names(phi.right)
-    if isinstance(phi, (FForall, FExists)):
-        return {phi.var.name} | fol_all_var_names(phi.body)
-    raise SortError(f"unknown FOL node {phi!r}")
+    names = set().union(*map(fol_all_var_names, _args(phi, _FOL_ARGS)))
+    return names | {phi.var.name} if type(phi) in _QUANTIFIERS else names
 
 
 def fol_subst(phi: FolFormula, old: FVar, new: FVar) -> FolFormula:
@@ -445,18 +455,12 @@ def fol_subst(phi: FolFormula, old: FVar, new: FVar) -> FolFormula:
     vs = _atom_vars(phi)
     if vs is not None:
         return _with_vars(phi, [new if v == old else v for v in vs])
-    if isinstance(phi, FNot):
-        return FNot(fol_subst(phi.arg, old, new))
-    if isinstance(phi, (FAnd, FOr, FImp)):
-        return type(phi)(fol_subst(phi.left, old, new),
-                         fol_subst(phi.right, old, new))
-    if isinstance(phi, (FForall, FExists)):
+    if type(phi) in _QUANTIFIERS:
         if phi.var == old:
             return phi
         if phi.var.name == new.name and old in fol_free_vars(phi.body):
             raise SortError(f"substitution would capture {new.name}")
-        return type(phi)(phi.var, fol_subst(phi.body, old, new))
-    raise SortError(f"unknown FOL node {phi!r}")
+    return _rebuild(phi, lambda x: fol_subst(x, old, new))
 
 
 # ======================================================================
@@ -521,12 +525,13 @@ Each bracket, operator argument list, prefix operator (~, boxes,
 diamonds, binders) and binary connective opens one level, so a flat
 chain like P0 & P0 & ... takes at most 101 operands.  Deeper input
 raises ParseError instead of exhausting the Python stack; since every
-node of the syntax tree sits below its level, the parsers and printers,
-`std_translate` and the generators, which recurse, stay well inside the
-default recursion limit.  The modal evaluators (`truth_set`, `sat_modal`
-and the valuation searches), `modal_vars` and `modal_depth` loop over
-`_listing` instead, so a built formula may nest deeper for them, with no
-limit below memory.
+node of the syntax tree sits below its level, the parsers and printers
+and `std_translate`, which recurse, stay well inside the default
+recursion limit.  The generators recurse once per level of their
+`depth`, which they reject above this bound, so they stay inside it too.
+The modal evaluators (`truth_set`, `sat_modal` and the valuation
+searches), `modal_vars` and `modal_depth` loop over `_listing` instead,
+so a built formula may nest deeper for them, with no limit below memory.
 """
 
 
@@ -796,8 +801,8 @@ def _print_modal(x, level):
 
 _FOL_OPS = (("->", FImp, True), ("|", FOr, False), ("&", FAnd, False))
 _FOL_BY_TOKEN, _FOL_BY_CLASS = _connectives(_FOL_OPS)
-_BINDERS = {"all1": (FForall, Sort.ONE), "alld": (FForall, Sort.DEL),
-            "ex1": (FExists, Sort.ONE), "exd": (FExists, Sort.DEL)}
+_BINDERS = {kw + str(sort): (cls, sort)
+            for cls, kw in _QUANTIFIERS.items() for sort in Sort}
 _FOL_NAME_RE = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 
 
@@ -895,8 +900,8 @@ def _print_fol(x, level):
         return _print_binary(x, level, spec, _print_fol)
     if isinstance(x, FNot):
         return f"~{_print_fol(x.arg, len(_FOL_OPS))}"
-    if isinstance(x, (FForall, FExists)):
-        kw = "all" if isinstance(x, FForall) else "ex"
+    kw = _QUANTIFIERS.get(type(x))
+    if kw is not None:
         if x.var.sort is not None:
             kw += str(x.var.sort)
         text = f"{kw} {x.var.name} . {_print_fol(x.body, 0)}"

@@ -14,9 +14,10 @@ from polarmodal.frames import (
 )
 from polarmodal.semantics import resource_cap
 from polarmodal.syntax import (
-    FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, LAnd,
-    LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox, MDdia,
-    MImp, MNot, MOr, MVar, ModalFormula, fol_free_vars, modal_var_key,
+    FAnd, FEq, FExists, FForall, FImp, FInc, FNot, FOr, FPred, FRelApp, FVar,
+    LAnd, LApp, LBot, LOr, LTop, LVar, MAnd, MApp, MBbox, MBdia, MConst, MDbox,
+    MDdia, MImp, MNot, MOr, MVar, ModalFormula, _atom_vars, _with_vars,
+    fol_free_vars, modal_var_key,
 )
 from polarmodal.transform import stability_transform
 
@@ -341,6 +342,51 @@ def modal_vars_oracle(theta: ModalFormula) -> set:
         return modal_vars_oracle(theta.left) | modal_vars_oracle(theta.right)
     assert isinstance(theta, MApp)
     return set().union(*map(modal_vars_oracle, theta.args))
+
+
+def fol_subst_oracle(phi, old, new):
+    """`syntax.fol_subst` by a recursion over each compound class."""
+    vs = _atom_vars(phi)
+    if vs is not None:
+        return _with_vars(phi, [new if v == old else v for v in vs])
+    if isinstance(phi, FNot):
+        return FNot(fol_subst_oracle(phi.arg, old, new))
+    if isinstance(phi, (FAnd, FOr, FImp)):
+        return type(phi)(fol_subst_oracle(phi.left, old, new),
+                         fol_subst_oracle(phi.right, old, new))
+    if isinstance(phi, (FForall, FExists)):
+        if phi.var == old:
+            return phi
+        if phi.var.name == new.name and old in fol_free_vars(phi.body):
+            raise SortError(f"substitution would capture {new.name}")
+        return type(phi)(phi.var, fol_subst_oracle(phi.body, old, new))
+    raise SortError(f"unknown FOL node {phi!r}")
+
+
+def sort_reduce_oracle(phi):
+    """`semantics.sort_reduce` by a recursion over each compound class."""
+
+    def strip(v: FVar) -> FVar:
+        return FVar(v.name, None)
+
+    def guard(v: FVar) -> FPred:
+        return FPred("U1" if v.sort is Sort.ONE else "Ud", strip(v))
+
+    def go(x):
+        vs = _atom_vars(x)
+        if vs is not None:
+            return _with_vars(x, map(strip, vs))
+        if isinstance(x, FNot):
+            return FNot(go(x.arg))
+        if isinstance(x, (FAnd, FOr, FImp)):
+            return type(x)(go(x.left), go(x.right))
+        if isinstance(x, FForall):
+            return FForall(strip(x.var), FImp(guard(x.var), go(x.body)))
+        if isinstance(x, FExists):
+            return FExists(strip(x.var), FAnd(guard(x.var), go(x.body)))
+        raise SortError(f"unknown FOL node {x!r}")
+
+    return go(phi)
 
 
 def name_rows(frame):

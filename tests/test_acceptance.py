@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from polarmodal import semantics
+from polarmodal.errors import CapExceeded
 from polarmodal.frames import SortedFrame
 from polarmodal.suites import SUITE_NAMES, run_suite
 
@@ -35,6 +37,20 @@ def _check(report):
 
 def test_criterion_01_galois_closure_coincidence():
     _check(report("galois"))
+
+
+def test_galois_subsets_draw_on_one_budget(monkeypatch):
+    """The cap bounds the subsets of one run, not of each frame: a cap of
+    exactly the run's subsets passes with the same report, one less raises
+    before any subset of the side that would pass it is checked."""
+    full = run_suite("galois", seed=3, count=6, max_a=6, max_b=6)
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", full.checked)
+    assert run_suite("galois", seed=3, count=6, max_a=6, max_b=6).checked == \
+        full.checked
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", full.checked - 1)
+    with pytest.raises(CapExceeded,
+                       match=f"^galois subsets exceed cap {full.checked - 1}$"):
+        run_suite("galois", seed=3, count=6, max_a=6, max_b=6)
 
 
 def test_criterion_02_concept_lattice_isomorphism():

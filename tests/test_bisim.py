@@ -12,13 +12,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmodal import bisim, catalog, gen
+from polarmodal import bisim, catalog, gen, semantics
 from polarmodal.bisim import (
     SortedPairRelation, all_bisimulations_union, equivalence_depth_bound,
     is_bisimulation, is_model_bisimulation, is_simulation,
     largest_bisimulation, modal_equiv,
 )
-from polarmodal.errors import PreconditionError, SortError
+from polarmodal.errors import CapExceeded, PreconditionError, SortError
 from polarmodal.frames import Sort, SortedFrame, SortingType, random_frame
 from polarmodal.semantics import ModalModel, sat_modal, truth_set
 from polarmodal.syntax import ModalFormula, modal_depth, modal_vars
@@ -265,6 +265,18 @@ def test_union_reads_both_frames_once(seed):
     assert union == _union_by_candidates(m, m2)
     # the model against itself keeps pairs of both sorts
     assert all_bisimulations_union(m, m) == _union_by_candidates(m, m)
+
+
+def test_union_oracle_is_capped(monkeypatch):
+    """Two 1+2-point models have 2**(1 + 4) candidate relations: the cap
+    bounds them before any is tried."""
+    m = gen.random_modal_model(random_frame(1, 2, SIG, 0.5, seed=1), VARS, 1)
+    expected = _union_by_candidates(m, m)
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 32)
+    assert all_bisimulations_union(m, m) == expected
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 31)
+    with pytest.raises(CapExceeded, match="^32 candidate relations exceed cap 31$"):
+        all_bisimulations_union(m, m)
 
 
 # ---------------------------------------------------------------- equivalence

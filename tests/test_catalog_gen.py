@@ -2,10 +2,13 @@
 
 import pytest
 
-from polarmodal import catalog, gen
-from polarmodal.errors import PreconditionError
+from polarmodal import catalog, gen, semantics, syntax
+from polarmodal.errors import CapExceeded, PreconditionError
 from polarmodal.frames import Sort
-from polarmodal.syntax import Signature, modal_depth, modal_vars
+from polarmodal.syntax import (
+    MAX_NESTING, Signature, modal_depth, modal_vars, print_fol, print_lattice,
+    print_modal,
+)
 
 
 def test_catalog_names():
@@ -85,10 +88,67 @@ def test_assignment_generator():
     ("random_fol_sentence", (0, -1), "depth must be at least 0"),
     ("random_modal_corpus", (0, 3, -1), "depth must be at least 0"),
     ("random_modal_corpus", (0, 3, 2, 0), "at least 1 variable"),
+    ("random_lattice_formula", (0, MAX_NESTING + 1), "depth must be at most"),
+    ("random_modal_formula", (0, MAX_NESTING + 1, Sort.ONE), "at most 100, not 101"),
+    ("random_assignment", (0, [0], 5000), "depth must be at most 100"),
+    ("random_fol_sentence", (0, 1000), "depth must be at most 100, not 1000"),
+    ("random_modal_corpus", (0, 3, 10 ** 5), "depth must be at most 100"),
 ])
 def test_formula_generators_reject_bad_sizes(name, args, what):
     with pytest.raises(PreconditionError, match=what):
         getattr(gen, name)(*args)
+
+
+SIG = Signature.of({"f": catalog.D1_1, "g": catalog.DD_D, "h": catalog.D1D_D})
+DRAWS = {
+    "lattice": (lambda seed, depth: gen.random_lattice_formula(seed, depth, 3, SIG),
+                syntax._LATTICE_ARGS),
+    "modal": (lambda seed, depth: gen.random_modal_formula(seed, depth, Sort.ONE, 2, SIG),
+              syntax._MODAL_ARGS),
+    "fol": (lambda seed, depth: gen.random_fol_sentence(seed, depth, SIG),
+            syntax._FOL_ARGS),
+}
+
+
+def tree_size(x, shape):
+    """The nodes of x's syntax tree, a shared subformula once per place."""
+    return 1 + sum(tree_size(a, shape) for a in syntax._args(x, shape))
+
+
+@pytest.mark.parametrize("lang", DRAWS)
+def test_generators_count_their_nodes_against_the_cap(monkeypatch, lang):
+    """One tick per node drawn: a cap of exactly a formula's tree size
+    draws the same formula, one less raises."""
+    draw, shape = DRAWS[lang]
+    sizes = set()
+    for seed in range(8):
+        monkeypatch.setattr(semantics, "DEFAULT_CAP", 2 ** 20)
+        phi = draw(seed, 5)
+        size = tree_size(phi, shape)
+        sizes.add(size)
+        if size == 1:
+            continue
+        monkeypatch.setattr(semantics, "DEFAULT_CAP", size)
+        assert draw(seed, 5) == phi
+        monkeypatch.setattr(semantics, "DEFAULT_CAP", size - 1)
+        with pytest.raises(CapExceeded, match=f"^generated nodes exceed cap {size - 1}$"):
+            draw(seed, 5)
+    assert max(sizes) > 10
+
+
+@pytest.mark.parametrize("lang", DRAWS)
+def test_generators_at_the_depth_bound_stay_inside_the_stack(monkeypatch, lang):
+    """At the deepest depth allowed a generator returns a formula its
+    printer prints, or runs out of nodes; it never overflows the stack."""
+    draw, _ = DRAWS[lang]
+    show = {"lattice": print_lattice, "modal": print_modal, "fol": print_fol}[lang]
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 20000)
+    for seed in range(6):
+        try:
+            phi = draw(seed, MAX_NESTING)
+        except CapExceeded:
+            continue
+        assert show(phi)
 
 
 def test_model_generators():

@@ -638,6 +638,24 @@ def test_cli_concepts_is_capped(tmp_path, capsys, monkeypatch):
     assert err == "error: resource cap exceeded: closed sets exceed cap 3\n"
 
 
+def test_cli_gen_rejects_runaway_depths(capsys, monkeypatch):
+    code, out, err = run(capsys, "gen", "formula", "--depth", "5000")
+    assert code == 2 and out == ""
+    assert err == "error: formula depth must be at most 100, not 5000\n"
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 1000)
+    code, out, err = run(capsys, "gen", "formula", "--lang", "lattice",
+                         "--depth", "100")
+    assert code == 2 and out == ""
+    assert err == "error: resource cap exceeded: generated nodes exceed cap 1000\n"
+
+
+def test_cli_verify_galois_is_capped(capsys, monkeypatch):
+    monkeypatch.setattr(semantics, "DEFAULT_CAP", 4096)
+    code, out, err = run(capsys, "verify", "galois", "--maxA", "14", "--maxB", "14")
+    assert code == 2 and out == ""
+    assert err == "error: resource cap exceeded: galois subsets exceed cap 4096\n"
+
+
 def test_cli_gen_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "frame", "--seed", "3")
     assert code == 0

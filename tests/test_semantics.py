@@ -20,16 +20,16 @@ from polarmodal.semantics import (
     truth_set,
 )
 from polarmodal.syntax import (
-    MAX_NESTING, FForall, FImp, FolFormula, FPred, FVar, LAnd, LApp, LOr, LVar, MBbox,
-    MBdia, MDbox, MDdia, MNot, ModalFormula, Signature, fol_all_var_names,
-    fol_free_vars, fol_subst, modal_depth, modal_vars, parse_fol, parse_lattice,
-    parse_modal, print_fol, print_modal,
+    MAX_NESTING, FAnd, FForall, FImp, FNot, FolFormula, FPred, FVar, LAnd, LApp,
+    LOr, LVar, MBbox, MBdia, MDbox, MDdia, MNot, ModalFormula, Signature,
+    fol_all_var_names, fol_free_vars, fol_subst, lattice_vars, modal_depth,
+    modal_vars, parse_fol, parse_lattice, parse_modal, print_fol, print_modal,
 )
 from polarmodal.transform import is_stable_fol, is_stable_modal, std_translate
 
 from conftest import (
-    ALL_TYPES, SetKernels, fol_oracle, galois_dual, make_rel, oracle_frames,
-    stable_by_sets, with_relation,
+    ALL_TYPES, SetKernels, fol_oracle, fol_subst_oracle, galois_dual, make_rel,
+    oracle_frames, sort_reduce_oracle, stable_by_sets, with_relation,
 )
 from test_syntax import _shared_chain
 
@@ -228,6 +228,29 @@ def test_unknown_modal_nodes_are_rejected(f0):
                 walk()
 
 
+@dataclasses.dataclass(frozen=True)
+class _Stranger:
+    """A node neither the lattice nor the FOL language has."""
+
+
+def test_unknown_lattice_and_fol_nodes_are_rejected():
+    """An unknown node, alone or below a known one, is a SortError of every
+    walk of a lattice or FOL formula, and no other exception."""
+    for phi in (_Stranger(), LAnd(LVar(0), _Stranger()),
+                LApp("f", (LOr(_Stranger(), LVar(1)),))):
+        with pytest.raises(SortError, match="^unknown lattice node _Stranger"):
+            lattice_vars(phi)
+    with pytest.raises(SortError, match="^unknown lattice node 'junk'"):
+        lattice_vars(LAnd(LVar(0), "junk"))
+    u, v, z = FVar("u", Sort.ONE), FVar("v", Sort.DEL), FVar("z", Sort.ONE)
+    for phi in (_Stranger(), FNot(_Stranger()), FAnd(FPred("P0", u), _Stranger()),
+                FForall(v, FImp(_Stranger(), FPred("P0", u)))):
+        for walk in (lambda: fol_free_vars(phi), lambda: fol_all_var_names(phi),
+                     lambda: fol_subst(phi, u, z), lambda: sort_reduce(phi)):
+            with pytest.raises(SortError, match="^unknown FOL node _Stranger"):
+                walk()
+
+
 @settings(max_examples=80, deadline=None)
 @given(oracle_frames, st.integers(0, 10 ** 6), st.integers(0, 3))
 def test_modal_duality(frame, seed, depth):
@@ -405,6 +428,27 @@ def test_free_vars_agree_with_the_compiler(seed, depth, sort):
         for top in (phi, sort_reduce(phi)):
             for sub in _subformulas(top):
                 assert fol_free_vars(sub) == semantics._compile_fol(sub).free
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from(Sort))
+def test_fol_rebuilds_match_the_recursive_oracles(seed, depth, sort):
+    """`sort_reduce` and `fol_subst` build what a recursion over each
+    compound class builds, on random sentences, standard translations and
+    every subformula of each: `fol_subst` of each free variable by a fresh
+    variable and by every name the subformula uses, in either sort, so
+    that some substitutions would capture and raise."""
+    sig = Signature.of(ALL_TYPES)
+    theta = gen.random_modal_formula(seed, depth, sort, 2, sig)
+    for phi in (gen.random_fol_sentence(seed, depth, sig),
+                std_translate(theta, "u" if sort is Sort.ONE else "v")):
+        assert sort_reduce(phi) == sort_reduce_oracle(phi)
+        for sub in _subformulas(phi):
+            names = {"fresh", *fol_all_var_names(sub)}
+            for old in fol_free_vars(sub):
+                for new in (FVar(n, s) for n in sorted(names) for s in Sort):
+                    assert outcome(fol_subst, sub, old, new) == \
+                        outcome(fol_subst_oracle, sub, old, new)
 
 
 def test_constraint_sentences(f0):
